@@ -82,7 +82,7 @@ from .powerform import (
     specialize,
     t_block,
 )
-from .scalars import CycloScalar, Rational, cyclotomic_poly, field_op, inv, xi_pow
+from .scalars import CycloScalar, Rational, cyclotomic_poly, inv, xi_pow
 from .schur import (
     NormalFormResult,
     SchurPair,

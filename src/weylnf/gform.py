@@ -29,15 +29,7 @@ from .errors import (
 )
 from .linalg import solve_square
 from .operators import INF, GradedOp
-from .scalars import CycloScalar, xi_pow
-
-
-def _as_scalar(k, value):
-    if isinstance(value, CycloScalar):
-        if value.k != k:
-            raise ContextMismatchError(f"cyclotomic order mismatch: {k} vs {value.k}")
-        return value
-    return CycloScalar.from_rational(k, value)
+from .scalars import CycloScalar, as_scalar, xi_pow
 
 
 class Hcp:
@@ -52,7 +44,7 @@ class Hcp:
         for (l, i), c in (gamma or {}).items():
             if l < 0:
                 raise PreconditionError("Gamma index must be nonnegative")
-            c = _as_scalar(k, c)
+            c = as_scalar(k, c)
             if not c.is_zero():
                 key = (l, i % k)
                 g[key] = g.get(key, CycloScalar.zero(k)) + c
@@ -61,7 +53,7 @@ class Hcp:
         for j, c in (bpart or {}).items():
             if j < 1:
                 raise PreconditionError("B index must be positive")
-            c = _as_scalar(k, c)
+            c = as_scalar(k, c)
             if not c.is_zero():
                 b[j] = c
         object.__setattr__(self, "k", k)
@@ -121,7 +113,7 @@ class Hcp:
         return self + (-other)
 
     def scalar_mul(self, value) -> "Hcp":
-        value = _as_scalar(self.k, value)
+        value = as_scalar(self.k, value)
         return Hcp(self.k, self.r,
                    {key: c * value for key, c in self.gamma.items()},
                    {j: c * value for j, c in self.bpart.items()})
@@ -198,14 +190,14 @@ class EigenFunction:
     def __init__(self, k: int, quasi=None, corr=None):
         q = {}
         for (l, i), c in (quasi or {}).items():
-            c = _as_scalar(k, c)
+            c = as_scalar(k, c)
             if not c.is_zero():
                 q[(l, i % k)] = c
         c_ = {}
         for n, c in (corr or {}).items():
             if n < 0:
                 continue
-            c = _as_scalar(k, c)
+            c = as_scalar(k, c)
             if not c.is_zero():
                 c_[n] = c
         object.__setattr__(self, "k", k)

@@ -17,7 +17,6 @@ def solve_square(matrix: list[list[CycloScalar]], rhs: list[CycloScalar]) -> lis
         raise PreconditionError("solve_square needs a square system")
     if n == 0:
         return []
-    k = rhs[0].k if rhs else matrix[0][0].k
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
@@ -30,8 +29,6 @@ def solve_square(matrix: list[list[CycloScalar]], rhs: list[CycloScalar]) -> lis
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    one = CycloScalar.one(k)
-    del one
     return [a[r][n] for r in range(n)]
 
 

@@ -32,17 +32,9 @@ from .errors import (
     TruncationError,
     UndefinedOrderError,
 )
-from .scalars import CycloScalar
+from .scalars import CycloScalar, as_scalar
 
 INF = math.inf
-
-
-def _as_scalar(k: int, value) -> CycloScalar:
-    if isinstance(value, CycloScalar):
-        if value.k != k:
-            raise ContextMismatchError(f"cyclotomic order mismatch: {k} vs {value.k}")
-        return value
-    return CycloScalar.from_rational(k, value)
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,7 @@ class GradedOp:
 
     @classmethod
     def from_scalar(cls, k: int, value) -> "GradedOp":
-        value = _as_scalar(k, value)
+        value = as_scalar(k, value)
         if value.is_zero():
             return cls.zero(k)
         return cls.from_monomials(k, [(0, 0, value)])
@@ -118,7 +110,7 @@ class GradedOp:
         comps: dict[int, dict[int, CycloScalar]] = {}
         top = 0
         for xdeg, ddeg, coeff in items:
-            coeff = _as_scalar(k, coeff)
+            coeff = as_scalar(k, coeff)
             t = ddeg - xdeg
             comps.setdefault(t, {})
             comps[t][xdeg] = comps[t].get(xdeg, CycloScalar.zero(k)) + coeff
@@ -307,7 +299,7 @@ class GradedOp:
         return (-self) + other
 
     def scalar_mul(self, value) -> "GradedOp":
-        value = _as_scalar(self.k, value)
+        value = as_scalar(self.k, value)
         if value.is_zero():
             # Zero content, but the window stays what it was.
             return GradedOp(self.k, {}, self.floor, self.top, self.xcaps)
@@ -651,7 +643,7 @@ def ad_pow(q: int, A: GradedOp, a: int) -> GradedOp:
 def poly_from_pairs(k: int, pairs) -> dict[int, CycloScalar]:
     out = {}
     for n, c in pairs:
-        c = _as_scalar(k, c)
+        c = as_scalar(k, c)
         if not c.is_zero():
             out[n] = out.get(n, CycloScalar.zero(k)) + c
     return {n: c for n, c in out.items() if not c.is_zero()}

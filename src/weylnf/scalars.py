@@ -6,8 +6,16 @@ Phi_k. Reducing modulo Phi_k (rather than xi^k - 1) makes the quotient a
 field, so every nonzero element has an inverse.
 
 Values are immutable and carry their cyclotomic order ``k``; mixing two
-different orders in one operation raises :class:`ContextMismatchError`.
-Rationals are plain :class:`fractions.Fraction`.
+different orders in one operation raises :class:`ContextMismatchError`, and
+an order below 1 raises :class:`PreconditionError` (checked once, in
+:func:`cyclotomic_poly`, which every constructor and :func:`xi_pow` calls).
+Rationals are plain :class:`fractions.Fraction`; an ``int`` or ``Fraction``
+operand is applied coefficient by coefficient, never lifted to Q(xi).
+
+Invariant: ``coeffs`` is a tuple of exactly ``deg Phi_k`` objects of type
+``Fraction``, already reduced mod Phi_k. The public ``CycloScalar(k, coeffs)``
+establishes it by coercing and reducing whatever it is given; arithmetic
+results that keep it by construction are built unchecked by :func:`_make`.
 """
 
 from __future__ import annotations
@@ -15,9 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ContextMismatchError, DivisionByZeroError, ParseError
+from .errors import ContextMismatchError, DivisionByZeroError, ParseError, PreconditionError
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 
 def _poly_trim(c: list) -> list:
@@ -44,7 +54,7 @@ def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[in
 def cyclotomic_poly(k: int) -> tuple[int, ...]:
     """Coefficients of Phi_k, ascending, monic integer polynomial."""
     if k < 1:
-        raise ValueError("cyclotomic order must be positive")
+        raise PreconditionError(f"cyclotomic order must be positive, got {k}")
     if k == 1:
         return (-1, 1)
     num = [-1] + [0] * (k - 1) + [1]  # x^k - 1
@@ -58,13 +68,20 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
 def _reduce_mod_phi(k: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     phi = cyclotomic_poly(k)
     d = len(phi) - 1
-    out = list(coeffs) + [Fraction(0)] * max(0, d - len(coeffs))
+    out = list(coeffs) + [_ZERO] * max(0, d - len(coeffs))
     for e in range(len(out) - 1, d - 1, -1):
         c = out[e]
         if c:
             for i in range(d):
-                out[e - d + i] -= c * phi[i]
+                if phi[i]:
+                    out[e - d + i] -= c * phi[i]
     return tuple(out[:d])
+
+
+@lru_cache(maxsize=None)
+def _rational_tail(k: int) -> tuple[Fraction, ...]:
+    """The deg Phi_k - 1 zero coefficients above a rational's constant term."""
+    return (_ZERO,) * (len(cyclotomic_poly(k)) - 2)
 
 
 class CycloScalar:
@@ -76,9 +93,9 @@ class CycloScalar:
         d = len(cyclotomic_poly(k)) - 1
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != d:
-            coeffs = list(_reduce_mod_phi(k, coeffs))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+            coeffs = _reduce_mod_phi(k, coeffs)
+        _set_k(self, k)
+        _set_coeffs(self, tuple(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloScalar is immutable")
@@ -87,41 +104,34 @@ class CycloScalar:
 
     @classmethod
     def from_rational(cls, k: int, value) -> "CycloScalar":
-        d = len(cyclotomic_poly(k)) - 1
-        return cls(k, [Fraction(value)] + [Fraction(0)] * (d - 1))
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        return _make(k, (value,) + _rational_tail(k))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero(cls, k: int) -> "CycloScalar":
-        return cls.from_rational(k, 0)
+        return cls.from_rational(k, _ZERO)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def one(cls, k: int) -> "CycloScalar":
-        return cls.from_rational(k, 1)
+        return cls.from_rational(k, Fraction(1))
 
     @classmethod
     def xi(cls, k: int) -> "CycloScalar":
         return xi_pow(k, 1)
 
-    # -- helpers -----------------------------------------------------------
-
-    def _coerce(self, other) -> "CycloScalar":
-        if isinstance(other, CycloScalar):
-            if other.k != self.k:
-                raise ContextMismatchError(
-                    f"cyclotomic order mismatch: {self.k} vs {other.k}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloScalar.from_rational(self.k, other)
-        return NotImplemented
+    # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -131,40 +141,51 @@ class CycloScalar:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloScalar(self.k, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a = self.coeffs
+        if isinstance(other, CycloScalar):
+            b = as_scalar(self.k, other).coeffs
+            return _make(self.k, tuple([x + y if x and y else x or y for x, y in zip(a, b)]))
+        if isinstance(other, (int, Fraction)):
+            return _make(self.k, (a[0] + other,) + a[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloScalar(self.k, [-a for a in self.coeffs])
+        return _make(self.k, tuple([-x if x else x for x in self.coeffs]))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloScalar(self.k, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        a = self.coeffs
+        if isinstance(other, CycloScalar):
+            b = as_scalar(self.k, other).coeffs
+            return _make(self.k, tuple([x - y if y else x for x, y in zip(a, b)]))
+        if isinstance(other, (int, Fraction)):
+            return _make(self.k, (a[0] - other,) + a[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, Fraction)):
+            a = self.coeffs
+            return _make(self.k, (other - a[0],) + tuple([-x if x else x for x in a[1:]]))
+        return NotImplemented
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        if isinstance(other, (int, Fraction)):
+            return _make(self.k, tuple([x * other if x else x for x in a]))
+        if not isinstance(other, CycloScalar):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        b = as_scalar(self.k, other).coeffs
         d = len(a)
         if d == 1:
-            return CycloScalar(self.k, (a[0] * b[0],))
-        conv = [Fraction(0)] * (2 * d - 1)
+            return _make(self.k, (a[0] * b[0],))
+        conv = [_ZERO] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return CycloScalar(self.k, conv)
+        return _make(self.k, _reduce_mod_phi(self.k, conv))
 
     __rmul__ = __mul__
 
@@ -187,10 +208,13 @@ class CycloScalar:
                 raise ArithmeticError("Phi_k not coprime to element")  # unreachable
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZeroError("inverse of zero")
+            return _make(self.k, tuple([x / other if x else x for x in self.coeffs]))
+        if isinstance(other, CycloScalar):
+            return self * as_scalar(self.k, other).inv()
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inv() * other
@@ -210,13 +234,16 @@ class CycloScalar:
     # -- comparisons and rendering ------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, CycloScalar):
+            return self.k == other.k and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            other = CycloScalar.from_rational(self.k, other)
-        if not isinstance(other, CycloScalar):
-            return NotImplemented
-        return self.k == other.k and self.coeffs == other.coeffs
+            return self.coeffs[0] == other and self.is_rational()
+        return NotImplemented
 
     def __hash__(self):
+        # A rational hashes as its value, as the int or Fraction it equals does.
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.k, self.coeffs))
 
     def __str__(self):
@@ -243,6 +270,27 @@ class CycloScalar:
 
     def __repr__(self):
         return f"CycloScalar(k={self.k}, {self})"
+
+
+_set_k = CycloScalar.k.__set__
+_set_coeffs = CycloScalar.coeffs.__set__
+
+
+def _make(k: int, coeffs: tuple[Fraction, ...]) -> CycloScalar:
+    """Unchecked constructor: ``coeffs`` must already satisfy the invariant."""
+    out = object.__new__(CycloScalar)
+    _set_k(out, k)
+    _set_coeffs(out, coeffs)
+    return out
+
+
+def as_scalar(k: int, value) -> CycloScalar:
+    """``value`` (a CycloScalar of order k, or a rational) as an element of Q(xi_k)."""
+    if isinstance(value, CycloScalar):
+        if value.k != k:
+            raise ContextMismatchError(f"cyclotomic order mismatch: {k} vs {value.k}")
+        return value
+    return CycloScalar.from_rational(k, value)
 
 
 def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -281,8 +329,8 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def xi_pow(k: int, e: int) -> CycloScalar:
     """xi^e reduced to canonical form; e may be negative."""
-    e %= k
     d = len(cyclotomic_poly(k)) - 1
+    e %= k
     coeffs = [Fraction(0)] * (e + 1)
     coeffs[e] = Fraction(1)
     if e < d:
@@ -292,17 +340,6 @@ def xi_pow(k: int, e: int) -> CycloScalar:
 
 def inv(a: CycloScalar) -> CycloScalar:
     return a.inv()
-
-
-def field_op(a: CycloScalar, b: CycloScalar, op: str) -> CycloScalar:
-    """Named dispatch used by the driver; op is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown field op {op!r}")
 
 
 def parse_scalar(k: int, text: str) -> CycloScalar:
@@ -332,20 +369,17 @@ def parse_scalar(k: int, text: str) -> CycloScalar:
 
 
 def _parse_scalar_term(k: int, term: str, original: str) -> CycloScalar:
-    coeff = Fraction(1)
-    rest = term
-    if "*" in term:
-        head, rest = term.split("*", 1)
-        coeff = Fraction(head)
-    if rest.startswith("xi"):
-        e = 1
-        tail = rest[2:]
-        if tail.startswith("^"):
-            e = int(tail[1:])
-        elif tail:
-            raise ParseError(f"bad scalar syntax in {original!r}")
-        return coeff * xi_pow(k, e)
     try:
-        return CycloScalar.from_rational(k, Fraction(rest) * coeff)
-    except ValueError as exc:
+        coeff = Fraction(1)
+        rest = term
+        if "*" in term:
+            head, rest = term.split("*", 1)
+            coeff = Fraction(head)
+        if not rest.startswith("xi"):
+            return CycloScalar.from_rational(k, Fraction(rest) * coeff)
+        tail = rest[2:]
+        if tail and not tail.startswith("^"):
+            raise ParseError(f"bad scalar syntax in {original!r}")
+        return coeff * xi_pow(k, int(tail[1:]) if tail else 1)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar syntax in {original!r}") from exc

@@ -103,6 +103,24 @@ def test_cli_eval_and_errors(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_cli_bad_cyclotomic_order(k, capsys):
+    code, out = run_cli(["eval", "d", "--k", k], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "PreconditionError"
+
+
+def test_cli_newton_bad_scalar_in_input(tmp_path, capsys):
+    with open(os.path.join(GOLDEN, "normal_form_generic.json")) as fh:
+        data = json.load(fh)
+    data["series"]["components"]["0"]["f"][0][2] = "1/0"
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(data))
+    code, out = run_cli(["newton", "--input", str(inp)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "ParseError"
+
+
 def test_cli_mul_commutator(capsys):
     code, out = run_cli(["mul", "d", "x"], capsys)
     assert code == 0 and out.strip() == "x*d + 1"

@@ -1,14 +1,19 @@
 """Field arithmetic in Q(xi): unit values, oracles, and axiom sweeps."""
 
 from fractions import Fraction
+import importlib.util
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylnf.errors import ContextMismatchError, DivisionByZeroError
+from weylnf.errors import ContextMismatchError, DivisionByZeroError, ParseError, PreconditionError
 from weylnf.scalars import CycloScalar, cyclotomic_poly, parse_scalar, xi_pow
+
+LAYERTRACE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "layertrace.py")
 
 
 def naive_mod_xk_minus_1(k, a, b):
@@ -154,3 +159,124 @@ def test_rendering_examples():
     assert str(a) == "1/2 + 3*xi^2"
     assert str(CycloScalar.zero(3)) == "0"
     assert str(CycloScalar(4, [0, -1])) == "-xi"
+
+
+# -- the unchecked fast paths against a reference that does not use them ---------------
+
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+RATIONALS = st.one_of(st.integers(min_value=-20, max_value=20), FRACTIONS)
+
+
+def _degree(k):
+    return len(cyclotomic_poly(k)) - 1
+
+
+def _draw_scalar(data, k):
+    return data.draw(st.lists(FRACTIONS, min_size=_degree(k), max_size=_degree(k)))
+
+
+def _ref_mul(k, a, b):
+    """a * b from plain coefficient lists: product mod xi^k - 1, then the checked constructor."""
+    return CycloScalar(k, naive_mod_xk_minus_1(k, list(a), list(b)))
+
+
+def _assert_invariant(k, value):
+    assert isinstance(value, CycloScalar) and value.k == k
+    assert type(value.coeffs) is tuple and len(value.coeffs) == _degree(k)
+    assert all(type(c) is Fraction for c in value.coeffs)
+
+
+@given(st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fast_paths_match_reference(k, data):
+    a, b = _draw_scalar(data, k), _draw_scalar(data, k)
+    r = data.draw(RATIONALS)
+    x, y = CycloScalar(k, a), CycloScalar(k, b)
+    const = [Fraction(r)] + [Fraction(0)] * (_degree(k) - 1)
+    cases = [
+        (x + y, CycloScalar(k, [p + q for p, q in zip(a, b)])),
+        (x - y, CycloScalar(k, [p - q for p, q in zip(a, b)])),
+        (-x, CycloScalar(k, [-p for p in a])),
+        (x * y, _ref_mul(k, a, b)),
+        (x + r, CycloScalar(k, [p + q for p, q in zip(a, const)])),
+        (r + x, CycloScalar(k, [p + q for p, q in zip(a, const)])),
+        (x - r, CycloScalar(k, [p - q for p, q in zip(a, const)])),
+        (r - x, CycloScalar(k, [q - p for p, q in zip(a, const)])),
+        (x * r, CycloScalar(k, [p * r for p in a])),
+        (r * x, CycloScalar(k, [p * r for p in a])),
+    ]
+    if r:
+        cases.append((x / r, CycloScalar(k, [p / r for p in a])))
+    for got, want in cases:
+        _assert_invariant(k, got)
+        assert got == want
+    if any(b):
+        # Division and inversion have no coefficient-wise formula: check that the
+        # reference product of the result with the divisor gives the dividend back.
+        for got, divisor, dividend in ((y.inv(), b, [1]), (x / y, b, a), (r / y, b, [r])):
+            _assert_invariant(k, got)
+            assert _ref_mul(k, got.coeffs, divisor) == CycloScalar(k, dividend)
+    else:
+        with pytest.raises(DivisionByZeroError):
+            x / y
+    if not r:
+        with pytest.raises(DivisionByZeroError):
+            x / r
+
+
+def test_public_constructor_still_coerces_and_reduces():
+    a = CycloScalar(3, [1, 0, 1])  # 1 + xi^2 = -xi
+    assert a.coeffs == (Fraction(0), Fraction(-1))
+    assert all(type(c) is Fraction for c in CycloScalar(4, (2, Fraction(1, 3))).coeffs)
+    assert CycloScalar(6, [3]).coeffs == (Fraction(3), Fraction(0))
+
+
+# -- hash and equality against plain rationals -------------------------------------------
+
+
+@given(st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_hash_agrees_with_rational_equality(k, data):
+    r = data.draw(RATIONALS)
+    if data.draw(st.booleans()):
+        a = CycloScalar.from_rational(k, r)
+    else:
+        a = CycloScalar(k, _draw_scalar(data, k))
+    if a == r:
+        assert hash(a) == hash(r)
+    assert (a == r) == (r == a)
+
+
+def test_rational_scalar_and_fraction_collapse_in_a_set():
+    assert len({CycloScalar(1, (2,)), Fraction(2)}) == 1
+    assert len({CycloScalar(4, (Fraction(1, 2), 0)), Fraction(1, 2)}) == 1
+    assert CycloScalar(3, [2, 1]) != 2 and len({CycloScalar(3, [2, 1]), 2}) == 2
+
+
+# -- orders and parse errors -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_bad_order_raises_precondition_error(k):
+    for build in (cyclotomic_poly, CycloScalar.zero, CycloScalar.one, CycloScalar.xi,
+                  lambda k: xi_pow(k, 1), lambda k: CycloScalar(k, [1]),
+                  lambda k: CycloScalar.from_rational(k, 1)):
+        with pytest.raises(PreconditionError):
+            build(k)
+
+
+@pytest.mark.parametrize("text", ["a*xi", "xi^z", "xi^", "1/0"])
+def test_parse_scalar_bad_syntax_is_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_scalar(3, text)
+
+
+# -- the benchmark tracer patches CycloScalar methods by name ------------------------------
+
+
+def test_traced_scalar_methods_exist():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = [name for name, _ in layertrace.SCALAR_METHODS if name not in vars(CycloScalar)]
+    assert not missing, missing
