@@ -40,7 +40,6 @@ from .gform import (
     check_Aqk,
     eigen,
     eigen_eval,
-    expand_hcp,
     fit_hcp,
     hcp_mul,
     sdeg,
@@ -68,8 +67,6 @@ from .operators import (
     ad_pow,
     commutator,
     mono_mul,
-    op_add,
-    op_mul,
     poly_from_pairs,
 )
 from .parsing import evaluate, parse, parse_operator, to_text

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .criterion import BivarPoly, bc_certificate, classify_pair
-from .errors import WeylnfError
+from .errors import ParseError, PreconditionError, WeylnfError
 from .fixtures import named_pair
 from .gform import HcpSeries, check_Aqk
 from .newton import classify_top_line, e_set, newton_report, render_svg
@@ -21,6 +22,13 @@ from .parsing import parse_operator
 from .powerform import expand_power, expand_power_oracle, pretty
 from .schur import normal_form_report, schur_operator
 from .suites import run_all, run_suite
+
+
+EXPANSION_XCAP = 16  # --xcap when it is not given (schur then solves to 24 + ord Q)
+
+
+def _parse(src: str, args) -> GradedOp:
+    return parse_operator(src, args.k, EXPANSION_XCAP if args.xcap is None else args.xcap)
 
 
 def _dump(data) -> str:
@@ -39,34 +47,33 @@ def _pair_from_args(args):
         return named_pair(args.fixture)
     if not args.p or not args.q:
         raise WeylnfError("either --fixture or both --p and --q are required")
-    P = parse_operator(args.p, args.k, args.xcap)
-    Q = parse_operator(args.q, args.k, args.xcap)
+    P = _parse(args.p, args)
+    Q = _parse(args.q, args)
     return P, Q
 
 
 def cmd_eval(args) -> int:
-    _emit_op(parse_operator(args.expr, args.k, args.xcap), args.format)
+    _emit_op(_parse(args.expr, args), args.format)
     return 0
 
 
 def cmd_mul(args) -> int:
-    A = parse_operator(args.a, args.k, args.xcap)
-    B = parse_operator(args.b, args.k, args.xcap)
+    A = _parse(args.a, args)
+    B = _parse(args.b, args)
     _emit_op(A * B, args.format)
     return 0
 
 
 def cmd_commutator(args) -> int:
-    A = parse_operator(args.a, args.k, args.xcap)
-    B = parse_operator(args.b, args.k, args.xcap)
+    A = _parse(args.a, args)
+    B = _parse(args.b, args)
     _emit_op(commutator(A, B), args.format)
     return 0
 
 
 def cmd_schur(args) -> int:
-    Q = parse_operator(args.q, args.k, args.xcap)
-    sp = schur_operator(Q, depth=args.depth,
-                        xcap=args.xcap if args.xcap != 16 else None)
+    Q = _parse(args.q, args)
+    sp = schur_operator(Q, depth=args.depth, xcap=args.xcap)
     data = {
         "q": sp.q,
         "depth": sp.depth,
@@ -102,9 +109,16 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_newton(args) -> int:
-    with open(args.input) as fh:
-        data = json.load(fh)
-    series = HcpSeries.from_dict(data["series"] if "series" in data else data)
+    try:
+        with open(args.input) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {args.input}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{args.input} is not JSON: {getattr(exc, 'msg', exc)}",
+                         getattr(exc, "lineno", 1), getattr(exc, "colno", 1)) from exc
+    series = HcpSeries.from_dict(data["series"] if isinstance(data, dict) and "series" in data
+                                 else data)
     nd = e_set(series)
     cls = classify_top_line(series) if check_Aqk(
         series, 0, enforce_growth=series.floor is not None).ok else None
@@ -169,9 +183,12 @@ def cmd_expand_power(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = (run_all(args.cases, args.seed, args.workers)
+    if args.workers < 1:
+        raise PreconditionError("--workers must be at least 1")
+    workers = min(args.workers, os.cpu_count() or 1)
+    results = (run_all(args.cases, args.seed, workers)
                if args.suite == "all"
-               else [run_suite(args.suite, args.cases, args.seed, args.workers)])
+               else [run_suite(args.suite, args.cases, args.seed, workers)])
     bad = False
     for r in results:
         status = "ok" if r.passed else f"FAILED ({len(r.failures)} violations)"
@@ -179,9 +196,7 @@ def cmd_verify(args) -> int:
         for f in r.failures[:20]:
             print(f"  {f}")
         bad = bad or not r.passed
-    if bad:
-        sys.exit(5)
-    return 0
+    return 5 if bad else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--k", type=int, default=None,
                         help="cyclotomic order for xi and G-form literals")
-    common.add_argument("--xcap", type=int, default=16,
-                        help="x-degree window for infinite expansions")
+    common.add_argument("--xcap", type=int, default=None,
+                        help=f"x-degree window for infinite expansions (default "
+                             f"{EXPANSION_XCAP}; schur solves S to 24 + ord Q by default)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=1)
 
@@ -263,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("appendix", "filtration", "powerform", "all"),
                    required=True)
     p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at least 1, capped at the CPU count")
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -110,9 +110,6 @@ class HomogPiece:
     weight: int
     terms: list[tuple[Fraction, int, int]]  # sorted by descending u
 
-    def max_u(self) -> int:
-        return self.terms[0][1] if self.terms else 0
-
 
 def weighted_decompose(F: BivarPoly, p: int, q: int) -> list[HomogPiece]:
     """Split F into homogeneous pieces, heaviest first."""
@@ -132,21 +129,23 @@ def type_identity(piece: HomogPiece, i: int) -> Fraction:
     return sum((math.comb(u, i) * c for c, u, _ in piece.terms), Fraction(0))
 
 
+def _power(cache: dict, base, e: int):
+    """base^e from ``cache`` (exponent -> power, holding at least base^0),
+    extending it one factor at a time."""
+    while e not in cache:
+        top = max(cache)
+        cache[top + 1] = cache[top] * base
+    return cache[e]
+
+
 def evaluate_poly(F: BivarPoly, P: GradedOp, Q: GradedOp) -> GradedOp:
     """F(P, Q) = sum c_(u,v) P^u Q^v, exactly, windows propagated."""
     k = P.k
     total = GradedOp.zero(k)
     p_pows = {0: GradedOp.one(k)}
     q_pows = {0: GradedOp.one(k)}
-
-    def pw(cache, base, e):
-        while e not in cache:
-            top = max(cache)
-            cache[top + 1] = cache[top] * base
-        return cache[e]
-
     for (u, v) in sorted(F.terms):
-        term = pw(p_pows, P, u) * pw(q_pows, Q, v)
+        term = _power(p_pows, P, u) * _power(q_pows, Q, v)
         total = total + term.scalar_mul(F.terms[(u, v)])
     return total
 
@@ -158,15 +157,8 @@ def evaluate_poly_series(F: BivarPoly, Pprime: HcpSeries, q: int) -> HcpSeries:
     total = HcpSeries.zero(k)
     p_pows = {0: HcpSeries.identity(k)}
     q_pows = {0: HcpSeries.identity(k)}
-
-    def pw(cache, base, e):
-        while e not in cache:
-            top = max(cache)
-            cache[top + 1] = cache[top] * base
-        return cache[e]
-
     for (u, v) in sorted(F.terms):
-        term = pw(p_pows, Pprime, u) * pw(q_pows, Dq, v)
+        term = _power(p_pows, Pprime, u) * _power(q_pows, Dq, v)
         total = total + term.scalar_mul(F.terms[(u, v)])
     return total
 
@@ -199,11 +191,7 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
     p_pows = {0: GradedOp.one(k)}
     q_pows = {0: GradedOp.one(k)}
     for (u, v) in monos:
-        while u not in p_pows:
-            p_pows[max(p_pows) + 1] = p_pows[max(p_pows)] * P
-        while v not in q_pows:
-            q_pows[max(q_pows) + 1] = q_pows[max(q_pows)] * Q
-        evals[(u, v)] = p_pows[u] * q_pows[v]
+        evals[(u, v)] = _power(p_pows, P, u) * _power(q_pows, Q, v)
 
     maxord = max(p * u + q * v for u, v in monos)
     floors = [e.floor_eff() for e in evals.values()]

@@ -18,17 +18,19 @@ quasi-polynomial interpolation with a verification margin.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     ContextMismatchError,
     NotAnHcpError,
+    ParseError,
     PreconditionError,
     TruncationError,
 )
 from .linalg import solve_square
-from .operators import INF, GradedOp
+from .operators import INF, GradedOp, _comp_nu, _nu_to_comp, product_floor
 from .scalars import CycloScalar, as_scalar, xi_pow
 
 
@@ -147,7 +149,7 @@ class Hcp:
         mmax = max((l for l, _ in self.gamma), default=0) if finite else xcap
         eig = self.eigen()
         mu = [eig.eval(m) for m in range(mmax + 1)]
-        comp = _mu_to_coeffs(mu, self.k)
+        comp = _nu_to_comp(mu, 0, self.k)
         caps = {} if finite else {self.r: xcap}
         return GradedOp(self.k, {self.r: comp} if comp else {}, None, self.r, caps)
 
@@ -180,6 +182,20 @@ class Hcp:
         gamma = {(l, i): parse_scalar(k, s) for l, i, s in data.get("f", [])}
         bpart = {j: parse_scalar(k, s) for j, s in data.get("g", [])}
         return cls(k, data["r"], gamma, bpart)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_hcp_dict(h) -> bool:
+    """Shape of :meth:`Hcp.to_dict`: int r, f rows [l, i, scalar], g rows [j, scalar]."""
+    def rows_ok(rows, width):
+        return isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) == width and all(map(_is_int, row[:-1]))
+            and isinstance(row[-1], str) for row in rows)
+    return (isinstance(h, dict) and _is_int(h.get("r"))
+            and rows_ok(h.get("f", []), 3) and rows_ok(h.get("g", []), 2))
 
 
 class EigenFunction:
@@ -225,10 +241,6 @@ class EigenFunction:
         return Hcp(self.k, r, dict(self.quasi), {n + 1: c for n, c in self.corr.items()})
 
 
-def expand_hcp(H: Hcp, window: int = 16) -> GradedOp:
-    return H.expand(window)
-
-
 def eigen(H: Hcp) -> EigenFunction:
     return H.eigen()
 
@@ -268,38 +280,6 @@ def hcp_mul(H1: Hcp, H2: Hcp) -> Hcp:
     return EigenFunction(k, quasi, corr).to_hcp(r1 + H2.r)
 
 
-def _mu_to_coeffs(mu: list[CycloScalar], k: int) -> dict[int, CycloScalar]:
-    """Invert mu(m) = sum_n a_n * perm(m, n) on 0..len(mu)-1."""
-    out: dict[int, CycloScalar] = {}
-    for m in range(len(mu)):
-        val = mu[m]
-        for n, a in out.items():
-            f = math.perm(m, n) if n <= m else 0
-            if f:
-                val = val - a * f
-        if not val.is_zero():
-            out[m] = val * Fraction(1, math.factorial(m))
-    return out
-
-
-def component_eigenvalues(C: GradedOp, r: int, upto: int) -> list[CycloScalar]:
-    """mu(0..upto) of the order-r component of C (needs xcap >= upto)."""
-    if C.xcap(r) < upto:
-        raise TruncationError("component not exact far enough for eigenvalues",
-                              {"order": r, "needed_xcap": upto, "xcap": C.xcap(r)})
-    comp = C.components.get(r, {})
-    mu = []
-    for m in range(upto + 1):
-        acc = CycloScalar.zero(C.k)
-        for n, c in comp.items():
-            if n <= m:
-                f = math.perm(m, n)
-                if f:
-                    acc = acc + c * f
-        mu.append(acc)
-    return mu
-
-
 def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = None) -> Hcp:
     """Recover the G-form of a single homogeneous component.
 
@@ -329,7 +309,8 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
                               {"order": r, "needed_xcap": need,
                                "xcap": None if cap == INF else cap})
     upto = need if cap == INF else int(cap)
-    mu = component_eigenvalues(C, r, upto)
+    # The order-zero factor of x^n d^(n+r) = x^n d^n d^r acts on x^m by perm(m, n).
+    mu = _comp_nu(C.components.get(r, {}), 0, upto, k)
     cols = [(l, i) for l in range(dmax + 1) for i in range(k)]
     samples = list(range(nbmax, nbmax + ncols))
     matrix = [[xi_pow(k, i * n) * (Fraction(n) ** l) for (l, i) in cols] for n in samples]
@@ -417,9 +398,6 @@ class HcpSeries:
     def d_power(cls, k: int, q: int) -> "HcpSeries":
         return cls.from_hcp(Hcp(k, q, {(0, 0): 1}))
 
-    def ring_one(self) -> "HcpSeries":
-        return HcpSeries.identity(self.k)
-
     # -- queries ---------------------------------------------------------------------
 
     def is_zero_in_window(self) -> bool:
@@ -459,12 +437,7 @@ class HcpSeries:
         if not isinstance(other, HcpSeries):
             return NotImplemented
         self._check(other)
-        if other.floor is None:
-            floor = self.floor
-        elif self.floor is None:
-            floor = other.floor
-        else:
-            floor = max(self.floor, other.floor)
+        floor = max((f for f in (self.floor, other.floor) if f is not None), default=None)
         top = max(self.top, other.top)
         comps = dict(self.components)
         for t, h in other.components.items():
@@ -491,9 +464,7 @@ class HcpSeries:
         if not isinstance(other, HcpSeries):
             return NotImplemented
         self._check(other)
-        fa, fb = self.floor_eff(), other.floor_eff()
-        floor_val = max(fa + other.top, fb + self.top)
-        floor = None if floor_val == -INF else max(int(floor_val), 0)
+        floor = product_floor(self, other)  # clamped at 0 by __init__
         top = self.top + other.top
         comps: dict[int, Hcp] = {}
         for t1, h1 in self.components.items():
@@ -563,7 +534,15 @@ class HcpSeries:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "HcpSeries":
+    def from_dict(cls, data) -> "HcpSeries":
+        """Inverse of :meth:`to_dict`; any other shape raises ParseError."""
+        if not (isinstance(data, dict) and _is_int(data.get("k"))
+                and all(data.get(key) is None or _is_int(data[key]) for key in ("floor", "top"))
+                and isinstance(data.get("components"), dict)
+                and all(re.fullmatch(r"-?[0-9]+", t) and _is_hcp_dict(h)
+                        for t, h in data["components"].items())):
+            raise ParseError("malformed HCP series: needs integer k, floor and top "
+                             "(or null) and components {order: {r, f, g}}")
         k = data["k"]
         comps = {int(t): Hcp.from_dict(k, h) for t, h in data["components"].items()}
         return cls(k, comps, data.get("floor"), data.get("top"))

@@ -140,16 +140,7 @@ def top_term(P: HcpSeries, w: Weight) -> HcpSeries:
 
 def up_edge(P: HcpSeries) -> list[tuple[int, int]]:
     """Staircase of points maximal in Sdeg_A among all higher orders."""
-    out = []
-    best = None
-    for j in sorted(P.components, reverse=True):
-        sa = P.components[j].sdeg_a()
-        if sa is None:
-            continue
-        if best is None or sa > best:
-            out.append((sa, j))
-            best = sa
-    return out
+    return [(sa, j) for sa, j in _up_edge_from_points(e_set(P))]
 
 
 @dataclass
@@ -238,13 +229,7 @@ def filtration_H(L: HcpSeries, d: Fraction, w: Weight) -> HcpSeries:
 
     Following the definition literally, the retained sum has no B part.
     """
-    d = Fraction(d)
-    comps = {}
-    for j, h in L.components.items():
-        gamma = {(l, i): c for (l, i), c in h.gamma.items() if w.value(l, j) >= d}
-        if gamma:
-            comps[j] = Hcp(L.k, j, gamma)
-    return HcpSeries(L.k, comps, L.floor, L.top)
+    return _filtration(L, Fraction(d), None, w)
 
 
 def filtration_HS(L: HcpSeries, d: Fraction, m: int, w: Weight) -> HcpSeries:
@@ -255,11 +240,15 @@ def filtration_HS(L: HcpSeries, d: Fraction, m: int, w: Weight) -> HcpSeries:
     filtration feeds the top-line machinery the retained points carry no
     A_i, so the two readings agree there).
     """
-    d = Fraction(d)
+    return _filtration(L, Fraction(d), m, w)
+
+
+def _filtration(L: HcpSeries, d: Fraction, m: int | None, w: Weight) -> HcpSeries:
+    """The Gamma_l A_i D^j monomials of L with weight >= d and, unless m is None, l <= m."""
     comps = {}
     for j, h in L.components.items():
         gamma = {(l, i): c for (l, i), c in h.gamma.items()
-                 if l <= m and w.value(l, j) >= d}
+                 if (m is None or l <= m) and w.value(l, j) >= d}
         if gamma:
             comps[j] = Hcp(L.k, j, gamma)
     return HcpSeries(L.k, comps, L.floor, L.top)

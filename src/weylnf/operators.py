@@ -18,6 +18,8 @@ monomials: the component of order t sends x^j to nu(j) * x^(j-t), and
 composition is pointwise in nu, which both respects the grading and yields
 the product window rule
 ``xcap(t) = min over t1+t2=t of min(xcap_left(t1), xcap_right(t2) - t1)``.
+:func:`order_product` is the one place that computes a result order; the
+product and the Schur solve both go through it.
 """
 
 from __future__ import annotations
@@ -125,9 +127,6 @@ class GradedOp:
     def d_op(cls, k: int, power: int = 1) -> "GradedOp":
         return cls.from_monomials(k, [(0, power, 1)])
 
-    def ring_one(self) -> "GradedOp":
-        return GradedOp.one(self.k)
-
     # -- window bookkeeping ---------------------------------------------------
 
     def xcap(self, t: int):
@@ -143,18 +142,11 @@ class GradedOp:
         orders = set(self.components) | set(self.xcaps)
         return sorted(orders)
 
-    def is_total(self) -> bool:
-        return self.floor is None and not self.xcaps
-
     def floor_eff(self) -> float:
         return -INF if self.floor is None else self.floor
 
     def is_zero_in_window(self) -> bool:
         return not self.components
-
-    def max_xdeg(self, t: int) -> int:
-        comp = self.components.get(t)
-        return max(comp) if comp else -1
 
     def lift_context(self, k_new: int) -> "GradedOp":
         """Re-embed a rational-context operator into Q(xi) of order k_new."""
@@ -260,12 +252,7 @@ class GradedOp:
         if not isinstance(other, GradedOp):
             return NotImplemented
         self._check_ctx(other)
-        if other.floor is None:
-            floor = self.floor
-        elif self.floor is None:
-            floor = other.floor
-        else:
-            floor = max(self.floor, other.floor)
+        floor = max((f for f in (self.floor, other.floor) if f is not None), default=None)
         top = max(self.top, other.top)
         comps: dict[int, dict[int, CycloScalar]] = {}
         for src in (self, other):
@@ -492,15 +479,26 @@ def _monomial_str(coeff: CycloScalar, xdeg: int, ddeg: int) -> str:
 # -- multiplication kernel -------------------------------------------------------
 
 
-def _comp_nu(comp: dict[int, CycloScalar], t: int, jmax: int, k: int) -> list[CycloScalar]:
-    """Diagonal action values nu(j) = sum_n a_n * perm(j, n+t), j = 0..jmax."""
+def product_floor(A, B):
+    """Floor of the window of A * B, shared by :class:`GradedOp` and the HCP series.
+
+    A product is complete from max(floor_A + top_B, floor_B + top_A) up;
+    None means neither factor has a floor.
+    """
+    val = max(A.floor_eff() + B.top, B.floor_eff() + A.top)
+    return None if val == -INF else int(val)
+
+
+def _comp_nu(comp: dict[int, CycloScalar], t: int, jmax: int, k: int,
+             start: int = 0) -> list[CycloScalar]:
+    """Diagonal action values nu(j) = sum_n a_n * perm(j, n+t), j = start..jmax."""
     zero = CycloScalar.zero(k)
-    nu = [zero] * (jmax + 1)
+    nu = [zero] * (jmax + 1 - start)
     for n, c in comp.items():
         m = n + t
-        for j in range(max(m, 0), jmax + 1):
+        for j in range(max(m, start), jmax + 1):
             f = math.perm(j, m)
-            nu[j] = nu[j] + c * f
+            nu[j - start] = nu[j - start] + c * f
     return nu
 
 
@@ -520,12 +518,62 @@ def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]
     return out
 
 
+class Factor:
+    """One side of a product: components, caps and their nu sequences.
+
+    ``comps`` and ``caps`` may be dicts that the caller keeps filling (the
+    order-by-order solves do); an absent cap means exact everywhere. The nu
+    sequence of each order is computed once and only extended when a later
+    pair needs a longer one.
+    """
+
+    __slots__ = ("k", "comps", "caps", "nus")
+
+    def __init__(self, k: int, comps: dict, caps: dict):
+        self.k, self.comps, self.caps, self.nus = k, comps, caps, {}
+
+    @classmethod
+    def of(cls, A: GradedOp) -> "Factor":
+        return cls(A.k, A.components, A.xcaps)
+
+    def cap(self, t: int):
+        return self.caps.get(t, INF)
+
+    def nu(self, t: int, jmax: int) -> list[CycloScalar]:
+        seq = self.nus.setdefault(t, [])
+        if len(seq) <= jmax:
+            seq.extend(_comp_nu(self.comps[t], t, jmax, self.k, len(seq)))
+        return seq
+
+
+def order_product(t: int, pairs, L: Factor, R: Factor):
+    """Order-t component and cap of sum L_t1 * R_t2 over ``pairs`` (t1, t2).
+
+    Every pair has t1 + t2 = t and both orders active in their factor. The cap
+    is the window rule min(xcap_L(t1), xcap_R(t2) - t1) over all pairs; the
+    product itself is pointwise on nu: nu(j) = nu_L,t1(j - t2) * nu_R,t2(j).
+    """
+    cap = min((min(L.cap(t1), R.cap(t2) - t1) for t1, t2 in pairs), default=INF)
+    live = [(t1, t2) for t1, t2 in pairs if L.comps.get(t1) and R.comps.get(t2)]
+    if cap != INF:
+        jmax = int(cap) + t
+    else:
+        jmax = max((max(L.comps[t1]) + max(R.comps[t2]) + t for t1, t2 in live), default=-1)
+    nu = [CycloScalar.zero(L.k)] * (jmax + 1)
+    for t1, t2 in live:
+        if t2 > jmax:
+            continue
+        nur, nul = R.nu(t2, jmax), L.nu(t1, jmax - t2)
+        for j in range(max(t2, 0), jmax + 1):
+            v, w = nur[j], nul[j - t2]
+            if v and w:
+                nu[j] = nu[j] + v * w
+    return _nu_to_comp(nu, t, L.k), cap
+
+
 def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
-    k = A.k
     top = A.top + B.top
-    fa, fb = A.floor_eff(), B.floor_eff()
-    floor_val = max(fa + B.top, fb + A.top)
-    floor = None if floor_val == -INF else int(floor_val)
+    floor = product_floor(A, B)
     if floor is not None and floor > top:
         raise TruncationError(
             "product window is empty: the factor windows are too shallow",
@@ -546,59 +594,14 @@ def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
 
     comps: dict[int, dict[int, CycloScalar]] = {}
     caps: dict[int, int] = {}
-    nu_cache_a: dict[tuple[int, int], list[CycloScalar]] = {}
-    nu_cache_b: dict[tuple[int, int], list[CycloScalar]] = {}
-
+    L, R = Factor.of(A), Factor.of(B)
     for t, plist in sorted(pairs.items()):
-        cap = INF
-        for ta, tb in plist:
-            cap = min(cap, A.xcap(ta), B.xcap(tb) - ta)
-        if cap != INF:
-            jmax = int(cap) + t
-        else:
-            jmax = -1
-            for ta, tb in plist:
-                ca = A.components.get(ta)
-                cb = B.components.get(tb)
-                if ca and cb:
-                    jmax = max(jmax, max(ca) + max(cb) + t)
-        if jmax >= 0:
-            zero = CycloScalar.zero(k)
-            nu = [zero] * (jmax + 1)
-            touched = False
-            for ta, tb in plist:
-                ca = A.components.get(ta)
-                cb = B.components.get(tb)
-                if not ca or not cb:
-                    continue
-                need_b = jmax
-                key_b = (tb, need_b)
-                nub = nu_cache_b.get(key_b)
-                if nub is None or len(nub) < need_b + 1:
-                    nub = _comp_nu(cb, tb, need_b, k)
-                    nu_cache_b[key_b] = nub
-                need_a = jmax - tb
-                key_a = (ta, need_a)
-                nua = nu_cache_a.get(key_a)
-                if nua is None or len(nua) < need_a + 1:
-                    nua = _comp_nu(ca, ta, max(need_a, 0), k)
-                    nu_cache_a[key_a] = nua
-                for j in range(jmax + 1):
-                    ja = j - tb
-                    if 0 <= ja < len(nua):
-                        v = nub[j]
-                        w = nua[ja]
-                        if v and w:
-                            nu[j] = nu[j] + v * w
-                            touched = True
-            if touched:
-                comp = _nu_to_comp(nu, t, k)
-                if comp:
-                    comps[t] = comp
+        comp, cap = order_product(t, plist, L, R)
+        if comp:
+            comps[t] = comp
         if cap != INF:
             caps[t] = int(cap)
-
-    return GradedOp(k, comps, floor, top, caps)
+    return GradedOp(A.k, comps, floor, top, caps)
 
 
 # -- named operations -------------------------------------------------------------
@@ -615,14 +618,6 @@ def mono_mul(a: XdMonomial, b: XdMonomial) -> GradedOp:
         if f:
             items.append((a.xdeg + b.xdeg - j, a.ddeg + b.ddeg - j, a.coeff * b.coeff * f))
     return GradedOp.from_monomials(k, items)
-
-
-def op_add(A: GradedOp, B: GradedOp) -> GradedOp:
-    return A + B
-
-
-def op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
-    return A * B
 
 
 def commutator(A: GradedOp, B: GradedOp) -> GradedOp:

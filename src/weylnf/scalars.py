@@ -36,20 +36,6 @@ def _poly_trim(c: list) -> list:
     return c
 
 
-def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den is monic; exact integer division is safe.
-    num = list(num)
-    q = [0] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and _poly_trim(num):
-        shift = len(num) - len(den)
-        factor = num[-1]
-        q[shift] = factor
-        for i, d in enumerate(den):
-            num[shift + i] -= factor * d
-        _poly_trim(num)
-    return q, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(k: int) -> tuple[int, ...]:
     """Coefficients of Phi_k, ascending, monic integer polynomial."""
@@ -57,12 +43,13 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
         raise PreconditionError(f"cyclotomic order must be positive, got {k}")
     if k == 1:
         return (-1, 1)
-    num = [-1] + [0] * (k - 1) + [1]  # x^k - 1
+    num = [Fraction(-1)] + [_ZERO] * (k - 1) + [Fraction(1)]  # x^k - 1
     for d in range(1, k):
         if k % d == 0:
-            num, rem = _int_poly_divmod(num, list(cyclotomic_poly(d)))
+            # Phi_d is monic, so the quotient stays integral.
+            num, rem = _frac_poly_divmod(num, [Fraction(c) for c in cyclotomic_poly(d)])
             assert not _poly_trim(rem)
-    return tuple(num)
+    return tuple(int(c) for c in num)
 
 
 def _reduce_mod_phi(k: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:

@@ -1,8 +1,18 @@
 """Schur conjugation: S with S^-1 Q S = d^q, and normal forms P' = S^-1 P S.
 
-S = 1 + (terms of negative order) is solved one homogeneous order at a time
-from [d^q, S_t] = R_t, where R_t collects the already-known orders of
-S d^q - Q S. Each homogeneous solve is an upward x-degree recurrence: the
+S = 1 + (terms of negative order) is solved one homogeneous order at a time.
+Order q + t of Q S = S d^q reads [d^q, S_t] = -R_t, where
+
+    R_t = sum of Q_a S_b over a + b = q + t with t < b <= 0
+
+is the part of Q S at that order fixed by the orders S_0 .. S_(t+1) already
+solved (the remaining term Q_q S_t = d^q S_t is the unknown). R_t is one call
+of the operator kernel's single-order product, ``operators.order_product``,
+on exactly these pairs, so its x-window follows the product rule
+min(xcap_Q(a), xcap_S(b) - a); the nu sequences of Q's components and of each
+solved S_b are computed once and reused by every later order.
+
+Each homogeneous solve is an upward x-degree recurrence: the
 equation at degree m determines s_(m+q) with the nonzero factor
 comb(q,q) * (m+q)!/m!, and the q+t free low-degree coefficients (the kernel
 of ad d^q, i.e. centralizer directions) are pinned to zero. The gauge is
@@ -23,7 +33,7 @@ from .errors import (
     TruncationError,
 )
 from .gform import AqkReport, Hcp, HcpSeries, check_Aqk, fit_hcp
-from .operators import GradedOp, INF
+from .operators import INF, Factor, GradedOp, order_product
 from .scalars import CycloScalar
 
 
@@ -65,28 +75,26 @@ def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None,
     if not Q.is_normalized():
         raise PreconditionError("Q must be normalized (no d^(q-1) term)")
     _require_diffop(Q, "Q", q)
-    if Q.floor is not None and q - depth < Q.floor - q:
-        pass  # handled by the per-order check below
     if xcap is None:
         xcap = 24 + q
     X = xcap
     k = Q.k
     one = CycloScalar.one(k)
-    dq = GradedOp.d_op(k, q)
 
     s_comps: dict[int, dict[int, CycloScalar]] = {0: {0: one}}
     s_caps: dict[int, int] = {}
+    left, right = Factor.of(Q), Factor(k, s_comps, s_caps)
+    q_active = set(Q.active_orders())
     for t in range(-1, -depth - 1, -1):
         if Q.floor is not None and q + t < Q.floor:
             raise TruncationError(
                 "Q's window is too shallow for the requested Schur depth",
                 {"q_floor": Q.floor, "depth_reachable": q - Q.floor})
-        partial = GradedOp(k, dict(s_comps), None, 0, dict(s_caps))
-        W = Q * partial - partial * dq
-        if W.xcap(q + t) < X - q:
+        pairs = [(q + t - b, b) for b in range(t + 1, 1) if q + t - b in q_active]
+        rneg, cap = order_product(q + t, pairs, left, right)
+        if cap < X - q:
             raise TruncationError("insufficient x-window while solving S",
-                                  {"order": t, "xcap": W.xcap(q + t)})
-        rneg = W.components.get(q + t, {})
+                                  {"order": t, "xcap": cap})
         n_min = max(0, -t)
         m_min = max(0, -(q + t))
         assert all(m >= m_min for m in rneg), "content below the structural range"

@@ -9,6 +9,7 @@ equal weights, a power of d^k factor) construct it rather than filter for it.
 
 from __future__ import annotations
 
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -109,12 +110,8 @@ def series_with_af_level(rng: random.Random, k: int, p: int, sigma: Fraction,
         if w.value(l, j) < w0 - gap:
             i = rng.randint(0, k - 1)
             gamma_by_order.setdefault(j, {})[(l, i)] = _scalar(rng, k)
-    comps = {}
-    for j, gamma in gamma_by_order.items():
-        h = Hcp(k, j, gamma)
-        if not h.is_zero():
-            comps[j] = h
-    return HcpSeries(k, comps) if comps else None
+    series = HcpSeries(k, {j: Hcp(k, j, gamma) for j, gamma in gamma_by_order.items()})
+    return series if series.components else None
 
 
 def rand_monomial_hcp(rng: random.Random, k: int, lmax: int = 3, rmax: int = 3,
@@ -146,12 +143,7 @@ def rand_restriction_series(rng: random.Random, k: int) -> HcpSeries:
             i = rng.randint(0, k - 1)
             gamma_by_order.setdefault(j, {})[(l, i)] = \
                 gamma_by_order.get(j, {}).get((l, i), CycloScalar.zero(k)) + _scalar(rng, k)
-    comps = {}
-    for j, gamma in gamma_by_order.items():
-        h = Hcp(k, j, gamma)
-        if not h.is_zero():
-            comps[j] = h
-    return HcpSeries(k, comps)
+    return HcpSeries(k, {j: Hcp(k, j, gamma) for j, gamma in gamma_by_order.items()})
 
 
 def _v(P: HcpSeries, w: Weight) -> Fraction | None:
@@ -233,8 +225,6 @@ def appendix_case(idx: int, seed: int) -> list[str]:
         check(top_term(pa, w) == top_term(top_term(LA, w) * top_term(MA, w), w),
               "f(LM) != f(f(L) f(M)) when weights add")
         # fully A-free commutator drop
-        LAf = filtration_H(LA, Fraction(-10 ** 6), w)  # strips nothing; already B-free
-        del LAf
         br2 = pa - MA * LA
         vbr2 = _v(br2, w)
         if all(not h.contains_ai() for h in LA.components.values()) and \
@@ -392,11 +382,10 @@ def filtration_case(idx: int, seed: int) -> list[str]:
                 if filtration_H(br, 2 * pw_target, w).is_zero_in_window():
                     lhs = filtration_H((LAaf + MA) ** d, d * pw_target, w)
                     rhs = HcpSeries.zero(k)
-                    import math as _math
                     for l in range(d + 1):
                         term = (MA ** (d - l)) * (LAaf ** l)
                         rhs = rhs + filtration_H(term, d * pw_target, w).scalar_mul(
-                            _math.comb(d, l))
+                            math.comb(d, l))
                     check(lhs == rhs, f"binomial corollary at d={d}")
     else:
         # sigma = 0: equal top orders with scalar (Gamma-free) top symbols
@@ -410,10 +399,9 @@ def filtration_case(idx: int, seed: int) -> list[str]:
         if filtration_H(br, 2 * pw_target, w).is_zero_in_window():
             lhs = filtration_H((LA + MA) ** d, d * pw_target, w)
             rhs = HcpSeries.zero(k)
-            import math as _math
             for l in range(d + 1):
                 term = (MA ** (d - l)) * (LA ** l)
-                rhs = rhs + filtration_H(term, d * pw_target, w).scalar_mul(_math.comb(d, l))
+                rhs = rhs + filtration_H(term, d * pw_target, w).scalar_mul(math.comb(d, l))
             check(lhs == rhs, f"binomial corollary at d={d} (sigma=0)")
     return fails
 

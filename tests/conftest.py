@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import importlib.util
 import os
 
 import pytest
@@ -20,3 +21,14 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+@pytest.fixture(scope="session")
+def layertrace():
+    """``perfbench/layertrace.py``, loaded from its file (it is not a package)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

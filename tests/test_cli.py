@@ -121,6 +121,42 @@ def test_cli_newton_bad_scalar_in_input(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "ParseError"
 
 
+def _newton_error(path, capsys):
+    code, out = run_cli(["newton", "--input", str(path)], capsys)
+    return code, json.loads(out)["error"]
+
+
+def test_cli_newton_input_not_json(tmp_path, capsys):
+    inp = tmp_path / "bad.json"
+    inp.write_text('{"series": ')
+    code, err = _newton_error(inp, capsys)
+    assert code == 2 and err["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("series", [{"k": 2, "floor": 0, "top": 3},
+                                    {"k": 2, "components": {"0": 5}},
+                                    {"k": 2, "components": {}, "floor": "a"},
+                                    {"k": 2, "components": {"0": {"r": 0, "f": [[0, 0]]}}}])
+def test_cli_newton_input_without_components(series, tmp_path, capsys):
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps({"series": series}))
+    code, err = _newton_error(inp, capsys)
+    assert code == 2 and err["kind"] == "ParseError"
+
+
+def test_cli_newton_missing_input(tmp_path, capsys):
+    code, err = _newton_error(tmp_path / "absent.json", capsys)
+    assert code == 3 and err["kind"] == "PreconditionError"
+
+
+def test_cli_schur_explicit_xcap_equal_to_default(capsys):
+    argv = ["schur", "--q", "d^2 + x", "--depth", "2", "--format", "json"]
+    assert json.loads(run_cli(argv, capsys)[1])["xcap"] == 26
+    for xcap in (16, 17):
+        code, out = run_cli(argv + ["--xcap", str(xcap)], capsys)
+        assert code == 0 and json.loads(out)["xcap"] == xcap
+
+
 def test_cli_mul_commutator(capsys):
     code, out = run_cli(["mul", "d", "x"], capsys)
     assert code == 0 and out.strip() == "x*d + 1"
@@ -133,6 +169,14 @@ def test_cli_verify_small(capsys):
                         capsys)
     assert code == 0
     assert "suite powerform: 4 cases: ok" in out
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_verify_rejects_too_few_workers(workers, capsys):
+    code, out = run_cli(["verify", "--suite", "powerform", "--cases", "1",
+                         "--workers", workers], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "PreconditionError"
 
 
 def test_cli_verify_worker_fanout(capsys):

@@ -273,3 +273,12 @@ def test_str_rendering():
     assert str(A) == "d^3 + 3/2*x*d + 3/4"
     B = op(1, (1, 0, -1), (0, 2, 1))
     assert str(B) == "d^2 - x"
+
+
+# -- the benchmark tracer patches the layer entry points by name ---------------------------
+
+
+def test_traced_span_targets_exist(layertrace):
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _, _ in layertrace.SPAN_TARGETS if attr not in vars(owner)]
+    assert not missing, missing

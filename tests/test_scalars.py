@@ -1,8 +1,6 @@
 """Field arithmetic in Q(xi): unit values, oracles, and axiom sweeps."""
 
 from fractions import Fraction
-import importlib.util
-import os
 import random
 
 import pytest
@@ -11,9 +9,6 @@ from hypothesis import strategies as st
 
 from weylnf.errors import ContextMismatchError, DivisionByZeroError, ParseError, PreconditionError
 from weylnf.scalars import CycloScalar, cyclotomic_poly, parse_scalar, xi_pow
-
-LAYERTRACE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "perfbench", "layertrace.py")
 
 
 def naive_mod_xk_minus_1(k, a, b):
@@ -274,9 +269,6 @@ def test_parse_scalar_bad_syntax_is_parse_error(text):
 # -- the benchmark tracer patches CycloScalar methods by name ------------------------------
 
 
-def test_traced_scalar_methods_exist():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
+def test_traced_scalar_methods_exist(layertrace):
     missing = [name for name, _ in layertrace.SCALAR_METHODS if name not in vars(CycloScalar)]
     assert not missing, missing

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from weylnf.errors import PreconditionError
+from weylnf.errors import PreconditionError, TruncationError
 from weylnf.gform import check_Aqk
 from weylnf.operators import GradedOp, commutator
 from weylnf.scalars import CycloScalar
@@ -52,6 +52,31 @@ def test_invert_unit_geometric_series():
     T = invert_unit(S.restrict(floor=-5))
     for n in range(6):
         assert T.components.get(-n, {}).get(n) == CycloScalar.from_rational(1, (-1) ** n)
+
+
+def test_schur_window_errors():
+    Q = op(1, (0, 2, 1), (1, 0, 1))  # d^2 + x
+    with pytest.raises(TruncationError) as err:
+        schur_operator(Q.restrict(floor=0), depth=3)
+    assert str(err.value) == "Q's window is too shallow for the requested Schur depth"
+    assert err.value.required == {"q_floor": 0, "depth_reachable": 2}
+    with pytest.raises(TruncationError) as err:
+        schur_operator(Q.restrict(xcap=10), depth=4, xcap=20)
+    assert str(err.value) == "insufficient x-window while solving S"
+    assert err.value.required == {"order": -1, "xcap": 10}
+
+
+def test_invert_unit_propagates_finite_caps():
+    # S = 1 + x + 2 x^2 d - x^3 with finite caps; order -4 has a cap and no
+    # content, so it limits T_-4 and T_-5 although it adds nothing to them.
+    base = op(1, (0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 0, -1))
+    S = GradedOp(1, base.components, -5, 0, {-1: 6, -2: 5, -3: 7, -4: 3})
+    T = invert_unit(S)
+    assert (T.floor, T.top) == (-5, 0)
+    assert T.xcaps == {-1: 6, -2: 5, -3: 5, -4: 3, -5: 3}
+    assert {t: {n: str(c) for n, c in comp.items()} for t, comp in T.components.items()} == {
+        0: {0: "1"}, -1: {1: "-1", 2: "-2"}, -2: {2: "3", 3: "12", 4: "4"},
+        -3: {3: "-14", 4: "-90", 5: "-60"}}
 
 
 def test_invert_unit_identity():
