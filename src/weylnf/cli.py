@@ -13,7 +13,7 @@ import os
 import sys
 
 from .criterion import BivarPoly, bc_certificate, classify_pair
-from .errors import ParseError, PreconditionError, WeylnfError
+from .errors import ParseError, PreconditionError, PropertyViolation, WeylnfError
 from .fixtures import named_pair
 from .gform import HcpSeries, check_Aqk
 from .newton import classify_top_line, e_set, newton_report, render_svg
@@ -46,7 +46,7 @@ def _pair_from_args(args):
     if getattr(args, "fixture", None):
         return named_pair(args.fixture)
     if not args.p or not args.q:
-        raise WeylnfError("either --fixture or both --p and --q are required")
+        raise PreconditionError("either --fixture or both --p and --q are required")
     P = _parse(args.p, args)
     Q = _parse(args.q, args)
     return P, Q
@@ -176,7 +176,7 @@ def cmd_expand_power(args) -> int:
         print(f"(D+L)^{args.k} oracle:      {pretty(o)}")
         print(f"match: {match}")
         if not match:
-            raise WeylnfError("closed form and oracle disagree")
+            raise PropertyViolation("closed form and oracle disagree")
     else:
         print(f"(D+L)^{args.k} = {pretty(e)}")
     return 0

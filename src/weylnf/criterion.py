@@ -180,6 +180,10 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
     window reaches at least twice the search depth. Absence of a certificate
     is bounded evidence only, never a nonexistence proof.
     """
+    if wmax < 0:
+        raise PreconditionError("wmax must be nonnegative")
+    if depth < 1:
+        raise PreconditionError("depth must be positive")
     k = P.k
     p, q = P.ord(), Q.ord()
     if not (P.is_monic() and Q.is_monic()):
@@ -350,6 +354,8 @@ def classify_pair(P: GradedOp, Q: GradedOp, depth: int, wmax: int | None = None,
     classified when admissible and its variant reported for inspection; no
     symmetry claim is asserted from it.
     """
+    if wmax is not None and wmax < 0:
+        raise PreconditionError("wmax must be nonnegative")
     p, q = P.ord(), Q.ord()
     C = commutator(P, Q)
     commutes = C.is_zero_in_window()

@@ -47,21 +47,21 @@ class Hcp:
             if l < 0:
                 raise PreconditionError("Gamma index must be nonnegative")
             c = as_scalar(k, c)
-            if not c.is_zero():
+            if c:
                 key = (l, i % k)
-                g[key] = g.get(key, CycloScalar.zero(k)) + c
-        g = {key: c for key, c in g.items() if not c.is_zero()}
+                prev = g.get(key)
+                g[key] = c if prev is None else prev + c
         b = {}
         for j, c in (bpart or {}).items():
             if j < 1:
                 raise PreconditionError("B index must be positive")
             c = as_scalar(k, c)
-            if not c.is_zero():
+            if c:
                 b[j] = c
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "bpart", b)
+        _set_k(self, k)
+        _set_r(self, r)
+        _set_gamma(self, {key: c for key, c in g.items() if c})
+        _set_bpart(self, b)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hcp is immutable")
@@ -100,13 +100,8 @@ class Hcp:
         self._check(other)
         if self.r != other.r:
             raise PreconditionError("cannot add components of different order")
-        g = dict(self.gamma)
-        for key, c in other.gamma.items():
-            g[key] = g.get(key, CycloScalar.zero(self.k)) + c
-        b = dict(self.bpart)
-        for j, c in other.bpart.items():
-            b[j] = b.get(j, CycloScalar.zero(self.k)) + c
-        return Hcp(self.k, self.r, g, b)
+        return _make_hcp(self.k, self.r, _add_dicts(self.gamma, other.gamma),
+                         _add_dicts(self.bpart, other.bpart))
 
     def __neg__(self):
         return self.scalar_mul(-1)
@@ -115,10 +110,13 @@ class Hcp:
         return self + (-other)
 
     def scalar_mul(self, value) -> "Hcp":
-        value = as_scalar(self.k, value)
-        return Hcp(self.k, self.r,
-                   {key: c * value for key, c in self.gamma.items()},
-                   {j: c * value for j, c in self.bpart.items()})
+        if not isinstance(value, (int, Fraction)):
+            value = as_scalar(self.k, value)
+        if not value:
+            return _make_hcp(self.k, self.r, {}, {})
+        return _make_hcp(self.k, self.r,
+                         {key: c * value for key, c in self.gamma.items()},
+                         {j: c * value for j, c in self.bpart.items()})
 
     def __mul__(self, other: "Hcp") -> "Hcp":
         self._check(other)
@@ -182,6 +180,41 @@ class Hcp:
         gamma = {(l, i): parse_scalar(k, s) for l, i, s in data.get("f", [])}
         bpart = {j: parse_scalar(k, s) for j, s in data.get("g", [])}
         return cls(k, data["r"], gamma, bpart)
+
+
+_set_k, _set_r, _set_gamma, _set_bpart = (getattr(Hcp, name).__set__ for name in Hcp.__slots__)
+
+
+def _make_hcp(k: int, r: int, gamma: dict, bpart: dict) -> Hcp:
+    """Unchecked constructor: the arguments must already satisfy the invariant.
+
+    ``r >= 0``; ``gamma`` keys ``(l, i)`` with ``l >= 0`` and ``0 <= i < k``;
+    ``bpart`` keys ``j >= 1``; every value a nonzero ``CycloScalar`` of order
+    ``k``. The dicts are stored, not copied. A sub-dict of a valid ``gamma``
+    is valid. The public ``Hcp(k, r, gamma, bpart)`` checks all of this.
+    """
+    out = object.__new__(Hcp)
+    _set_k(out, k)
+    _set_r(out, r)
+    _set_gamma(out, gamma)
+    _set_bpart(out, bpart)
+    return out
+
+
+def _add_dicts(a: dict, b: dict) -> dict:
+    """Keywise a + b, adding only on a repeated key and dropping zero sums."""
+    out = dict(a)
+    for key, c in b.items():
+        prev = out.get(key)
+        if prev is None:
+            out[key] = c
+        else:
+            c = prev + c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
 
 
 def _is_int(v) -> bool:
@@ -252,32 +285,40 @@ def eigen_eval(E: EigenFunction, n: int) -> CycloScalar:
 
 
 def hcp_mul(H1: Hcp, H2: Hcp) -> Hcp:
-    """Product H1 * H2 through eigenfunctions: mu(n) = mu1(n) * mu2(n + r1)."""
+    """Product H1 * H2 through the diagonal action: mu(n) = mu1(n) * mu2(n + r1).
+
+    The quasi-polynomial parts multiply term by term after the shift
+    (n + r1)^l2 = sum_s C(l2, s) r1^(l2-s) n^s and xi^(i2 (n + r1)) =
+    xi^(i2 r1) xi^(i2 n). The B parts change the product only on their finite
+    support, where it is corrected from the eigenfunctions.
+    """
     if H1.k != H2.k:
         raise ContextMismatchError("cyclotomic order mismatch")
     k, r1 = H1.k, H1.r
-    e1, e2 = H1.eigen(), H2.eigen()
-    quasi: dict[tuple[int, int], CycloScalar] = {}
-    for (l1, i1), c1 in e1.quasi.items():
-        for (l2, i2), c2 in e2.quasi.items():
+    gamma: dict[tuple[int, int], CycloScalar] = {}
+    for (l2, i2), c2 in H2.gamma.items():
+        if i2 and r1:
+            c2 = c2 * xi_pow(k, i2 * r1)
+        # The nonzero shift weights: with r1 = 0 only s = l2 is left.
+        shift = [(s, math.comb(l2, s) * r1 ** (l2 - s)) for s in range(0 if r1 else l2, l2 + 1)]
+        for (l1, i1), c1 in H1.gamma.items():
             base = c1 * c2
-            if i2 and r1:
-                base = base * xi_pow(k, i2 * r1)
             i3 = (i1 + i2) % k
-            for s in range(l2 + 1):
-                w = math.comb(l2, s) * (Fraction(r1) ** (l2 - s))
-                if w:
-                    key = (l1 + s, i3)
-                    quasi[key] = quasi.get(key, CycloScalar.zero(k)) + base * w
-    qp = EigenFunction(k, quasi)
-    support = set(e1.corr) | {s - r1 for s in e2.corr if s - r1 >= 0}
-    corr = {}
-    for n in sorted(support):
-        full = e1.eval(n) * e2.eval(n + r1)
-        v = full - qp.eval_quasi(n)
-        if not v.is_zero():
-            corr[n] = v
-    return EigenFunction(k, quasi, corr).to_hcp(r1 + H2.r)
+            for s, w in shift:
+                term = base if w == 1 else base * w
+                key = (l1 + s, i3)
+                prev = gamma.get(key)
+                gamma[key] = term if prev is None else prev + term
+    gamma = {key: c for key, c in gamma.items() if c}
+    bpart = {}
+    support = {j - 1 for j in H1.bpart} | {j - 1 - r1 for j in H2.bpart if j - 1 >= r1}
+    if support:
+        e1, e2, qp = H1.eigen(), H2.eigen(), EigenFunction(k, gamma)
+        for n in sorted(support):
+            v = e1.eval(n) * e2.eval(n + r1) - qp.eval_quasi(n)
+            if v:
+                bpart[n + 1] = v
+    return _make_hcp(k, r1 + H2.r, gamma, bpart)
 
 
 def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = None) -> Hcp:
@@ -484,8 +525,10 @@ class HcpSeries:
     def __pow__(self, e: int):
         if e < 0:
             raise PreconditionError("negative powers are not defined")
-        out = HcpSeries.identity(self.k)
-        for _ in range(e):
+        if e == 0:
+            return HcpSeries.identity(self.k)
+        out = self
+        for _ in range(e - 1):
             out = out * self
         return out
 

@@ -13,12 +13,12 @@ computed from a truncated window carries a tentative flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .gform import Hcp, HcpSeries, check_Aqk
-
+from .gform import Hcp, HcpSeries, _make_hcp, check_Aqk
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,7 @@ def top_term(P: HcpSeries, w: Weight) -> HcpSeries:
     for j, h in P.components.items():
         gamma = {(l, i): c for (l, i), c in h.gamma.items() if w.value(l, j) == sup}
         if gamma:
-            piece = Hcp(P.k, j, gamma)
-            comps[j] = comps[j] + piece if j in comps else piece
+            comps[j] = _make_hcp(P.k, j, gamma, {})
     return HcpSeries(P.k, comps)
 
 
@@ -244,13 +243,25 @@ def filtration_HS(L: HcpSeries, d: Fraction, m: int, w: Weight) -> HcpSeries:
 
 
 def _filtration(L: HcpSeries, d: Fraction, m: int | None, w: Weight) -> HcpSeries:
-    """The Gamma_l A_i D^j monomials of L with weight >= d and, unless m is None, l <= m."""
+    """The Gamma_l A_i D^j monomials of L with weight >= d and, unless m is None, l <= m.
+
+    At order j the weight condition sigma*l + rho*j >= d is one threshold on
+    l: l >= ceil((d - rho*j) / sigma) when sigma > 0, and all or nothing
+    (rho*j >= d) when sigma = 0.
+    """
+    sigma, rho = w.sigma, w.rho
+    hi = math.inf if m is None else m
     comps = {}
     for j, h in L.components.items():
-        gamma = {(l, i): c for (l, i), c in h.gamma.items()
-                 if (m is None or l <= m) and w.value(l, j) >= d}
+        if sigma:
+            lo = -((rho * j - d) // sigma)
+        elif rho * j >= d:
+            lo = 0
+        else:
+            continue
+        gamma = {key: c for key, c in h.gamma.items() if lo <= key[0] <= hi}
         if gamma:
-            comps[j] = Hcp(L.k, j, gamma)
+            comps[j] = _make_hcp(L.k, j, gamma, {})
     return HcpSeries(L.k, comps, L.floor, L.top)
 
 

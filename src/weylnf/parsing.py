@@ -359,6 +359,8 @@ def evaluate(node, k: int | None = None, xcap: int = 16) -> GradedOp:
     entries with i > 0) require it. G-form literals with infinite expansions
     are truncated at ``xcap``.
     """
+    if xcap < 0:
+        raise PreconditionError("xcap must be nonnegative")
     kk = 1 if k is None else k
     return _eval(node, k, kk, xcap)
 

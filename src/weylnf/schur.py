@@ -67,6 +67,8 @@ def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None,
     """
     if depth < 1:
         raise PreconditionError("depth must be positive")
+    if xcap is not None and xcap < 0:
+        raise PreconditionError("xcap must be nonnegative")
     q = Q.ord()
     if q <= 0:
         raise PreconditionError("ord(Q) must be positive")

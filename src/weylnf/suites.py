@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import PreconditionError
 from .gform import Hcp, HcpSeries
 from .newton import Weight, e_set, filtration_H, filtration_HS, top_term, weight_of
 from .operators import GradedOp
@@ -451,6 +452,8 @@ def _run_one(args):
 def run_suite(name: str, cases: int, seed: int, workers: int = 1) -> SuiteResult:
     if name not in _CASE_FUNCS:
         raise ValueError(f"unknown suite {name!r}")
+    if cases < 0:
+        raise PreconditionError("the number of cases must be nonnegative")
     failures: list[str] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from weylnf import cli
 from weylnf.cli import main
 from weylnf.errors import ParseError, PreconditionError
 from weylnf.operators import GradedOp
@@ -179,6 +180,31 @@ def test_cli_verify_rejects_too_few_workers(workers, capsys):
     assert json.loads(out)["error"]["kind"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bc-find", "--fixture", "kdv24", "--wmax", "-2", "--depth", "4"],
+    ["bc-find", "--fixture", "kdv24", "--wmax", "4", "--depth", "-1"],
+    ["classify", "--fixture", "generic", "--wmax", "-1", "--depth", "4"],
+    ["verify", "--suite", "filtration", "--cases", "-3"],
+    ["schur", "--q", "d^2+x", "--depth", "2", "--xcap", "-1"],
+    ["eval", "G{r=0; f[0,1]=1}", "--k", "2", "--xcap", "-1"],
+    ["normal-form", "--depth", "3"],
+    ["classify", "--p", "d^3 + x", "--depth", "3"],
+])
+def test_cli_bad_arguments_exit_3(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "PreconditionError"
+
+
+def test_cli_expand_power_oracle_mismatch_exits_5(monkeypatch, capsys):
+    oracle = cli.expand_power_oracle
+    monkeypatch.setattr(cli, "expand_power_oracle", lambda k: oracle(k - 1))
+    code, out = run_cli(["expand-power", "--k", "2", "--oracle"], capsys)
+    assert code == 5
+    assert "match: False" in out
+    assert json.loads(out.splitlines()[-1])["error"]["kind"] == "PropertyViolation"
+
+
 def test_cli_verify_worker_fanout(capsys):
     code, out = run_cli(["verify", "--suite", "appendix", "--cases", "6",
                          "--seed", "9", "--workers", "2"], capsys)
@@ -296,3 +322,11 @@ def test_console_entry_point(cli_env):
                           capture_output=True, text=True, env=cli_env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x*d"
+
+
+def test_console_verify_filtration_suite(cli_env):
+    proc = subprocess.run([sys.executable, "-m", "weylnf.cli", "verify", "--suite",
+                           "filtration", "--cases", "8"],
+                          capture_output=True, text=True, env=cli_env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "suite filtration: 8 cases: ok"

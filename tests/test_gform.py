@@ -144,6 +144,24 @@ def test_hcp_mul_matches_monomial_closed_form():
         assert got == Hcp(k, u + v, expect_gamma)
 
 
+def _rand_scalar(rng, k):
+    return CycloScalar(k, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)])
+
+
+def _checked_product(H1, H2):
+    """hcp_mul(H1, H2), checked against the expansion oracle and the Hcp invariant."""
+    got = hcp_mul(H1, H2)
+    k = H1.k
+    assert got.k == k and got.r == H1.r + H2.r
+    assert all(type(c) is CycloScalar and c.k == k
+               for c in [*got.gamma.values(), *got.bpart.values()])
+    # The checked constructor drops zeros and reduces A indices mod k, so a
+    # result that breaks the invariant differs from its rebuild.
+    assert got == Hcp(k, got.r, dict(got.gamma), dict(got.bpart))
+    assert got.expand(xcap=8).agrees_with(H1.expand(xcap=14) * H2.expand(xcap=14))
+    return got
+
+
 def test_expand_is_ring_homomorphism():
     rng = random.Random(37)
     for _ in range(30):
@@ -154,9 +172,25 @@ def test_expand_is_ring_homomorphism():
         H2 = Hcp(k, rng.randint(0, 2),
                  {(rng.randint(0, 2), rng.randint(0, k - 1)): rng.randint(-3, 3)},
                  {rng.randint(1, 2): rng.randint(-2, 2)})
-        lhs = hcp_mul(H1, H2).expand(xcap=8)
-        rhs = H1.expand(xcap=14) * H2.expand(xcap=14)
-        assert lhs.agrees_with(rhs)
+        _checked_product(H1, H2)
+    # Multi-term factors over k = 1..4, with and without B parts.
+    for k in (1, 2, 3, 4):
+        for bfree in (True, False):
+            for _ in range(6):
+                H1, H2 = (Hcp(k, rng.randint(0, 3),
+                              {(rng.randint(0, 3), rng.randint(0, k - 1)): _rand_scalar(rng, k)
+                               for _ in range(rng.randint(1, 3))},
+                              {} if bfree else {rng.randint(1, 4): _rand_scalar(rng, k)
+                                                for _ in range(rng.randint(1, 2))})
+                          for _ in range(2))
+                _checked_product(H1, H2)
+    for k in (1, 2, 3, 4):
+        # D (Gamma_1 - 1) = (Gamma_1 + 1 - 1) D: the Gamma_0 coefficient cancels.
+        got = _checked_product(Hcp(k, 1, {(0, 0): 1}), Hcp(k, 0, {(1, 0): 1, (0, 0): -1}))
+        assert got.gamma == {(1, 0): CycloScalar.one(k)}
+        # (Gamma_1 + B_1) Gamma_1 = Gamma_2: the correction at n = 0 cancels.
+        got = _checked_product(Hcp(k, 0, {(1, 0): 1}, {1: 1}), Hcp(k, 0, {(1, 0): 1}))
+        assert got == Hcp(k, 0, {(2, 0): 1}) and not got.bpart
 
 
 def test_sdeg_subadditive_and_equality():
@@ -287,6 +321,22 @@ def test_series_arithmetic_and_expand():
     lhs = R.expand(xcap=10)
     rhs = P.expand(xcap=14) * Q.expand(xcap=14)
     assert lhs.agrees_with(rhs)
+
+
+def test_series_power_is_repeated_product():
+    k = 3
+    xi = xi_pow(k, 1)
+    finite = HcpSeries(k, {2: Hcp(k, 2, {(0, 0): 1, (1, 1): xi}),
+                           0: Hcp(k, 0, {(2, 0): Fraction(1, 2)}, {1: 2})})
+    floored = HcpSeries(k, {3: Hcp(k, 3, {(0, 0): 1}), 2: Hcp(k, 2, {(1, 2): -xi}),
+                            1: Hcp(k, 1, {(0, 1): 3})}, floor=1, top=3)
+    for P in (finite, floored):
+        expect = HcpSeries.identity(k)
+        for e in range(5):
+            assert P ** e == expect
+            expect = expect * P
+    with pytest.raises(PreconditionError):
+        finite ** -1
 
 
 def test_series_serialization_round_trip():

@@ -1,6 +1,7 @@
 """Newton region: point sets, weights, up-edge, classification, filtrations."""
 
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from weylnf.newton import (
     up_edge,
     weight_of,
 )
+from weylnf.suites import SIGMAS, rand_bfree_series
 
 
 def series(k, *comps, floor=None):
@@ -139,6 +141,39 @@ def test_filtration_HS_examples():
     assert filtration_HS(P, Fraction(5), 0, w) == D5()
     assert filtration_HS(P, Fraction(5), 2, w) == P
     assert filtration_HS(P, Fraction(5), 1, w) == D5()
+
+
+def _reference_filtration(L, d, m, w):
+    """The literal definition: keep monomials with w.value(l, j) >= d and l <= m."""
+    comps = {}
+    for j, h in L.components.items():
+        gamma = {(l, i): c for (l, i), c in h.gamma.items()
+                 if (m is None or l <= m) and w.value(l, j) >= d}
+        if gamma:
+            comps[j] = Hcp(L.k, j, gamma)
+    return HcpSeries(L.k, comps, L.floor, L.top)
+
+
+def test_filtration_matches_reference():
+    rng = random.Random(53)
+    for case in range(24):
+        k = rng.choice((2, 3, 4))
+        L = rand_bfree_series(rng, k, rng.randint(3, 6))
+        if case % 3 == 0:
+            L = L.restrict_floor(rng.randint(0, 3))
+        if case % 4 == 0:
+            top = max(L.components)
+            L = L + G(k, top, {}, {2: 1})  # a B part, which no filtration keeps
+        for sigma in SIGMAS:
+            for rho in (1, 2):
+                w = Weight(sigma, rho)
+                l0, j0 = rng.choice(sorted(e_set(L).point_set()))
+                on_level = w.value(l0, j0)
+                for d in (Fraction(-3), Fraction(-1, 2), on_level, on_level + Fraction(1, 3),
+                          on_level - Fraction(2, 3), Fraction(j0)):
+                    assert filtration_H(L, d, w) == _reference_filtration(L, d, None, w)
+                    for m in range(5):
+                        assert filtration_HS(L, d, m, w) == _reference_filtration(L, d, m, w)
 
 
 def _gauge_unit(k, c):

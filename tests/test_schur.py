@@ -37,6 +37,12 @@ def test_schur_rejects_non_normalized():
         schur_operator(Q, depth=3)
 
 
+def test_schur_rejects_negative_xcap():
+    Q = op(1, (0, 2, 1), (1, 0, 1))  # d^2 + x
+    with pytest.raises(PreconditionError):
+        schur_operator(Q, depth=2, xcap=-1)
+
+
 def test_schur_gauge_extends_with_depth():
     for items in [[(0, 2, 1), (1, 0, 1)], [(0, 2, 1), (2, 0, 1)],
                   [(0, 3, 1), (1, 1, 1), (2, 0, 1)]]:
