@@ -35,6 +35,14 @@ def _dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit_op(A: GradedOp, fmt: str):
     if fmt == "json":
         print(_dump(A.to_dict()))
@@ -101,8 +109,7 @@ def cmd_normal_form(args) -> int:
     }
     text = _dump(data)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     else:
         print(text)
     return 0
@@ -124,11 +131,9 @@ def cmd_newton(args) -> int:
         series, 0, enforce_growth=series.floor is not None).ok else None
     report = newton_report(nd, cls)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(_dump(report) + "\n")
+        _write(args.json_out, _dump(report) + "\n")
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(nd, cls))
+        _write(args.svg, render_svg(nd, cls))
     if not args.json_out and not args.svg:
         print(_dump(report))
     return 0
@@ -136,7 +141,12 @@ def cmd_newton(args) -> int:
 
 def cmd_classify(args) -> int:
     P, Q = _pair_from_args(args)
-    candidate = BivarPoly.from_list(json.loads(args.candidate)) if args.candidate else None
+    candidate = None
+    if args.candidate:
+        try:
+            candidate = BivarPoly.from_list(json.loads(args.candidate))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"--candidate is not JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     rep = classify_pair(P, Q, depth=args.depth, wmax=args.wmax, candidate_F=candidate)
     if args.format == "json":
         print(_dump(rep.to_dict()))

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import ParseError, PreconditionError
 from .gform import HcpSeries, Hcp
 from .linalg import nullspace
 from .newton import TopLineClass, Weight, classify_top_line, filtration_HS
@@ -100,7 +100,24 @@ class BivarPoly:
 
     @classmethod
     def from_list(cls, items) -> "BivarPoly":
-        return cls({(u, v): Fraction(c) for u, v, c in items})
+        """From ``to_list`` rows ``[u, v, c]``: integer exponents and a rational
+        ``c`` (an integer, a float or a string such as ``"-3/4"``). A malformed
+        row raises :class:`ParseError`; a negative exponent, PreconditionError."""
+        if not isinstance(items, (list, tuple)):
+            raise ParseError("a polynomial must be a JSON list of [u, v, c] rows")
+        terms = {}
+        for row in items:
+            if not (isinstance(row, (list, tuple)) and len(row) == 3
+                    and all(type(e) is int for e in row[:2])
+                    and type(row[2]) in (int, float, str)):
+                raise ParseError(f"bad polynomial row {row!r}: expected [u, v, c] with "
+                                 "integer u and v and a rational c")
+            u, v, c = row
+            try:
+                terms[(u, v)] = Fraction(c)
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise ParseError(f"bad coefficient {c!r} in row {row!r}") from exc
+        return cls(terms)
 
 
 @dataclass

@@ -20,6 +20,16 @@ the product window rule
 ``xcap(t) = min over t1+t2=t of min(xcap_left(t1), xcap_right(t2) - t1)``.
 :func:`order_product` is the one place that computes a result order; the
 product and the Schur solve both go through it.
+
+The transforms between a component's coefficients and its values nu(j)
+(:func:`_comp_nu`, :func:`_nu_to_comp`) run on integer lanes. Each call
+takes one common denominator D, the lcm of every coefficient denominator of
+its input, and turns each input scalar into ``deg Phi_k`` integers
+D * coeffs[i]. The triangular map between coefficients and values is then a
+binomial transform (perm(j, m) = comb(j, m) * m!), computed with integer
+additions and subtractions only. Each nonzero result is divided back once
+and built unchecked by ``scalars._make``, so it keeps the scalar invariant:
+a tuple of exactly ``deg Phi_k`` ``Fraction`` s.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import (
     ContextMismatchError,
@@ -34,7 +45,7 @@ from .errors import (
     TruncationError,
     UndefinedOrderError,
 )
-from .scalars import CycloScalar, as_scalar
+from .scalars import _ZERO, CycloScalar, _make, as_scalar, cyclotomic_poly
 
 INF = math.inf
 
@@ -489,32 +500,75 @@ def product_floor(A, B):
     return None if val == -INF else int(val)
 
 
+def _lanes(k: int, values) -> tuple[int, list[list[int]]]:
+    """The lcm D of the coefficient denominators of ``values``, and per
+    coefficient index i the lane of integers D * v.coeffs[i] over ``values``."""
+    coeffs = [v.coeffs for v in values]
+    den = math.lcm(*{f.denominator for c in coeffs for f in c})
+    lanes = [[f.numerator * (den // f.denominator) for f in lane] for lane in zip(*coeffs)]
+    return den, lanes or [[] for _ in range(len(cyclotomic_poly(k)) - 1)]
+
+
+def _from_lanes(k: int, lanes, den: int) -> CycloScalar:
+    """The scalar with coefficients lanes / den."""
+    if den == 1:  # Fraction(x) skips the gcd that Fraction(x, 1) takes
+        return _make(k, tuple([Fraction(x) if x else _ZERO for x in lanes]))
+    return _make(k, tuple([Fraction(x, den) if x else _ZERO for x in lanes]))
+
+
 def _comp_nu(comp: dict[int, CycloScalar], t: int, jmax: int, k: int,
              start: int = 0) -> list[CycloScalar]:
-    """Diagonal action values nu(j) = sum_n a_n * perm(j, n+t), j = start..jmax."""
+    """Diagonal action values nu(j) = sum_n a_n * perm(j, n+t), j = start..jmax.
+
+    As perm(j, m) = comb(j, m) * m!, nu is a polynomial in j whose forward
+    differences at j = 0 are c_m = m! * a_(m-t). A row of the difference table
+    holds Delta^m nu(j) for every m; the step j -> j+1 adds Delta^(m+1) nu(j)
+    to each entry, and the top entry stays constant.
+    """
+    den, lanes = _lanes(k, comp.values())
+    ms = [n + t for n in comp]
+    count = max(0, jmax + 1 - start)
+    cols = []
+    for lane in lanes:
+        if not any(lane):
+            cols.append([0] * count)
+            continue
+        row = [0] * (max(ms) + 1)
+        for m, a in zip(ms, lane):
+            row[m] = a * math.factorial(m)
+        col = []
+        for j in range(jmax + 1):
+            if j >= start:
+                col.append(row[0])
+            row = [*map(add, row, row[1:]), row[-1]]
+        cols.append(col)
     zero = CycloScalar.zero(k)
-    nu = [zero] * (jmax + 1 - start)
-    for n, c in comp.items():
-        m = n + t
-        for j in range(max(m, start), jmax + 1):
-            f = math.perm(j, m)
-            nu[j - start] = nu[j - start] + c * f
-    return nu
+    return [_from_lanes(k, vals, den) if any(vals) else zero for vals in zip(*cols)]
 
 
 def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]:
-    """Invert the triangular map nu(j) = sum a_n perm(j, n+t)."""
+    """Invert the triangular map nu(j) = sum a_n perm(j, n+t).
+
+    The inverse of :func:`_comp_nu`: m! * a_(m-t) is the m-th forward
+    difference of nu at j = 0, where nu(j) is taken as zero for j < max(0, t).
+    """
+    m0 = max(0, t)
+    den, lanes = _lanes(k, nu[m0:])
+    cols = []
+    for lane in lanes:
+        row = [0] * m0 + lane
+        if not any(lane):
+            cols.append(row)
+            continue
+        col = []
+        while row:
+            col.append(row[0])
+            row = list(map(sub, row[1:], row))
+        cols.append(col)
     out: dict[int, CycloScalar] = {}
-    for j in range(max(0, t), len(nu)):
-        val = nu[j]
-        for n, a in out.items():
-            m = n + t
-            if m <= j:
-                f = math.perm(j, m)
-                if f:
-                    val = val - a * f
-        if not val.is_zero():
-            out[j - t] = val * Fraction(1, math.factorial(j))
+    for m, b in enumerate(zip(*cols)):
+        if any(b):
+            out[m - t] = _from_lanes(k, b, den * math.factorial(m))
     return out
 
 

@@ -221,6 +221,34 @@ def test_cli_classify_candidate_table(capsys):
     assert data["typeIdentities"][:3] == [[0, "0"], [1, "2"], [2, "1"]]
 
 
+@pytest.mark.parametrize("cand, code, kind", [
+    ("notjson", 2, "ParseError"),
+    ("[[1,2]]", 2, "ParseError"),
+    ('[[0,0,"1/0"]]', 2, "ParseError"),
+    ("[[1.5,0,1]]", 2, "ParseError"),
+    ("[[true,0,1]]", 2, "ParseError"),
+    ('{"u": 1}', 2, "ParseError"),
+    ("[[-1,0,1]]", 3, "PreconditionError"),
+])
+def test_cli_classify_bad_candidate(cand, code, kind, capsys):
+    got, out = run_cli(["classify", "--fixture", "generic", "--depth", "4",
+                        "--candidate", cand], capsys)
+    assert got == code
+    assert json.loads(out)["error"]["kind"] == kind
+
+
+@pytest.mark.parametrize("argv", [
+    ["normal-form", "--fixture", "generic", "--depth", "3", "--out"],
+    ["newton", "--input", os.path.join(GOLDEN, "normal_form_generic.json"), "--json"],
+    ["newton", "--input", os.path.join(GOLDEN, "normal_form_generic.json"), "--svg"],
+])
+def test_cli_unwritable_output_exits_3(argv, tmp_path, capsys):
+    code, out = run_cli(argv + [str(tmp_path / "missing" / "x")], capsys)
+    err = json.loads(out)["error"]
+    assert code == 3 and err["kind"] == "PreconditionError"
+    assert err["message"].startswith("cannot write ")
+
+
 def _golden(name):
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         return fh.read()

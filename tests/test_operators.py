@@ -1,20 +1,26 @@
 """Graded operator arithmetic: Leibniz oracle, windows, and the action."""
 
 from fractions import Fraction
+import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from weylnf.errors import TruncationError, UndefinedOrderError
 from weylnf.operators import (
+    Factor,
     GradedOp,
     XdMonomial,
+    _comp_nu,
+    _nu_to_comp,
     ad_pow,
     commutator,
     mono_mul,
     poly_from_pairs,
 )
-from weylnf.scalars import CycloScalar
+from weylnf.scalars import CycloScalar, cyclotomic_poly, xi_pow
 
 
 def S(k, v):
@@ -119,6 +125,143 @@ def test_op_mul_matches_monomial_expansion():
         got = A * B
         assert got.agrees_with(expected)
         assert got.components == expected.components
+
+
+def _field_op(rng, k, nterms, maxdeg):
+    """A random operator whose coefficients are rationals times xi powers."""
+    items = []
+    for _ in range(nterms):
+        c = (Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+             + Fraction(rng.randint(-3, 3), rng.randint(1, 5)) * xi_pow(k, rng.randrange(k)))
+        if not c.is_zero():
+            items.append((rng.randint(0, maxdeg), rng.randint(0, maxdeg), c))
+    return op(k, *items)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_field_coefficient_products_match_oracles(k):
+    rng = random.Random(100 + k)
+    for _ in range(8):
+        A, B = _field_op(rng, k, 3, 3), _field_op(rng, k, 3, 3)
+        expected = GradedOp.zero(k)
+        for ma in A.monomials():
+            for mb in B.monomials():
+                expected = expected + mono_mul(ma, mb)
+        AB = A * B
+        assert AB == expected
+        for n in range(0, 9):
+            xn = poly_from_pairs(k, [(n, 1)])
+            assert AB.apply_to_poly(xn) == A.apply_to_poly(B.apply_to_poly(xn))
+    A, B = _field_op(rng, k, 5, 4), _field_op(rng, k, 5, 4)
+    got = A.restrict(floor=-2, xcap=3) * B.restrict(floor=-1, xcap=4)
+    assert got.floor is not None and got.xcaps
+    assert got.agrees_with(A * B)
+
+
+# -- the nu transforms ---------------------------------------------------------
+
+
+def _reference_comp_nu(comp, t, jmax, k, start=0):
+    zero = CycloScalar.zero(k)
+    nu = [zero] * (jmax + 1 - start)
+    for n, c in comp.items():
+        m = n + t
+        for j in range(max(m, start), jmax + 1):
+            f = math.perm(j, m)
+            nu[j - start] = nu[j - start] + c * f
+    return nu
+
+
+def _reference_nu_to_comp(nu, t, k):
+    out = {}
+    for j in range(max(0, t), len(nu)):
+        val = nu[j]
+        for n, a in out.items():
+            m = n + t
+            if m <= j:
+                f = math.perm(j, m)
+                if f:
+                    val = val - a * f
+        if not val.is_zero():
+            out[j - t] = val * Fraction(1, math.factorial(j))
+    return out
+
+
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def _field_scalar(data, k):
+    """A rational plus a rational multiple of a power of xi, reduced mod Phi_k."""
+    a, b = data.draw(FRACTIONS), data.draw(FRACTIONS)
+    return a + b * xi_pow(k, data.draw(st.integers(0, k - 1)))
+
+
+def _component(data, k, t):
+    n0 = max(0, -t)
+    ns = data.draw(st.sets(st.integers(n0, n0 + 7), max_size=5))
+    comp = {n: _field_scalar(data, k) for n in sorted(ns)}
+    return {n: c for n, c in comp.items() if not c.is_zero()}
+
+
+def _assert_scalar_invariant(v, k):
+    assert type(v) is CycloScalar and v.k == k
+    assert type(v.coeffs) is tuple and len(v.coeffs) == len(cyclotomic_poly(k)) - 1
+    assert all(type(f) is Fraction for f in v.coeffs)
+
+
+ORDERS = st.integers(min_value=1, max_value=12)
+SHIFTS = st.integers(min_value=-6, max_value=6)
+
+
+@given(ORDERS, SHIFTS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_comp_nu_matches_reference(k, t, data):
+    comp = _component(data, k, t)
+    jmax = data.draw(st.integers(-1, 16))
+    start = data.draw(st.integers(0, 6))
+    got = _comp_nu(comp, t, jmax, k, start)
+    assert got == _reference_comp_nu(comp, t, jmax, k, start)
+    for v in got:
+        _assert_scalar_invariant(v, k)
+
+
+@given(ORDERS, SHIFTS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_nu_to_comp_matches_reference(k, t, data):
+    zero = CycloScalar.zero(k)
+    live = data.draw(st.lists(st.booleans(), max_size=14))
+    nu = [_field_scalar(data, k) if b else zero for b in live]
+    got = _nu_to_comp(nu, t, k)
+    assert got == _reference_nu_to_comp(nu, t, k)
+    for v in got.values():
+        _assert_scalar_invariant(v, k)
+        assert not v.is_zero()
+
+
+@given(ORDERS, SHIFTS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_nu_transforms_round_trip(k, t, data):
+    comp = _component(data, k, t)
+    jmax = max((n + t for n in comp), default=0) + data.draw(st.integers(0, 3))
+    assert _nu_to_comp(_comp_nu(comp, t, jmax, k), t, k) == comp
+
+
+@given(ORDERS, SHIFTS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_factor_nu_extends_in_steps(k, t, data):
+    comp = _component(data, k, t)
+    first, full = sorted(data.draw(st.lists(st.integers(-1, 14), min_size=2, max_size=2)))
+    stepped = Factor(k, {t: comp}, {})
+    stepped.nu(t, first)
+    assert stepped.nu(t, full) == Factor(k, {t: comp}, {}).nu(t, full)
+    assert stepped.nu(t, full) == _reference_comp_nu(comp, t, full, k)
+
+
+def test_nu_transforms_of_empty_input():
+    for k in (1, 3, 5):
+        assert _comp_nu({}, -2, 4, k, 2) == [CycloScalar.zero(k)] * 3
+        assert _nu_to_comp([], 2, k) == {}
+        assert _nu_to_comp([CycloScalar.zero(k)] * 5, -1, k) == {}
 
 
 # -- queries -------------------------------------------------------------------
