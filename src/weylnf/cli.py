@@ -1,8 +1,8 @@
 """Command line driver.
 
-Exit codes: 0 success, 2 parse error, 3 precondition error, 4 the window was
-too small, 5 a verified property failed. Failures print a machine-readable
-JSON error object.
+Exit codes: 0 success, 2 parse or usage error, 3 precondition error, 4 the
+window was too small, 5 a verified property failed. Failures print a
+machine-readable JSON error object.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 
 from .criterion import BivarPoly, bc_certificate, classify_pair
-from .errors import ParseError, PreconditionError, PropertyViolation, WeylnfError
+from .errors import ParseError, PreconditionError, PropertyViolation, UsageError, WeylnfError
 from .fixtures import named_pair
 from .gform import HcpSeries, check_Aqk
 from .newton import classify_top_line, e_set, newton_report, render_svg
@@ -25,6 +25,23 @@ from .suites import run_all, run_suite
 
 
 EXPANSION_XCAP = 16  # --xcap when it is not given (schur then solves to 24 + ord Q)
+MAX_XCAP = 256  # largest --xcap
+MAX_DEPTH = 64  # largest --depth
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a command line it rejects as a :class:`UsageError`."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _check_limits(args):
+    for name, limit in (("xcap", MAX_XCAP), ("depth", MAX_DEPTH)):
+        value = getattr(args, name, None)
+        if value is not None and value > limit:
+            raise PreconditionError(f"--{name} {value} exceeds the maximum {limit}")
 
 
 def _parse(src: str, args) -> GradedOp:
@@ -210,10 +227,10 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="weylnf",
-                                 description="exact normal-form calculus for "
-                                             "ordinary differential operators")
-    common = argparse.ArgumentParser(add_help=False)
+    ap = _ArgumentParser(prog="weylnf",
+                         description="exact normal-form calculus for "
+                                     "ordinary differential operators")
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--k", type=int, default=None,
                         help="cyclotomic order for xi and G-form literals")
     common.add_argument("--xcap", type=int, default=None,
@@ -297,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        _check_limits(args)
         return args.func(args) or 0
     except WeylnfError as exc:
         payload = {"error": {"kind": type(exc).__name__,

@@ -101,8 +101,9 @@ class BivarPoly:
     @classmethod
     def from_list(cls, items) -> "BivarPoly":
         """From ``to_list`` rows ``[u, v, c]``: integer exponents and a rational
-        ``c`` (an integer, a float or a string such as ``"-3/4"``). A malformed
-        row raises :class:`ParseError`; a negative exponent, PreconditionError."""
+        ``c`` (an integer, a float or a string such as ``"-3/4"``). Rows with
+        the same ``(u, v)`` add up, and a zero sum is dropped. A malformed row
+        raises :class:`ParseError`; a negative exponent, PreconditionError."""
         if not isinstance(items, (list, tuple)):
             raise ParseError("a polynomial must be a JSON list of [u, v, c] rows")
         terms = {}
@@ -114,7 +115,7 @@ class BivarPoly:
                                  "integer u and v and a rational c")
             u, v, c = row
             try:
-                terms[(u, v)] = Fraction(c)
+                terms[(u, v)] = terms.get((u, v), 0) + Fraction(c)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise ParseError(f"bad coefficient {c!r} in row {row!r}") from exc
         return cls(terms)

@@ -24,6 +24,12 @@ class ParseError(WeylnfError):
         self.col = col
 
 
+class UsageError(WeylnfError):
+    """A command line that the argument parser rejects."""
+
+    exit_code = 2
+
+
 class PreconditionError(WeylnfError):
     """An operation was called on inputs that violate its contract."""
 

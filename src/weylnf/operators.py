@@ -21,15 +21,21 @@ the product window rule
 :func:`order_product` is the one place that computes a result order; the
 product and the Schur solve both go through it.
 
-The transforms between a component's coefficients and its values nu(j)
-(:func:`_comp_nu`, :func:`_nu_to_comp`) run on integer lanes. Each call
-takes one common denominator D, the lcm of every coefficient denominator of
-its input, and turns each input scalar into ``deg Phi_k`` integers
-D * coeffs[i]. The triangular map between coefficients and values is then a
-binomial transform (perm(j, m) = comb(j, m) * m!), computed with integer
-additions and subtractions only. Each nonzero result is divided back once
-and built unchecked by ``scalars._make``, so it keeps the scalar invariant:
-a tuple of exactly ``deg Phi_k`` ``Fraction`` s.
+Nu sequences live as integer lanes from the coefficients to the product and
+back. A sequence of Q(xi) values over one common denominator D > 0 is a
+tuple of exactly ``deg Phi_k`` lanes, lane i holding the integers
+D * nu(j).coeffs[i]. The triangular map between coefficients and values is
+a binomial transform (perm(j, m) = comb(j, m) * m!), computed on the lanes
+with integer additions and subtractions only (:func:`_nu_lanes`,
+:func:`_comp_of_lanes`). A :class:`Factor` caches one such sequence per
+order, with D_t the lcm of the component's denominators, and
+:func:`order_product` multiplies and sums the lanes in integers mod Phi_k,
+which is monic, so no ``CycloScalar`` is built between the two transforms.
+Each nonzero coefficient of a result is divided back once and built
+unchecked by ``scalars._make``, so it keeps the scalar invariant: a tuple of
+exactly ``deg Phi_k`` ``Fraction`` s. :func:`_comp_nu` and
+:func:`_nu_to_comp` are the same transforms on ``CycloScalar`` lists, for
+the G-form fit and expansion.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import (
     ContextMismatchError,
@@ -516,14 +522,15 @@ def _from_lanes(k: int, lanes, den: int) -> CycloScalar:
     return _make(k, tuple([Fraction(x, den) if x else _ZERO for x in lanes]))
 
 
-def _comp_nu(comp: dict[int, CycloScalar], t: int, jmax: int, k: int,
-             start: int = 0) -> list[CycloScalar]:
-    """Diagonal action values nu(j) = sum_n a_n * perm(j, n+t), j = start..jmax.
+def _nu_lanes(comp: dict[int, CycloScalar], t: int, jmax: int, k: int,
+              start: int = 0) -> tuple[int, list[list[int]]]:
+    """D and the lanes of D * nu(j), j = start..jmax, for nu as in :func:`_comp_nu`.
 
     As perm(j, m) = comb(j, m) * m!, nu is a polynomial in j whose forward
     differences at j = 0 are c_m = m! * a_(m-t). A row of the difference table
     holds Delta^m nu(j) for every m; the step j -> j+1 adds Delta^(m+1) nu(j)
-    to each entry, and the top entry stays constant.
+    to each entry, and the top entry stays constant. D is the lcm of the
+    component's denominators, so it does not depend on ``start``.
     """
     den, lanes = _lanes(k, comp.values())
     ms = [n + t for n in comp]
@@ -542,18 +549,17 @@ def _comp_nu(comp: dict[int, CycloScalar], t: int, jmax: int, k: int,
                 col.append(row[0])
             row = [*map(add, row, row[1:]), row[-1]]
         cols.append(col)
-    zero = CycloScalar.zero(k)
-    return [_from_lanes(k, vals, den) if any(vals) else zero for vals in zip(*cols)]
+    return den, cols
 
 
-def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]:
-    """Invert the triangular map nu(j) = sum a_n perm(j, n+t).
+def _comp_of_lanes(k: int, lanes, den: int, t: int) -> dict[int, CycloScalar]:
+    """The order-t component whose nu(j) is (lanes[i][j - max(0, t)] / den)_i.
 
-    The inverse of :func:`_comp_nu`: m! * a_(m-t) is the m-th forward
-    difference of nu at j = 0, where nu(j) is taken as zero for j < max(0, t).
+    The inverse of :func:`_nu_lanes`: m! * D * a_(m-t) is the m-th forward
+    difference of D * nu at j = 0, where nu(j) is zero for j < max(0, t).
+    Each nonzero coefficient is divided back once, by D * m!.
     """
     m0 = max(0, t)
-    den, lanes = _lanes(k, nu[m0:])
     cols = []
     for lane in lanes:
         row = [0] * m0 + lane
@@ -572,13 +578,63 @@ def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]
     return out
 
 
+def _comp_nu(comp: dict[int, CycloScalar], t: int, jmax: int, k: int,
+             start: int = 0) -> list[CycloScalar]:
+    """Diagonal action values nu(j) = sum_n a_n * perm(j, n+t), j = start..jmax."""
+    den, cols = _nu_lanes(comp, t, jmax, k, start)
+    zero = CycloScalar.zero(k)
+    return [_from_lanes(k, vals, den) if any(vals) else zero for vals in zip(*cols)]
+
+
+def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]:
+    """Invert the triangular map nu(j) = sum a_n perm(j, n+t).
+
+    The inverse of :func:`_comp_nu`; nu(j) is taken as zero for j < max(0, t).
+    """
+    den, lanes = _lanes(k, nu[max(0, t):])
+    return _comp_of_lanes(k, lanes, den, t)
+
+
+def _lane_mul(phi: tuple[int, ...], a, b) -> list[list[int]]:
+    """Pointwise product of two equally long lane tuples, reduced mod Phi_k.
+
+    Lane i of the result holds coefficient i of each product: the lanes are
+    convolved, and every coefficient e >= deg Phi_k is folded down through
+    xi^e = -sum_(i < d) phi[i] * xi^(e-d+i), which stays in integers because
+    Phi_k is monic. With deg Phi_k = 1 it is one integer product per value.
+    """
+    d, n = len(a), len(a[0])
+    if d == 1:
+        return [list(map(mul, a[0], b[0]))]
+    a = [x if any(x) else None for x in a]
+    b = [y if any(y) else None for y in b]
+    out: list = [None] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x is None:
+            continue
+        for j, y in enumerate(b):
+            if y is not None:
+                p = list(map(mul, x, y))
+                out[i + j] = p if out[i + j] is None else list(map(add, out[i + j], p))
+    for e in range(2 * d - 2, d - 1, -1):
+        c = out[e]
+        if c is None:
+            continue
+        for i, f in enumerate(phi[:d]):
+            if f:
+                fc = c if f == 1 else [f * x for x in c]
+                tgt = out[e - d + i]
+                out[e - d + i] = [-x for x in fc] if tgt is None else list(map(sub, tgt, fc))
+    return [x if x is not None else [0] * n for x in out[:d]]
+
+
 class Factor:
     """One side of a product: components, caps and their nu sequences.
 
     ``comps`` and ``caps`` may be dicts that the caller keeps filling (the
     order-by-order solves do); an absent cap means exact everywhere. The nu
-    sequence of each order is computed once and only extended when a later
-    pair needs a longer one.
+    sequence of each order is computed once, as integer lanes over one
+    denominator, and only extended when a later pair needs a longer one.
     """
 
     __slots__ = ("k", "comps", "caps", "nus")
@@ -593,11 +649,23 @@ class Factor:
     def cap(self, t: int):
         return self.caps.get(t, INF)
 
-    def nu(self, t: int, jmax: int) -> list[CycloScalar]:
-        seq = self.nus.setdefault(t, [])
-        if len(seq) <= jmax:
-            seq.extend(_comp_nu(self.comps[t], t, jmax, self.k, len(seq)))
-        return seq
+    def nu(self, t: int, jmax: int) -> tuple[int, tuple[list[int], ...]]:
+        """``(D_t, lanes)``: nu_t(j) has coefficient i equal to lanes[i][j] / D_t,
+        for j = 0 .. at least jmax.
+
+        Invariant: D_t > 0 is the lcm of the denominators of the order-t
+        component, and ``lanes`` is a tuple of exactly ``deg Phi_k`` equally
+        long lists of ints. Extending a sequence keeps D_t.
+        """
+        cached = self.nus.get(t)
+        if cached is None:
+            den, lanes = _nu_lanes(self.comps[t], t, jmax, self.k)
+            cached = self.nus[t] = (den, tuple(lanes))
+        elif len(cached[1][0]) <= jmax:
+            more = _nu_lanes(self.comps[t], t, jmax, self.k, len(cached[1][0]))[1]
+            for lane, new in zip(cached[1], more):
+                lane.extend(new)
+        return cached
 
 
 def order_product(t: int, pairs, L: Factor, R: Factor):
@@ -606,6 +674,10 @@ def order_product(t: int, pairs, L: Factor, R: Factor):
     Every pair has t1 + t2 = t and both orders active in their factor. The cap
     is the window rule min(xcap_L(t1), xcap_R(t2) - t1) over all pairs; the
     product itself is pointwise on nu: nu(j) = nu_L,t1(j - t2) * nu_R,t2(j).
+    It runs on the factors' integer lanes: each pair's lanes are multiplied
+    by :func:`_lane_mul` over the denominator D_L * D_R, scaled to the lcm D
+    of these denominators and summed, and the sum goes to the inverse
+    transform as D * nu(j) for j >= max(0, t), below which nu vanishes.
     """
     cap = min((min(L.cap(t1), R.cap(t2) - t1) for t1, t2 in pairs), default=INF)
     live = [(t1, t2) for t1, t2 in pairs if L.comps.get(t1) and R.comps.get(t2)]
@@ -613,16 +685,29 @@ def order_product(t: int, pairs, L: Factor, R: Factor):
         jmax = int(cap) + t
     else:
         jmax = max((max(L.comps[t1]) + max(R.comps[t2]) + t for t1, t2 in live), default=-1)
-    nu = [CycloScalar.zero(L.k)] * (jmax + 1)
+    m0 = max(0, t)
+    phi = cyclotomic_poly(L.k)
+    terms = []
     for t1, t2 in live:
-        if t2 > jmax:
+        j0 = max(t2, m0)
+        if j0 > jmax:
             continue
-        nur, nul = R.nu(t2, jmax), L.nu(t1, jmax - t2)
-        for j in range(max(t2, 0), jmax + 1):
-            v, w = nur[j], nul[j - t2]
-            if v and w:
-                nu[j] = nu[j] + v * w
-    return _nu_to_comp(nu, t, L.k), cap
+        dr, nur = R.nu(t2, jmax)
+        dl, nul = L.nu(t1, jmax - t2)
+        prod = _lane_mul(phi, [lane[j0:jmax + 1] for lane in nur],
+                         [lane[j0 - t2:jmax + 1 - t2] for lane in nul])
+        terms.append((dl * dr, j0 - m0, prod))
+    den = math.lcm(*[dd for dd, _, _ in terms])
+    acc = [[0] * (jmax + 1 - m0) for _ in range(len(phi) - 1)]
+    for dd, off, prod in terms:
+        scale = den // dd
+        for lane, p in zip(acc, prod):
+            if not any(p):
+                continue
+            if scale != 1:
+                p = [scale * x for x in p]
+            lane[off:] = map(add, lane[off:], p)
+    return _comp_of_lanes(L.k, acc, den, t), cap
 
 
 def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:

@@ -10,6 +10,12 @@
 `d` denotes the derivative, `xi` the root of unity of the ambient
 cyclotomic order (an error when no order is set), and rationals require an
 explicit `/`. Whitespace is insignificant; errors carry line and column.
+
+An exponent (after `^`, and the power `l` of n in `f[l,i]`) is at most
+:data:`MAX_EXPONENT`, and so is the product of the exponents of nested
+powers such as `(d^8)^8`: each unit of an operator exponent costs one
+product, and nesting multiplies degrees. A larger one raises
+:class:`PreconditionError` when its token is read, before any work starts.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ from .errors import ParseError, PreconditionError
 from .gform import Hcp
 from .operators import GradedOp
 from .scalars import CycloScalar, xi_pow
+
+
+MAX_EXPONENT = 64
 
 
 # -- AST ---------------------------------------------------------------------------
@@ -162,6 +171,25 @@ class _Parser:
                              t.line, t.col)
         return self.next()
 
+    def nat(self, what: str | None = None) -> int:
+        t = self.expect("nat", what)
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"numeral of {len(t.text)} digits is too long",
+                             t.line, t.col) from None
+
+    def exponent(self, inner: int = 1) -> int:
+        """An exponent token; ``inner`` is the largest product of the
+        exponents already nested in its base."""
+        t = self.peek()
+        e = self.nat("a nonnegative integer exponent")
+        if e * inner > MAX_EXPONENT:
+            nested = f" (nested powers multiply to {e * inner})" if inner > 1 else ""
+            raise PreconditionError(f"exponent {e} at line {t.line}, col {t.col}{nested} "
+                                    f"exceeds the maximum {MAX_EXPONENT}")
+        return e
+
     def parse(self):
         e = self.expr()
         t = self.peek()
@@ -188,8 +216,7 @@ class _Parser:
         node = self.atom()
         if self.peek().kind == "^":
             self.next()
-            t = self.expect("nat", "a nonnegative integer exponent")
-            node = Pow(node, int(t.text))
+            node = Pow(node, self.exponent(_power_weight(node)))
         return node
 
     def atom(self):
@@ -198,14 +225,15 @@ class _Parser:
             self.next()
             return Neg(self.atom())
         if t.kind == "nat":
-            self.next()
+            num = self.nat()
             if self.peek().kind == "/":
                 self.next()
-                den = self.expect("nat", "a denominator")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.line, den.col)
-                return Num(Fraction(int(t.text), int(den.text)))
-            return Num(Fraction(int(t.text)))
+                den_tok = self.peek()
+                den = self.nat("a denominator")
+                if den == 0:
+                    raise ParseError("zero denominator", den_tok.line, den_tok.col)
+                return Num(Fraction(num, den))
+            return Num(Fraction(num))
         if t.kind == "(":
             self.next()
             node = self.expr()
@@ -238,7 +266,7 @@ class _Parser:
         if self.peek().kind == "-":
             self.next()
             neg = True
-        rv = int(self.expect("nat", "an integer order").text)
+        rv = self.nat("an integer order")
         r = -rv if neg else rv
         fentries = []
         gentries = []
@@ -247,15 +275,15 @@ class _Parser:
             name = self.expect("name", "'f' or 'g'")
             if name.text == "f":
                 self.expect("[")
-                l = int(self.expect("nat").text)
+                l = self.exponent()
                 self.expect(",")
-                i = int(self.expect("nat").text)
+                i = self.nat()
                 self.expect("]")
                 self.expect("=")
                 fentries.append((l, i, self.scalar_expr()))
             elif name.text == "g":
                 self.expect("[")
-                j = int(self.expect("nat").text)
+                j = self.nat()
                 self.expect("]")
                 self.expect("=")
                 gentries.append((j, self.scalar_expr()))
@@ -292,8 +320,7 @@ class _Parser:
             self.next()
             if self.peek().kind == "^":
                 self.next()
-                e = int(self.expect("nat").text)
-                return Pow(Xi(), e)
+                return Pow(Xi(), self.exponent())
             return Xi()
         if t.kind == "(":
             self.next()
@@ -301,6 +328,15 @@ class _Parser:
             self.expect(")")
             return node
         raise ParseError(f"expected a scalar, got {t.text!r}", t.line, t.col)
+
+
+def _power_weight(node) -> int:
+    """The largest product of exponents along a chain of nested powers in
+    ``node`` (1 when it has none)."""
+    if isinstance(node, Pow):
+        return max(node.exp, 1) * _power_weight(node.base)
+    kids = [getattr(node, f) for f in ("left", "right", "arg") if hasattr(node, f)]
+    return max((_power_weight(c) for c in kids), default=1)
 
 
 def parse(src: str):
@@ -420,4 +456,7 @@ def _eval_scalar(node, k: int) -> CycloScalar:
 
 
 def parse_operator(src: str, k: int | None = None, xcap: int = 16) -> GradedOp:
-    return evaluate(parse(src), k, xcap)
+    try:
+        return evaluate(parse(src), k, xcap)
+    except RecursionError:
+        raise PreconditionError("expression nests too deeply to parse and evaluate") from None

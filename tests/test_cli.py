@@ -1,18 +1,21 @@
 """Parser round trips, CLI behavior, exit codes, golden files."""
 
+from contextlib import redirect_stderr, redirect_stdout
 import io
 import json
 import os
 import subprocess
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from weylnf import cli
+from weylnf import cli, parsing
 from weylnf.cli import main
 from weylnf.errors import ParseError, PreconditionError
 from weylnf.operators import GradedOp
-from weylnf.parsing import evaluate, parse, parse_operator, to_text
+from weylnf.parsing import MAX_EXPONENT, evaluate, parse, parse_operator, to_text
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -196,6 +199,76 @@ def test_cli_bad_arguments_exit_3(argv, capsys):
     assert json.loads(out)["error"]["kind"] == "PreconditionError"
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started on an over-limit value")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "d^99999999999999999999"],
+    ["eval", f"x*d^{MAX_EXPONENT + 1}"],
+    ["eval", "(d^8)^9"],
+    ["eval", "((x + d)^2*d^9)^8"],
+    ["eval", f"xi^{MAX_EXPONENT + 1}", "--k", "3"],
+    ["eval", f"G{{r=0; f[{MAX_EXPONENT + 1},0]=1}}"],
+    ["eval", "x", "--xcap", str(cli.MAX_XCAP + 1)],
+    ["schur", "--q", "d^2 + x", "--depth", str(cli.MAX_DEPTH + 1)],
+    ["schur", "--q", "d^2 + x", "--depth", "4", "--xcap", "10" * 12],
+    ["normal-form", "--fixture", "generic", "--depth", str(cli.MAX_DEPTH + 1)],
+    ["classify", "--fixture", "generic", "--depth", "9" * 20],
+    ["bc-find", "--fixture", "kdv24", "--wmax", "4", "--depth", str(cli.MAX_DEPTH + 1)],
+])
+def test_cli_over_limit_values_exit_3(argv, monkeypatch, capsys):
+    for name in ("schur_operator", "normal_form_report", "classify_pair", "bc_certificate",
+                 "named_pair"):
+        monkeypatch.setattr(cli, name, _no_work)
+    monkeypatch.setattr(parsing, "evaluate", _no_work)
+    code, out = run_cli(argv, capsys)
+    err = json.loads(out)["error"]
+    assert code == 3 and err["kind"] == "PreconditionError"
+    assert "exceeds the maximum" in err["message"]
+
+
+def test_limits_admit_their_own_value():
+    assert parse_operator(f"d^{MAX_EXPONENT}") == GradedOp.d_op(1, MAX_EXPONENT)
+    assert parse_operator("(d^8)^8") == GradedOp.d_op(1, 64)
+    assert parse(f"(d^{MAX_EXPONENT})^1 + (x^0)^{MAX_EXPONENT} + (1^0)^0")
+    args = cli.build_parser().parse_args(["schur", "--q", "d^2", "--depth",
+                                          str(cli.MAX_DEPTH), "--xcap", str(cli.MAX_XCAP)])
+    cli._check_limits(args)
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["eval", "-x"], 2, "UsageError"),
+    (["bogus"], 2, "UsageError"),
+    (["eval", "x", "--k", "3a"], 2, "UsageError"),
+    (["eval", "9" * 5000], 2, "ParseError"),
+    (["eval", "(" * 2000 + "x" + ")" * 2000], 3, "PreconditionError"),
+    (["eval", "x*" * 2000 + "x"], 3, "PreconditionError"),
+])
+def test_cli_malformed_input_is_a_json_error(argv, code, kind, capsys):
+    got, out = run_cli(argv, capsys)
+    err = json.loads(out)["error"]
+    assert (got, err["code"], err["kind"]) == (code, code, kind) and err["message"]
+
+
+# The parser's tokens. MAX_EXPONENT bounds nested powers, so the costliest
+# strings of at most 14 of them, such as "(x+xi+d)^64", take about 2 s.
+GRAMMAR_TOKENS = [*"0123456789", "x", "d", "xi", "^", "*", "/", "+", "-", "(", ")", " "]
+
+
+@given(st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=14).map("".join),
+       st.sampled_from([None, 1, 3]))
+@settings(max_examples=300, deadline=None)
+def test_cli_eval_fuzz_ends_in_a_documented_code(expr, k):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["eval", expr] + ([] if k is None else ["--k", str(k)]))
+    assert code in (0, 2, 3)
+    if code:
+        err = json.loads(out.getvalue())["error"]
+        assert err["code"] == code and err["message"]
+
+
 def test_cli_expand_power_oracle_mismatch_exits_5(monkeypatch, capsys):
     oracle = cli.expand_power_oracle
     monkeypatch.setattr(cli, "expand_power_oracle", lambda k: oracle(k - 1))
@@ -219,6 +292,19 @@ def test_cli_classify_candidate_table(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["typeIdentities"][:3] == [[0, "0"], [1, "2"], [2, "1"]]
+
+
+def test_cli_classify_candidate_repeated_rows_add_up(capsys):
+    def table(rows):
+        code, out = run_cli(["classify", "--fixture", "generic", "--depth", "6",
+                             "--candidate", json.dumps(rows), "--format", "json"], capsys)
+        assert code == 0
+        return json.loads(out)["typeIdentities"]
+
+    doubled = table([[2, 0, 1], [2, 0, 1], [0, 3, -1]])
+    assert doubled == table([[2, 0, 2], [0, 3, -1]])
+    assert doubled != table([[2, 0, 1], [0, 3, -1]])
+    assert table([[2, 0, 1], [0, 3, -1], [1, 0, 5], [1, 0, -5]]) == table([[2, 0, 1], [0, 3, -1]])
 
 
 @pytest.mark.parametrize("cand, code, kind", [

@@ -208,6 +208,14 @@ def test_bivar_poly_str():
         == "X^2 - Y^3 - 2*Y - 1/16"
 
 
+def test_bivar_poly_from_list_sums_repeated_rows():
+    assert BivarPoly.from_list([[2, 0, 1], [2, 0, 1]]).terms == {(2, 0): 2}
+    assert BivarPoly.from_list([[2, 0, "1/2"], [0, 3, -1], [2, 0, 0.25]]) \
+        == F({(2, 0): Fraction(3, 4), (0, 3): -1})
+    assert BivarPoly.from_list([[2, 0, 1], [0, 3, -1], [2, 0, -1]]).terms == {(0, 3): -1}
+    assert BivarPoly.from_list([[1, 1, 3], [1, 1, -3]]).is_zero()
+
+
 def test_evaluate_poly_series_matches_graded():
     k = 2
     Pp = HcpSeries(k, {3: Hcp(k, 3, {(0, 0): 1}), 2: Hcp(k, 2, {(1, 0): 1})})

@@ -18,6 +18,7 @@ from weylnf.operators import (
     ad_pow,
     commutator,
     mono_mul,
+    order_product,
     poly_from_pairs,
 )
 from weylnf.scalars import CycloScalar, cyclotomic_poly, xi_pow
@@ -246,6 +247,11 @@ def test_nu_transforms_round_trip(k, t, data):
     assert _nu_to_comp(_comp_nu(comp, t, jmax, k), t, k) == comp
 
 
+def _lane_values(k, den, lanes, count):
+    """The scalars (lanes[i][j] / den)_i, j < count, by the checked constructor."""
+    return [CycloScalar(k, [Fraction(lane[j], den) for lane in lanes]) for j in range(count)]
+
+
 @given(ORDERS, SHIFTS, st.data())
 @settings(max_examples=100, deadline=None)
 def test_factor_nu_extends_in_steps(k, t, data):
@@ -253,8 +259,12 @@ def test_factor_nu_extends_in_steps(k, t, data):
     first, full = sorted(data.draw(st.lists(st.integers(-1, 14), min_size=2, max_size=2)))
     stepped = Factor(k, {t: comp}, {})
     stepped.nu(t, first)
-    assert stepped.nu(t, full) == Factor(k, {t: comp}, {}).nu(t, full)
-    assert stepped.nu(t, full) == _reference_comp_nu(comp, t, full, k)
+    den, lanes = stepped.nu(t, full)
+    assert (den, lanes) == Factor(k, {t: comp}, {}).nu(t, full)
+    assert den == math.lcm(*[f.denominator for c in comp.values() for f in c.coeffs])
+    assert type(lanes) is tuple and len(lanes) == len(cyclotomic_poly(k)) - 1
+    assert all(len(lane) == full + 1 and all(type(x) is int for x in lane) for lane in lanes)
+    assert _lane_values(k, den, lanes, full + 1) == _reference_comp_nu(comp, t, full, k)
 
 
 def test_nu_transforms_of_empty_input():
@@ -262,6 +272,97 @@ def test_nu_transforms_of_empty_input():
         assert _comp_nu({}, -2, 4, k, 2) == [CycloScalar.zero(k)] * 3
         assert _nu_to_comp([], 2, k) == {}
         assert _nu_to_comp([CycloScalar.zero(k)] * 5, -1, k) == {}
+
+
+# -- the product kernel --------------------------------------------------------
+
+
+def _reference_order_product(t, pairs, L, R):
+    """The CycloScalar body of order_product before it ran on integer lanes,
+    with its nu sequences from the reference transforms."""
+    k = L.k
+    cap = min((min(L.cap(t1), R.cap(t2) - t1) for t1, t2 in pairs), default=math.inf)
+    live = [(t1, t2) for t1, t2 in pairs if L.comps.get(t1) and R.comps.get(t2)]
+    if cap != math.inf:
+        jmax = int(cap) + t
+    else:
+        jmax = max((max(L.comps[t1]) + max(R.comps[t2]) + t for t1, t2 in live), default=-1)
+    nu = [CycloScalar.zero(k)] * (jmax + 1)
+    for t1, t2 in live:
+        if t2 > jmax:
+            continue
+        nur = _reference_comp_nu(R.comps[t2], t2, jmax, k)
+        nul = _reference_comp_nu(L.comps[t1], t1, jmax - t2, k)
+        for j in range(max(t2, 0), jmax + 1):
+            v, w = nur[j], nul[j - t2]
+            if v and w:
+                nu[j] = nu[j] + v * w
+    return _reference_nu_to_comp(nu, t, k), cap
+
+
+KERNEL_ORDERS = range(-4, 4)
+
+
+def _factor(data, k):
+    """A factor with content, empty and absent orders, some finite caps, and
+    some nu sequences already cached at various lengths."""
+    comps, caps = {}, {}
+    capped = data.draw(st.booleans())
+    for t in KERNEL_ORDERS:
+        kind = data.draw(st.sampled_from(["content"] * 3 + ["empty", "absent"]))
+        if kind != "absent":
+            comps[t] = {}
+        if kind == "content":
+            n0 = max(0, -t)
+            for n in data.draw(st.sets(st.integers(n0, n0 + 5), min_size=1, max_size=4)):
+                comps[t][n] = _field_scalar(data, k)
+        if capped and data.draw(st.booleans()):
+            caps[t] = data.draw(st.integers(0, 12))
+    F = Factor(k, comps, caps)
+    for t in data.draw(st.lists(st.sampled_from(KERNEL_ORDERS), max_size=3)):
+        if comps.get(t):
+            F.nu(t, data.draw(st.integers(-1, 12)))
+    return F
+
+
+def _assert_matches_reference(t, pairs, L, R):
+    got = order_product(t, pairs, L, R)
+    assert got == _reference_order_product(t, pairs, L, R)
+    for v in got[0].values():
+        _assert_scalar_invariant(v, L.k)
+        assert not v.is_zero()
+    return got
+
+
+@given(ORDERS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_order_product_matches_reference(k, data):
+    L, R = _factor(data, k), _factor(data, k)
+    for _ in range(3):  # later products reuse and extend the cached sequences
+        t = data.draw(st.integers(-7, 5))
+        pairs = [(t1, t - t1) for t1 in KERNEL_ORDERS
+                 if t - t1 in KERNEL_ORDERS and data.draw(st.booleans())]
+        _assert_matches_reference(t, pairs, L, R)
+
+
+def test_order_product_edge_cases():
+    k = 3
+    xi = xi_pow(k, 1)
+    L = Factor(k, {-3: {3: S(k, Fraction(1, 4))}, -1: {1: S(k, Fraction(1, 4)) * xi},
+                   0: {0: S(k, Fraction(1, 6)), 2: xi}, 2: {}}, {-3: 1})
+    R = Factor(k, {4: {0: S(k, Fraction(1, 6))}, 2: {0: S(k, Fraction(1, 10)) * xi},
+                   1: {0: S(k, Fraction(1, 6)), 3: xi + 1}, 0: {1: S(k, 2)}}, {})
+    # Per-pair denominators 24 and 60 (lcm 120, product 1440); the cap 1 of
+    # L_-3 gives jmax = 2, below t2 = 4, so the pair (-3, 4) is skipped.
+    comp, cap = _assert_matches_reference(1, [(-3, 4), (-1, 2)], L, R)
+    assert cap == 1 and comp
+    # Infinite caps and xi * xi terms (xi^2 = -1 - xi mod Phi_3); the pair
+    # (2, -1) has an empty left component and (1, 0) an absent one.
+    L.nu(0, 1)  # extended in steps by the next product
+    comp, cap = _assert_matches_reference(1, [(0, 1), (-1, 2), (2, -1), (1, 0)], L, R)
+    assert cap == math.inf and comp
+    _assert_matches_reference(2, [(0, 2), (2, 0)], L, R)
+    assert order_product(5, [], L, R) == ({}, math.inf)
 
 
 # -- queries -------------------------------------------------------------------
