@@ -27,6 +27,9 @@ from .suites import run_all, run_suite
 EXPANSION_XCAP = 16  # --xcap when it is not given (schur then solves to 24 + ord Q)
 MAX_XCAP = 256  # largest --xcap
 MAX_DEPTH = 64  # largest --depth
+MAX_WMAX = 64  # largest --wmax of classify and bc-find
+MAX_K = 64  # largest cyclotomic order --k
+MAX_POWER = 16  # largest expand-power --k, the exponent of (D+L)^k
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -38,7 +41,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _check_limits(args):
-    for name, limit in (("xcap", MAX_XCAP), ("depth", MAX_DEPTH)):
+    k_limit = MAX_POWER if args.command == "expand-power" else MAX_K
+    for name, limit in (("xcap", MAX_XCAP), ("depth", MAX_DEPTH), ("wmax", MAX_WMAX),
+                        ("k", k_limit)):
         value = getattr(args, name, None)
         if value is not None and value > limit:
             raise PreconditionError(f"--{name} {value} exceeds the maximum {limit}")
@@ -141,8 +146,11 @@ def cmd_newton(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{args.input} is not JSON: {getattr(exc, 'msg', exc)}",
                          getattr(exc, "lineno", 1), getattr(exc, "colno", 1)) from exc
-    series = HcpSeries.from_dict(data["series"] if isinstance(data, dict) and "series" in data
-                                 else data)
+    data = data["series"] if isinstance(data, dict) and "series" in data else data
+    k = data.get("k") if isinstance(data, dict) else None
+    if isinstance(k, int) and k > MAX_K:
+        raise PreconditionError(f"series cyclotomic order {k} exceeds the maximum {MAX_K}")
+    series = HcpSeries.from_dict(data)
     nd = e_set(series)
     cls = classify_top_line(series) if check_Aqk(
         series, 0, enforce_growth=series.floor is not None).ok else None

@@ -12,7 +12,11 @@ n = j - 1. That diagonal action is the backbone here: an
 correction) determines the HCP uniquely, products are pointwise products of
 eigenfunctions with the argument of the right factor shifted by the left
 order, and fitting a raw component recovers the presentation by exact
-quasi-polynomial interpolation with a verification margin.
+quasi-polynomial interpolation with a verification margin. On each residue
+class n = rho (mod k) the eigenvalue is an ordinary polynomial in n, so
+:func:`fit_hcp` solves one small rational Vandermonde system per class,
+returns to the G-form by an inverse discrete Fourier transform over Q(xi),
+and still checks every remaining sample exactly.
 """
 
 from __future__ import annotations
@@ -270,9 +274,6 @@ class EigenFunction:
         extra = self.corr.get(n)
         return total + extra if extra is not None else total
 
-    def to_hcp(self, r: int) -> Hcp:
-        return Hcp(self.k, r, dict(self.quasi), {n + 1: c for n, c in self.corr.items()})
-
 
 def eigen(H: Hcp) -> EigenFunction:
     return H.eigen()
@@ -324,11 +325,17 @@ def hcp_mul(H1: Hcp, H2: Hcp) -> Hcp:
 def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = None) -> Hcp:
     """Recover the G-form of a single homogeneous component.
 
-    Solves for the quasi-polynomial coefficients f_{l,i} (l <= dmax, i < k)
-    from k*(dmax+1) eigenvalue samples taken at n >= nbmax (beyond every
-    allowed B projector), sets g_j for j <= nbmax by subtraction, then checks
-    every remaining exact sample. A mismatch means the component is not an
-    HCP within these bounds and raises :class:`NotAnHcpError`.
+    The quasi-polynomial coefficients f_{l,i} (l <= dmax, i < k) come from
+    k*(dmax+1) consecutive eigenvalue samples at n >= nbmax (beyond every
+    allowed B projector), dmax+1 in each residue class n = rho (mod k). On
+    its class the eigenvalue is the polynomial p_rho(n) = sum_l c[l,rho] n^l
+    with c[l,rho] = sum_i f[l,i] xi^(i rho), so each class is one
+    (dmax+1)-square rational Vandermonde solve, and the inverse discrete
+    Fourier transform f[l,i] = (1/k) sum_rho c[l,rho] xi^(-i rho) gives the
+    G-form. g_j for j <= nbmax is set by subtraction, then every remaining
+    exact sample is checked against its class polynomial. A mismatch means
+    the component is not an HCP within these bounds and raises
+    :class:`NotAnHcpError`.
     """
     k = C.k
     nonzero = sorted(C.components)
@@ -352,23 +359,40 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
     upto = need if cap == INF else int(cap)
     # The order-zero factor of x^n d^(n+r) = x^n d^n d^r acts on x^m by perm(m, n).
     mu = _comp_nu(C.components.get(r, {}), 0, upto, k)
-    cols = [(l, i) for l in range(dmax + 1) for i in range(k)]
-    samples = list(range(nbmax, nbmax + ncols))
-    matrix = [[xi_pow(k, i * n) * (Fraction(n) ** l) for (l, i) in cols] for n in samples]
-    sol = solve_square(matrix, [mu[n] for n in samples])
-    quasi = {cols[idx]: v for idx, v in enumerate(sol) if not v.is_zero()}
-    qp = EigenFunction(k, quasi)
-    corr = {}
+    # polys[rho] lists c[0,rho] .. c[dmax,rho], solved on the class's nodes.
+    polys = [None] * k
+    for n0 in range(nbmax, nbmax + k):
+        nodes = range(n0, n0 + ncols, k)
+        vander = [[CycloScalar.from_rational(k, n ** l) for l in range(dmax + 1)] for n in nodes]
+        polys[n0 % k] = solve_square(vander, [mu[n] for n in nodes])
+
+    def class_value(n: int) -> CycloScalar:
+        """p_(n mod k)(n) by Horner: rational times scalar only."""
+        c = polys[n % k]
+        acc = c[dmax]
+        for l in range(dmax - 1, -1, -1):
+            acc = acc * n + c[l]
+        return acc
+
+    # The inverse DFT, f[l,i] = (1/k) sum_rho c[l,rho] xi^(-i rho).
+    xis = [xi_pow(k, e) for e in range(k)]
+    quasi = {}
+    for l in range(dmax + 1):
+        for i in range(k):
+            v = sum((polys[rho][l] * xis[-i * rho % k] for rho in range(1, k)), polys[0][l])
+            if v:
+                quasi[(l, i)] = v / k
+    bpart = {}
     for n in range(nbmax):
-        v = mu[n] - qp.eval_quasi(n)
-        if not v.is_zero():
-            corr[n] = v
+        v = mu[n] - class_value(n)
+        if v:
+            bpart[n + 1] = v
     for n in range(nbmax + ncols, upto + 1):
-        if mu[n] != qp.eval_quasi(n):
+        if mu[n] != class_value(n):
             raise NotAnHcpError(
                 f"component at order {r} is not an HCP within bounds "
                 f"dmax={dmax}, nbmax={nbmax} (verification failed at sample {n})")
-    return EigenFunction(k, quasi, corr).to_hcp(r)
+    return _make_hcp(k, r, quasi, bpart)
 
 
 def sdeg(H: Hcp):

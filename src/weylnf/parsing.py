@@ -20,6 +20,7 @@ product, and nesting multiplies degrees. A larger one raises
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -333,10 +334,16 @@ class _Parser:
 def _power_weight(node) -> int:
     """The largest product of exponents along a chain of nested powers in
     ``node`` (1 when it has none)."""
-    if isinstance(node, Pow):
-        return max(node.exp, 1) * _power_weight(node.base)
-    kids = [getattr(node, f) for f in ("left", "right", "arg") if hasattr(node, f)]
-    return max((_power_weight(c) for c in kids), default=1)
+    best, stack = 1, [(node, 1)]
+    while stack:
+        node, weight = stack.pop()
+        if isinstance(node, Pow):
+            stack.append((node.base, weight * max(node.exp, 1)))
+            continue
+        best = max(best, weight)
+        stack.extend((getattr(node, f), weight) for f in ("left", "right", "arg")
+                     if hasattr(node, f))
+    return best
 
 
 def parse(src: str):
@@ -344,11 +351,36 @@ def parse(src: str):
     return _Parser(src).parse()
 
 
+# Operation, separator and print level of each binary node: its left operand
+# prints at that level, its right one a level higher, and the whole is
+# parenthesised when printed above it. A flat chain such as x + x + ... + x
+# parses to a left-nested tree as deep as the chain is long, so the printer
+# and the evaluators walk left spines in a loop and recurse only into right
+# operands.
+_BINARY = {Add: (operator.add, " + ", 0), Sub: (operator.sub, " - ", 0),
+           Mul: (operator.mul, "*", 1)}
+
+
 # -- printer ---------------------------------------------------------------------------
 
 
 def to_text(node) -> str:
     return _print(node, 0)
+
+
+def _print_chain(node, level: int) -> str:
+    """The left spine of ``node``, as far as it prints without parentheses."""
+    _, sep, lvl = _BINARY[type(node)]
+    top, parts = lvl, []
+    while True:
+        parts.append(sep + _print(node.right, lvl + 1))
+        chain = _BINARY.get(type(node.left))
+        if chain is None or chain[2] < lvl:
+            parts.append(_print(node.left, lvl))
+            break
+        node, (_, sep, lvl) = node.left, chain
+    s = "".join(reversed(parts))
+    return f"({s})" if level > top else s
 
 
 def _print(node, level: int) -> str:
@@ -369,15 +401,8 @@ def _print(node, level: int) -> str:
         for j, sc in node.gentries:
             parts.append(f"g[{j}]={_print(sc, 0)}")
         return "G{" + "; ".join(parts) + "}"
-    if isinstance(node, Add):
-        s = f"{_print(node.left, 0)} + {_print(node.right, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(node, Sub):
-        s = f"{_print(node.left, 0)} - {_print(node.right, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(node, Mul):
-        s = f"{_print(node.left, 1)}*{_print(node.right, 2)}"
-        return f"({s})" if level > 1 else s
+    if type(node) in _BINARY:
+        return _print_chain(node, level)
     if isinstance(node, Pow):
         return f"{_print(node.base, 2)}^{node.exp}"
     if isinstance(node, Neg):
@@ -386,6 +411,19 @@ def _print(node, level: int) -> str:
 
 
 # -- evaluator ---------------------------------------------------------------------------
+
+
+def _fold_spine(node, value):
+    """``value`` of each operand of the left-nested chain at ``node``,
+    combined left to right."""
+    rights = []
+    while type(node) in _BINARY:
+        rights.append(node)
+        node = node.left
+    acc = value(node)
+    for link in reversed(rights):
+        acc = _BINARY[type(link)][0](acc, value(link.right))
+    return acc
 
 
 def evaluate(node, k: int | None = None, xcap: int = 16) -> GradedOp:
@@ -424,12 +462,8 @@ def _eval(node, k_opt, k: int, xcap: int) -> GradedOp:
         if node.r < 0:
             raise PreconditionError("G-form orders r < 0 are out of scope")
         return Hcp(k, node.r, gamma, bpart).expand(xcap)
-    if isinstance(node, Add):
-        return _eval(node.left, k_opt, k, xcap) + _eval(node.right, k_opt, k, xcap)
-    if isinstance(node, Sub):
-        return _eval(node.left, k_opt, k, xcap) - _eval(node.right, k_opt, k, xcap)
-    if isinstance(node, Mul):
-        return _eval(node.left, k_opt, k, xcap) * _eval(node.right, k_opt, k, xcap)
+    if type(node) in _BINARY:
+        return _fold_spine(node, lambda n: _eval(n, k_opt, k, xcap))
     if isinstance(node, Pow):
         return _eval(node.base, k_opt, k, xcap) ** node.exp
     if isinstance(node, Neg):
@@ -442,12 +476,8 @@ def _eval_scalar(node, k: int) -> CycloScalar:
         return CycloScalar.from_rational(k, node.value)
     if isinstance(node, Xi):
         return xi_pow(k, 1)
-    if isinstance(node, Add):
-        return _eval_scalar(node.left, k) + _eval_scalar(node.right, k)
-    if isinstance(node, Sub):
-        return _eval_scalar(node.left, k) - _eval_scalar(node.right, k)
-    if isinstance(node, Mul):
-        return _eval_scalar(node.left, k) * _eval_scalar(node.right, k)
+    if type(node) in _BINARY:
+        return _fold_spine(node, lambda n: _eval_scalar(n, k))
     if isinstance(node, Pow):
         return _eval_scalar(node.base, k) ** node.exp
     if isinstance(node, Neg):

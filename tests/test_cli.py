@@ -148,6 +148,15 @@ def test_cli_newton_input_without_components(series, tmp_path, capsys):
     assert code == 2 and err["kind"] == "ParseError"
 
 
+def test_cli_newton_input_order_over_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.HcpSeries, "from_dict", _no_work)
+    inp = tmp_path / "big.json"
+    inp.write_text(json.dumps({"series": {"k": cli.MAX_K + 1, "components": {}}}))
+    code, err = _newton_error(inp, capsys)
+    assert code == 3 and err["kind"] == "PreconditionError"
+    assert "exceeds the maximum" in err["message"]
+
+
 def test_cli_newton_missing_input(tmp_path, capsys):
     code, err = _newton_error(tmp_path / "absent.json", capsys)
     assert code == 3 and err["kind"] == "PreconditionError"
@@ -216,10 +225,16 @@ def _no_work(*args, **kwargs):
     ["normal-form", "--fixture", "generic", "--depth", str(cli.MAX_DEPTH + 1)],
     ["classify", "--fixture", "generic", "--depth", "9" * 20],
     ["bc-find", "--fixture", "kdv24", "--wmax", "4", "--depth", str(cli.MAX_DEPTH + 1)],
+    ["bc-find", "--fixture", "kdv24", "--wmax", str(cli.MAX_WMAX + 1), "--depth", "4"],
+    ["classify", "--fixture", "generic", "--wmax", str(cli.MAX_WMAX + 1), "--depth", "4"],
+    ["eval", "x", "--k", str(cli.MAX_K + 1)],
+    ["normal-form", "--p", "d^3", "--q", "d^2", "--depth", "4", "--k", str(cli.MAX_K + 1)],
+    ["expand-power", "--k", str(cli.MAX_POWER + 1)],
+    ["expand-power", "--k", str(cli.MAX_POWER + 1), "--oracle"],
 ])
 def test_cli_over_limit_values_exit_3(argv, monkeypatch, capsys):
     for name in ("schur_operator", "normal_form_report", "classify_pair", "bc_certificate",
-                 "named_pair"):
+                 "named_pair", "expand_power", "expand_power_oracle"):
         monkeypatch.setattr(cli, name, _no_work)
     monkeypatch.setattr(parsing, "evaluate", _no_work)
     code, out = run_cli(argv, capsys)
@@ -232,9 +247,16 @@ def test_limits_admit_their_own_value():
     assert parse_operator(f"d^{MAX_EXPONENT}") == GradedOp.d_op(1, MAX_EXPONENT)
     assert parse_operator("(d^8)^8") == GradedOp.d_op(1, 64)
     assert parse(f"(d^{MAX_EXPONENT})^1 + (x^0)^{MAX_EXPONENT} + (1^0)^0")
-    args = cli.build_parser().parse_args(["schur", "--q", "d^2", "--depth",
-                                          str(cli.MAX_DEPTH), "--xcap", str(cli.MAX_XCAP)])
-    cli._check_limits(args)
+    parser = cli.build_parser()
+    for argv in (["schur", "--q", "d^2", "--depth", str(cli.MAX_DEPTH),
+                  "--xcap", str(cli.MAX_XCAP), "--k", str(cli.MAX_K)],
+                 ["bc-find", "--fixture", "kdv24", "--wmax", str(cli.MAX_WMAX), "--depth", "4"],
+                 ["classify", "--fixture", "generic", "--wmax", str(cli.MAX_WMAX),
+                  "--depth", "4"],
+                 ["expand-power", "--k", str(cli.MAX_POWER)],
+                 # Elsewhere --k is the cyclotomic order, with its own limit.
+                 ["eval", "x", "--k", str(cli.MAX_POWER + 1)]):
+        cli._check_limits(parser.parse_args(argv))
 
 
 @pytest.mark.parametrize("argv, code, kind", [
@@ -243,12 +265,29 @@ def test_limits_admit_their_own_value():
     (["eval", "x", "--k", "3a"], 2, "UsageError"),
     (["eval", "9" * 5000], 2, "ParseError"),
     (["eval", "(" * 2000 + "x" + ")" * 2000], 3, "PreconditionError"),
-    (["eval", "x*" * 2000 + "x"], 3, "PreconditionError"),
+    (["eval", "x*(" * 2000 + "x" + ")" * 2000], 3, "PreconditionError"),
 ])
 def test_cli_malformed_input_is_a_json_error(argv, code, kind, capsys):
     got, out = run_cli(argv, capsys)
     err = json.loads(out)["error"]
     assert (got, err["code"], err["kind"]) == (code, code, kind) and err["message"]
+
+
+def test_flat_chains_evaluate_and_round_trip(capsys):
+    # A flat chain parses to a left-nested tree as deep as the chain is long.
+    src = "+".join(["x"] * 2001)
+    assert parse_operator(src) == parse_operator("2001*x")
+    text = to_text(parse(src))
+    assert text == " + ".join(["x"] * 2001)
+    assert to_text(parse(text)) == text
+    mixed = "x" + " - d + x*d" * 1000
+    assert parse_operator(mixed) == parse_operator("x - 1000*d + 1000*x*d")
+    assert to_text(parse(mixed)) == mixed
+    assert parse_operator("(" + src + ")^2") == parse_operator("4004001*x^2")
+    assert parse_operator("G{r=0; f[0,0]=" + "+".join(["1"] * 2001) + "}") == \
+        parse_operator("2001")
+    code, out = run_cli(["eval", "x*" * 2000 + "x"], capsys)
+    assert (code, out.strip()) == (0, "x^2001")
 
 
 # The parser's tokens. MAX_EXPONENT bounds nested powers, so the costliest

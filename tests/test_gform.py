@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from weylnf import gform
 from weylnf.errors import NotAnHcpError, PreconditionError, TruncationError
 from weylnf.gform import (
+    EigenFunction,
     Hcp,
     HcpSeries,
     check_Aqk,
@@ -17,7 +19,8 @@ from weylnf.gform import (
     hcp_mul,
     sdeg,
 )
-from weylnf.operators import GradedOp, poly_from_pairs
+from weylnf.linalg import solve_square
+from weylnf.operators import GradedOp, _comp_nu, _nu_to_comp, poly_from_pairs
 from weylnf.scalars import CycloScalar, xi_pow
 
 
@@ -281,6 +284,64 @@ def test_fit_non_hcp_component_fails():
     C = GradedOp(k, {0: comp}, None, 0, {0: 19})
     with pytest.raises(NotAnHcpError):
         fit_hcp(C, dmax=2, nbmax=1, margin=8)
+
+
+def _dense_fit(C, dmax, nbmax, r):
+    """The fit as one dense k(dmax+1)-square system in the unknowns f[l,i],
+    with entries n^l xi^(i n), then the B part by subtraction."""
+    k = C.k
+    cols = [(l, i) for l in range(dmax + 1) for i in range(k)]
+    samples = range(nbmax, nbmax + len(cols))
+    mu = _comp_nu(C.components.get(r, {}), 0, samples[-1], k)
+    matrix = [[xi_pow(k, i * n) * n ** l for l, i in cols] for n in samples]
+    sol = solve_square(matrix, [mu[n] for n in samples])
+    quasi = EigenFunction(k, dict(zip(cols, sol)))
+    return Hcp(k, r, quasi.quasi, {n + 1: mu[n] - quasi.eval_quasi(n) for n in range(nbmax)})
+
+
+def test_fit_matches_dense_system():
+    rng = random.Random(47)
+    for k in (1, 2, 3, 4, 5, 6, 8):  # k > deg Phi_k for 4, 5, 6 and 8
+        for nbmax in range(4):
+            for _ in range(2):
+                r = rng.randint(0, 3)
+                dmax = rng.randint(0, 2)
+                gamma = {(rng.randint(0, dmax), rng.randint(0, k - 1)): _rand_scalar(rng, k)
+                         for _ in range(rng.randint(1, 4))}
+                bpart = {j: _rand_scalar(rng, k) for j in range(1, nbmax + 1)
+                         if rng.random() < 0.7}
+                H = Hcp(k, r, gamma, bpart)
+                margin = rng.randint(0, 5)
+                need = nbmax + k * (dmax + 1) + margin
+                C = H.expand(xcap=need)
+                got = fit_hcp(C, dmax=dmax, nbmax=nbmax, margin=margin, r=r)
+                assert got == H == _dense_fit(C, dmax, nbmax, r)
+                assert all(type(c) is CycloScalar and c.k == k
+                           for c in [*got.gamma.values(), *got.bpart.values()])
+                # One sample past the fit window, changed: the check names it.
+                n_bad = rng.randint(nbmax + k * (dmax + 1), need)
+                mu = _comp_nu(C.components.get(r, {}), 0, need, k)
+                mu[n_bad] = mu[n_bad] + xi_pow(k, rng.randint(0, k - 1))
+                bad = GradedOp(k, {r: _nu_to_comp(mu, 0, k)}, None, r, {r: need})
+                with pytest.raises(NotAnHcpError, match=f"failed at sample {n_bad}\\)"):
+                    fit_hcp(bad, dmax=dmax, nbmax=nbmax, margin=margin, r=r)
+
+
+def test_fit_reaches_the_traced_solver(layertrace):
+    # perfbench's reached-checks on nf-k3 need linalg.solve_square spans and
+    # scalar inverses from the fit.
+    k, dmax = 3, 2
+    H = Hcp(k, 1, {(2, 1): xi_pow(k, 1), (0, 0): 1, (1, 2): Fraction(1, 2)})
+    C = H.expand(xcap=k * (dmax + 1) + 4)
+    tracer = layertrace.Tracer()
+    with tracer.installed():
+        assert gform.fit_hcp(C, dmax=dmax, nbmax=0, margin=4) == H
+    solves = [span for span in tracer.spans if span[0] == "linalg.solve_square"]
+    assert len(solves) == k and all(span[5] == dmax + 1 for span in solves)
+    assert tracer.counts["inv"] > 0
+    metrics = tracer.layer_metrics()
+    assert metrics["linalg.solve_calls"] == k and metrics["linalg.solve_max_n"] == dmax + 1
+    assert metrics["gform.fit_calls"] == 1 and metrics["scalars.inv_calls"] > 0
 
 
 # -- condition A_q(k) -----------------------------------------------------------------
