@@ -15,7 +15,6 @@ from .criterion import (
     bc_certificate,
     classify_pair,
     evaluate_poly,
-    evaluate_poly_series,
     hs_coefficient_check,
     type_identity,
     weighted_decompose,

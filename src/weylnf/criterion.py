@@ -21,7 +21,7 @@ from .errors import ParseError, PreconditionError
 from .gform import HcpSeries, Hcp
 from .linalg import nullspace
 from .newton import TopLineClass, Weight, classify_top_line, filtration_HS
-from .operators import GradedOp, INF, commutator
+from .operators import Graded, GradedOp, INF, commutator
 from .scalars import CycloScalar
 from .schur import NormalFormResult, normal_form_report
 
@@ -156,27 +156,18 @@ def _power(cache: dict, base, e: int):
     return cache[e]
 
 
-def evaluate_poly(F: BivarPoly, P: GradedOp, Q: GradedOp) -> GradedOp:
-    """F(P, Q) = sum c_(u,v) P^u Q^v, exactly, windows propagated."""
-    k = P.k
-    total = GradedOp.zero(k)
-    p_pows = {0: GradedOp.one(k)}
-    q_pows = {0: GradedOp.one(k)}
+def evaluate_poly(F: BivarPoly, P: Graded, Q: Graded) -> Graded:
+    """F(P, Q) = sum c_(u,v) P^u Q^v, exactly, windows propagated.
+
+    P and Q are of one graded type: operators, or HCP series such as
+    F(P', d^q) in the conjugated setting.
+    """
+    k, ring = P.k, type(P)
+    total = ring.zero(k)
+    p_pows = {0: ring.one(k)}
+    q_pows = {0: ring.one(k)}
     for (u, v) in sorted(F.terms):
         term = _power(p_pows, P, u) * _power(q_pows, Q, v)
-        total = total + term.scalar_mul(F.terms[(u, v)])
-    return total
-
-
-def evaluate_poly_series(F: BivarPoly, Pprime: HcpSeries, q: int) -> HcpSeries:
-    """F(P', d^q) over HCP series (the conjugated setting)."""
-    k = Pprime.k
-    Dq = HcpSeries.d_power(k, q)
-    total = HcpSeries.zero(k)
-    p_pows = {0: HcpSeries.identity(k)}
-    q_pows = {0: HcpSeries.identity(k)}
-    for (u, v) in sorted(F.terms):
-        term = _power(p_pows, Pprime, u) * _power(q_pows, Dq, v)
         total = total + term.scalar_mul(F.terms[(u, v)])
     return total
 
@@ -298,7 +289,7 @@ def hs_coefficient_check(Pprime: HcpSeries, F: BivarPoly, s: int) -> HsCheck:
         raise PreconditionError("first restriction vertex carries A_i content")
     l0 = Hcp(k, b0, {(a0, 0): comp.gamma[(a0, 0)]})
     L0 = HcpSeries.from_hcp(l0)
-    fpq = evaluate_poly_series(F, Pprime, q)
+    fpq = evaluate_poly(F, Pprime, HcpSeries.d_power(k, q))
     w = Weight(sigma, 1)
     lhs = filtration_HS(fpq, Fraction(nf_weight), s * a0, w)
     if nf_weight - s * p < 0:

@@ -34,7 +34,7 @@ from .errors import (
     TruncationError,
 )
 from .linalg import solve_square
-from .operators import INF, GradedOp, _comp_nu, _nu_to_comp, product_floor
+from .operators import INF, Graded, GradedOp, _comp_nu, _nu_to_comp, product_floor
 from .scalars import CycloScalar, as_scalar, xi_pow
 
 
@@ -101,6 +101,8 @@ class Hcp:
             raise ContextMismatchError("cyclotomic order mismatch")
 
     def __add__(self, other: "Hcp") -> "Hcp":
+        if not isinstance(other, Hcp):
+            return NotImplemented
         self._check(other)
         if self.r != other.r:
             raise PreconditionError("cannot add components of different order")
@@ -123,6 +125,8 @@ class Hcp:
                          {j: c * value for j, c in self.bpart.items()})
 
     def __mul__(self, other: "Hcp") -> "Hcp":
+        if not isinstance(other, Hcp):
+            return NotImplemented
         self._check(other)
         return hcp_mul(self, other)
 
@@ -411,14 +415,15 @@ class AqkReport:
         return self.ok
 
 
-class HcpSeries:
+class HcpSeries(Graded):
     """Operator whose homogeneous components are HCPs, orders >= 0.
 
     ``floor`` is the smallest order at which components are known (``None``
-    for a finite series with nothing missing); ``top`` bounds the orders.
+    for a finite series with nothing missing; a negative floor is raised to 0);
+    ``top`` bounds the orders (by default the largest stored one, or the floor).
     """
 
-    __slots__ = ("k", "components", "floor", "top")
+    __slots__ = ()
 
     def __init__(self, k: int, components: dict[int, Hcp], floor=None, top=None):
         comps = {}
@@ -429,30 +434,16 @@ class HcpSeries:
                 raise PreconditionError(f"component at order {t} has r={h.r}")
             if not h.is_zero():
                 comps[t] = h
-        if floor is not None and floor < 0:
-            floor = 0
-        if floor is None:
-            top = max(comps, default=0)
-        else:
+        if floor is not None:
+            floor = max(floor, 0)
             if top is None:
                 top = max(comps, default=floor)
-            comps = {t: h for t, h in comps.items() if floor <= t <= top}
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "floor", floor)
-        object.__setattr__(self, "top", top)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HcpSeries is immutable")
+        self._set_window(k, comps, floor, top)
 
     # -- constructors ---------------------------------------------------------------
 
     @classmethod
-    def zero(cls, k: int) -> "HcpSeries":
-        return cls(k, {})
-
-    @classmethod
-    def identity(cls, k: int) -> "HcpSeries":
+    def one(cls, k: int) -> "HcpSeries":
         return cls.from_hcp(Hcp(k, 0, {(0, 0): 1}))
 
     @classmethod
@@ -464,9 +455,6 @@ class HcpSeries:
         return cls.from_hcp(Hcp(k, q, {(0, 0): 1}))
 
     # -- queries ---------------------------------------------------------------------
-
-    def is_zero_in_window(self) -> bool:
-        return not self.components
 
     def top_order(self) -> int:
         if not self.components:
@@ -482,9 +470,6 @@ class HcpSeries:
         top = self.components[self.top_order()]
         return top.bpart == {} and top.gamma == {(0, 0): CycloScalar.one(self.k)}
 
-    def floor_eff(self):
-        return -INF if self.floor is None else self.floor
-
     def restrict_floor(self, floor: int) -> "HcpSeries":
         new_floor = floor if self.floor is None else max(floor, self.floor)
         comps = {t: h for t, h in self.components.items() if t >= new_floor}
@@ -492,18 +477,13 @@ class HcpSeries:
 
     # -- ring operations ----------------------------------------------------------------
 
-    def _check(self, other: "HcpSeries"):
-        if self.k != other.k:
-            raise ContextMismatchError("cyclotomic order mismatch")
-
     def __add__(self, other):
         if isinstance(other, Hcp):
             other = HcpSeries.from_hcp(other)
         if not isinstance(other, HcpSeries):
             return NotImplemented
-        self._check(other)
-        floor = max((f for f in (self.floor, other.floor) if f is not None), default=None)
-        top = max(self.top, other.top)
+        self._check_ctx(other)
+        floor, top = self._sum_window(other)
         comps = dict(self.components)
         for t, h in other.components.items():
             comps[t] = comps[t] + h if t in comps else h
@@ -511,11 +491,6 @@ class HcpSeries:
 
     def __neg__(self):
         return self.scalar_mul(-1)
-
-    def __sub__(self, other):
-        if isinstance(other, Hcp):
-            other = HcpSeries.from_hcp(other)
-        return self + (-other)
 
     def scalar_mul(self, value) -> "HcpSeries":
         return HcpSeries(self.k, {t: h.scalar_mul(value) for t, h in self.components.items()},
@@ -528,7 +503,7 @@ class HcpSeries:
             other = HcpSeries.from_hcp(other)
         if not isinstance(other, HcpSeries):
             return NotImplemented
-        self._check(other)
+        self._check_ctx(other)
         floor = product_floor(self, other)  # clamped at 0 by __init__
         top = self.top + other.top
         comps: dict[int, Hcp] = {}
@@ -541,21 +516,6 @@ class HcpSeries:
                 comps[t] = comps[t] + prod if t in comps else prod
         return HcpSeries(self.k, comps, floor, top)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycloScalar)):
-            return self.scalar_mul(other)
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise PreconditionError("negative powers are not defined")
-        if e == 0:
-            return HcpSeries.identity(self.k)
-        out = self
-        for _ in range(e - 1):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, HcpSeries):
             return NotImplemented
@@ -566,17 +526,8 @@ class HcpSeries:
         return hash((self.k, self.floor, self.top, tuple(sorted(
             (t, h) for t, h in self.components.items()))))
 
-    def agrees_with(self, other: "HcpSeries") -> bool:
-        """Equal components on the common known order range."""
-        self._check(other)
-        lo = max(self.floor_eff(), other.floor_eff())
-        if lo == -INF:
-            lo = 0
-        hi = max(self.top, other.top)
-        for t in range(int(lo), hi + 1):
-            if self.component(t) != other.component(t):
-                return False
-        return True
+    def _agrees_at(self, other: "HcpSeries", t: int) -> bool:
+        return self.component(t) == other.component(t)
 
     # -- expansion and serialization -------------------------------------------------------
 
@@ -614,12 +565,11 @@ class HcpSeries:
         comps = {int(t): Hcp.from_dict(k, h) for t, h in data["components"].items()}
         return cls(k, comps, data.get("floor"), data.get("top"))
 
-    def __str__(self):
+    def _body_str(self) -> str:
         if not self.components:
             return "0"
-        lines = [f"[{t}] {self.components[t].gform_str()}" for t in sorted(self.components, reverse=True)]
-        tail = "" if self.floor is None else f"  [window: ord >= {self.floor}]"
-        return "\n".join(lines) + tail
+        return "\n".join(f"[{t}] {self.components[t].gform_str()}"
+                         for t in sorted(self.components, reverse=True))
 
     def __repr__(self):
         return f"HcpSeries(k={self.k}, orders={sorted(self.components, reverse=True)})"

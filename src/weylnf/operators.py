@@ -12,11 +12,11 @@ finitely much of such an element together with an explicit exactness window:
   are guaranteed exact (absent means exact at every degree).
 
 Every stored coefficient inside the window is an exact value of the
-represented operator; the window algebra below guarantees this is preserved
-by sums and products. Multiplication works through the diagonal action on
-monomials: the component of order t sends x^j to nu(j) * x^(j-t), and
-composition is pointwise in nu, which both respects the grading and yields
-the product window rule
+represented operator; the window algebra of :class:`Graded`, shared with
+``gform.HcpSeries``, preserves this under sums and products. Multiplication
+works through the diagonal action on monomials: the component of order t
+sends x^j to nu(j) * x^(j-t), and composition is pointwise in nu, which both
+respects the grading and yields the product window rule
 ``xcap(t) = min over t1+t2=t of min(xcap_left(t1), xcap_right(t2) - t1)``.
 :func:`order_product` is the one place that computes a result order; the
 product and the Schur solve both go through it.
@@ -75,10 +75,103 @@ class XdMonomial:
         return self.ddeg - self.xdeg
 
 
-class GradedOp:
-    """Window-truncated element of the graded operator completion."""
+class Graded:
+    """A graded sum of homogeneous components, one per order, on a window.
 
-    __slots__ = ("k", "components", "floor", "top", "xcaps")
+    ``components`` maps each order t to its nonzero component. With ``floor``
+    None every order is represented and ``top`` is normalised to the largest
+    order with content (0 if none), so equality is structural; with a floor,
+    only orders floor..top are known and nothing is stored outside them.
+    Instances are immutable.
+
+    Subclasses fix the component type and supply ``one(k)``, the
+    ``(k, components, floor, top)`` constructor, ``scalar_mul``, ``__neg__``,
+    ``__add__`` and ``__mul__`` (windows from :meth:`_sum_window` and
+    :func:`product_floor`), :meth:`_agrees_at` and :meth:`_body_str`.
+    """
+
+    __slots__ = ("k", "components", "floor", "top")
+
+    def _set_window(self, k: int, comps: dict, floor, top, known=()):
+        """Store the slots with the window normalised; ``known`` lists more
+        orders that count as content for ``top`` (a GradedOp's capped orders)."""
+        if floor is None:
+            top = max([*comps, *known], default=0)
+        else:
+            comps = {t: c for t, c in comps.items() if floor <= t <= top}
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "top", top)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, k: int):
+        return cls(k, {}, None, 0)
+
+    def floor_eff(self) -> float:
+        return -INF if self.floor is None else self.floor
+
+    def is_zero_in_window(self) -> bool:
+        return not self.components
+
+    def _check_ctx(self, other: "Graded"):
+        if self.k != other.k:
+            raise ContextMismatchError(f"cyclotomic order mismatch: {self.k} vs {other.k}")
+
+    def _sum_window(self, other: "Graded"):
+        """``(floor, top)`` of a sum: known where both summands are known."""
+        floor = max((f for f in (self.floor, other.floor) if f is not None), default=None)
+        return floor, max(self.top, other.top)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction, CycloScalar)):
+            return self.scalar_mul(other)
+        return NotImplemented
+
+    def __pow__(self, e: int):
+        """``e - 1`` products for e >= 1; ``one`` with no product for e = 0."""
+        if e < 0:
+            raise PreconditionError("negative powers are not defined")
+        if e == 0:
+            return type(self).one(self.k)
+        out = self
+        for _ in range(e - 1):
+            out = out * self
+        return out
+
+    def agrees_with(self, other: "Graded") -> bool:
+        """Equal components on the common window: from the larger floor (the
+        lowest stored order, at most 0, when neither has one) to the larger top."""
+        self._check_ctx(other)
+        lo = max(self.floor_eff(), other.floor_eff())
+        if lo == -INF:
+            lo = min([*self.components, *other.components, 0])
+        return all(self._agrees_at(other, t) for t in range(int(lo), max(self.top, other.top) + 1))
+
+    def __str__(self):
+        body = self._body_str()
+        if self.floor is not None:
+            body += f"  [window: ord >= {self.floor}]"
+        return body
+
+
+class GradedOp(Graded):
+    """Window-truncated element of the graded operator completion.
+
+    A component is a dict from x-degree n to the coefficient of x^n d^(n+t);
+    ``xcaps`` adds the per-order exactness caps.
+    """
+
+    __slots__ = ("xcaps",)
 
     def __init__(self, k, components, floor, top, xcaps=None):
         comps = {}
@@ -91,26 +184,11 @@ class GradedOp:
                 comps[t] = clean
         xcaps = {t: int(c) for t, c in (xcaps or {}).items() if c != INF}
         if floor is not None:
-            comps = {t: c for t, c in comps.items() if floor <= t <= top}
             xcaps = {t: c for t, c in xcaps.items() if floor <= t <= top}
-        else:
-            # With no unknown orders, "top" carries no information beyond the
-            # stored content; normalize it so equality is structural.
-            top = max(list(comps) + list(xcaps), default=0)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "floor", floor)
-        object.__setattr__(self, "top", top)
+        self._set_window(k, comps, floor, top, xcaps)
         object.__setattr__(self, "xcaps", xcaps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedOp is immutable")
-
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, k: int) -> "GradedOp":
-        return cls(k, {}, None, 0)
 
     @classmethod
     def one(cls, k: int) -> "GradedOp":
@@ -158,12 +236,6 @@ class GradedOp:
         """Orders that carry content or a finite cap (possible nonzero tail)."""
         orders = set(self.components) | set(self.xcaps)
         return sorted(orders)
-
-    def floor_eff(self) -> float:
-        return -INF if self.floor is None else self.floor
-
-    def is_zero_in_window(self) -> bool:
-        return not self.components
 
     def lift_context(self, k_new: int) -> "GradedOp":
         """Re-embed a rational-context operator into Q(xi) of order k_new."""
@@ -259,18 +331,13 @@ class GradedOp:
 
     # -- ring operations --------------------------------------------------------
 
-    def _check_ctx(self, other: "GradedOp"):
-        if self.k != other.k:
-            raise ContextMismatchError(f"cyclotomic order mismatch: {self.k} vs {other.k}")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
             other = GradedOp.from_scalar(self.k, other)
         if not isinstance(other, GradedOp):
             return NotImplemented
         self._check_ctx(other)
-        floor = max((f for f in (self.floor, other.floor) if f is not None), default=None)
-        top = max(self.top, other.top)
+        floor, top = self._sum_window(other)
         comps: dict[int, dict[int, CycloScalar]] = {}
         for src in (self, other):
             for t, comp in src.components.items():
@@ -292,16 +359,6 @@ class GradedOp:
         comps = {t: {n: -c for n, c in comp.items()} for t, comp in self.components.items()}
         return GradedOp(self.k, comps, self.floor, self.top, self.xcaps)
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycloScalar)):
-            other = GradedOp.from_scalar(self.k, other)
-        if not isinstance(other, GradedOp):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scalar_mul(self, value) -> "GradedOp":
         value = as_scalar(self.k, value)
         if value.is_zero():
@@ -319,19 +376,6 @@ class GradedOp:
         self._check_ctx(other)
         return _op_mul(self, other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycloScalar)):
-            return self.scalar_mul(other)
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise PreconditionError("negative operator powers are not defined")
-        out = GradedOp.one(self.k)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, GradedOp):
             return NotImplemented
@@ -343,23 +387,13 @@ class GradedOp:
         return hash((self.k, self.floor, self.top,
                      tuple(sorted((t, tuple(sorted(c.items()))) for t, c in self.components.items()))))
 
-    def agrees_with(self, other: "GradedOp") -> bool:
-        """Equal coefficients on the common window (orders and caps)."""
-        self._check_ctx(other)
-        lo = max(self.floor_eff(), other.floor_eff())
-        if lo == -INF:
-            lo = min(list(self.components) + list(other.components) + [0])
-        hi = max(self.top, other.top)
-        for t in range(int(lo), hi + 1):
-            cap = min(self.xcap(t), other.xcap(t))
-            if cap == -1:
-                continue
-            a = self.components.get(t, {})
-            b = other.components.get(t, {})
-            for n in set(a) | set(b):
-                if n <= cap and a.get(n, CycloScalar.zero(self.k)) != b.get(n, CycloScalar.zero(self.k)):
-                    return False
-        return True
+    def _agrees_at(self, other: "GradedOp", t: int) -> bool:
+        """Equal order-t coefficients up to the smaller cap (none below a floor)."""
+        cap = min(self.xcap(t), other.xcap(t))
+        a = self.components.get(t, {})
+        b = other.components.get(t, {})
+        zero = CycloScalar.zero(self.k)
+        return all(a.get(n, zero) == b.get(n, zero) for n in set(a) | set(b) if n <= cap)
 
     # -- the action on polynomials (independent oracle route) -------------------
 
@@ -450,20 +484,17 @@ class GradedOp:
                 caps[t] = entry["xcap"]
         return cls(k, comps, data.get("floor"), data["top"], caps)
 
-    def __str__(self):
+    def _body_str(self) -> str:
         if not self.components:
-            body = "0"
-        else:
-            monos = sorted(self.monomials(), key=lambda m: (-m.ddeg, m.xdeg))
-            parts = [_monomial_str(m.coeff, m.xdeg, m.ddeg) for m in monos]
-            body = parts[0]
-            for p in parts[1:]:
-                if p.startswith("-"):
-                    body += " - " + p[1:]
-                else:
-                    body += " + " + p
-        if self.floor is not None:
-            body += f"  [window: ord >= {self.floor}]"
+            return "0"
+        monos = sorted(self.monomials(), key=lambda m: (-m.ddeg, m.xdeg))
+        parts = [_monomial_str(m.coeff, m.xdeg, m.ddeg) for m in monos]
+        body = parts[0]
+        for p in parts[1:]:
+            if p.startswith("-"):
+                body += " - " + p[1:]
+            else:
+                body += " + " + p
         return body
 
     def __repr__(self):

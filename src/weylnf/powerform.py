@@ -193,8 +193,8 @@ def _rewrite(word: tuple) -> dict[Word, Fraction]:
 def specialize(e: StdFormExpansion, D, L):
     """Evaluate the expansion on concrete ring elements.
 
-    Works for any elements supporting +, -, * and integer powers (graded
-    operators and HCP series alike). L^(t) is the t-fold commutator with D.
+    D and L are graded elements of one type (operators or HCP series); the
+    empty expansion is that type's zero. L^(t) is the t-fold commutator with D.
     """
     ell: dict[int, object] = {0: L}
 
@@ -204,6 +204,7 @@ def specialize(e: StdFormExpansion, D, L):
             ell[t] = D * prev - prev * D
         return ell[t]
 
+    one = type(D).one(D.k)
     total = None
     for w in e.words():
         term = None
@@ -211,13 +212,13 @@ def specialize(e: StdFormExpansion, D, L):
             term = ell_t(t) if term is None else term * ell_t(t)
         dpart = D ** w.dpow if w.dpow else None
         if term is None:
-            term = dpart if dpart is not None else D ** 0
+            term = dpart if dpart is not None else one
         elif dpart is not None:
             term = term * dpart
         term = term * w.coeff
         total = term if total is None else total + term
     if total is None:
-        return D ** 0 - D ** 0
+        return type(D).zero(D.k)
     return total
 
 

@@ -10,7 +10,6 @@ from weylnf.criterion import (
     bc_certificate,
     classify_pair,
     evaluate_poly,
-    evaluate_poly_series,
     hs_coefficient_check,
     type_identity,
     weighted_decompose,
@@ -220,7 +219,7 @@ def test_evaluate_poly_series_matches_graded():
     k = 2
     Pp = HcpSeries(k, {3: Hcp(k, 3, {(0, 0): 1}), 2: Hcp(k, 2, {(1, 0): 1})})
     Fpoly = F({(2, 0): 1, (0, 1): -3, (1, 0): 2})
-    got = evaluate_poly_series(Fpoly, Pp, 2).expand(xcap=8)
+    got = evaluate_poly(Fpoly, Pp, HcpSeries.d_power(k, 2)).expand(xcap=8)
     P_graded = Pp.expand(xcap=20)
     want = evaluate_poly(Fpoly, P_graded, GradedOp.d_op(k, 2))
     assert got.agrees_with(want)

@@ -392,12 +392,60 @@ def test_series_power_is_repeated_product():
     floored = HcpSeries(k, {3: Hcp(k, 3, {(0, 0): 1}), 2: Hcp(k, 2, {(1, 2): -xi}),
                             1: Hcp(k, 1, {(0, 1): 3})}, floor=1, top=3)
     for P in (finite, floored):
-        expect = HcpSeries.identity(k)
+        expect = HcpSeries.one(k)
         for e in range(5):
             assert P ** e == expect
             expect = expect * P
     with pytest.raises(PreconditionError):
         finite ** -1
+
+
+def _reference_series_pow(P, e):
+    """The body of ``HcpSeries.__pow__`` before the shared graded base."""
+    if e == 0:
+        return HcpSeries.one(P.k)
+    out = P
+    for _ in range(e - 1):
+        out = out * P
+    return out
+
+
+def _reference_series_agrees_with(A, B):
+    """The body of ``HcpSeries.agrees_with`` before the shared graded base."""
+    lo = max(A.floor_eff(), B.floor_eff())
+    if lo == -math.inf:
+        lo = 0
+    return all(A.component(t) == B.component(t) for t in range(int(lo), max(A.top, B.top) + 1))
+
+
+def test_series_window_algebra_matches_reference():
+    k = 3
+    xi = xi_pow(k, 1)
+    P = HcpSeries(k, {3: Hcp(k, 3, {(0, 0): 1}), 2: Hcp(k, 2, {(1, 2): -xi}),
+                      1: Hcp(k, 1, {(0, 1): 3}), 0: Hcp(k, 0, {(2, 0): 1}, {1: 2})})
+    series = [P, P.restrict_floor(1), P.restrict_floor(2), HcpSeries(k, P.components, 0, 5),
+              P + HcpSeries.from_hcp(Hcp(k, 1, {(0, 1): 1})).restrict_floor(1),
+              HcpSeries.one(k), HcpSeries.zero(k)]
+    verdicts = set()
+    for A in series:
+        for e in range(4):
+            assert A ** e == _reference_series_pow(A, e)
+        for B in series:
+            got = A.agrees_with(B)
+            assert got == _reference_series_agrees_with(A, B)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_hcp_arithmetic_rejects_foreign_operands():
+    H = Hcp(2, 1, {(0, 0): 1, (1, 1): Fraction(1, 2)})
+    for other in (1, Fraction(1, 2), HcpSeries.from_hcp(H), GradedOp.one(2)):
+        for apply in (lambda: H + other, lambda: H - other, lambda: H * other):
+            with pytest.raises(TypeError):
+                apply()
+    # The series side still takes an Hcp operand.
+    assert HcpSeries.from_hcp(H) + H == HcpSeries.from_hcp(H + H)
+    assert HcpSeries.from_hcp(H) * H == HcpSeries.from_hcp(H * H)
 
 
 def test_series_serialization_round_trip():

@@ -201,7 +201,7 @@ def test_gauge_invariance_of_classification():
     Q2 = GradedOp.from_monomials(1, [(0, 2, 1), (1, 0, 1)])
     nf = normal_form_report(P4, Q2, depth=8).series
     W, Winv = _gauge_unit(nf.k, Fr(1, 3))
-    assert (W * Winv).agrees_with(HcpSeries.identity(nf.k))
+    assert (W * Winv).agrees_with(HcpSeries.one(nf.k))
     conj = Winv * nf * W
     base = classify_top_line(nf)
     moved = classify_top_line(conj)

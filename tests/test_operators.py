@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from weylnf.errors import TruncationError, UndefinedOrderError
+from weylnf.errors import (
+    ContextMismatchError,
+    PreconditionError,
+    TruncationError,
+    UndefinedOrderError,
+)
 from weylnf.operators import (
     Factor,
     GradedOp,
@@ -491,6 +496,80 @@ def test_truncated_product_windows_are_honest():
                     for n, c in exact.components[t].items():
                         if n <= cap:
                             assert got.components.get(t, {}).get(n) == c
+
+
+def _reference_pow(A, e):
+    """The body of ``GradedOp.__pow__`` before the shared graded base:
+    e products, starting from one."""
+    out = GradedOp.one(A.k)
+    for _ in range(e):
+        out = out * A
+    return out
+
+
+def _reference_agrees_with(A, B):
+    """The body of ``GradedOp.agrees_with`` before the shared graded base."""
+    zero = CycloScalar.zero(A.k)
+    lo = max(A.floor_eff(), B.floor_eff())
+    if lo == -math.inf:
+        lo = min(list(A.components) + list(B.components) + [0])
+    for t in range(int(lo), max(A.top, B.top) + 1):
+        cap = min(A.xcap(t), B.xcap(t))
+        if cap == -1:
+            continue
+        a, b = A.components.get(t, {}), B.components.get(t, {})
+        for n in set(a) | set(b):
+            if n <= cap and a.get(n, zero) != b.get(n, zero):
+                return False
+    return True
+
+
+def _windowed_ops():
+    """Total operators, their restrictions with floors and caps, perturbed
+    copies, and a Schur S; every window is non-empty."""
+    from weylnf.schur import schur_operator
+    rng = random.Random(9)
+    out = [schur_operator(op(1, (0, 2, 1), (1, 0, 1)), depth=4, xcap=10).S]
+    for _ in range(12):
+        A = op(1, *[(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2)) for _ in range(4)])
+        out.append(A)
+        R = A.restrict(floor=rng.randint(-3, A.top), xcap=rng.randint(1, 4))
+        out.append(R)
+        out.append(R + op(1, (rng.randint(0, 3), rng.randint(0, 3), 1)))
+    return out
+
+
+def test_graded_pow_matches_reference():
+    for A in _windowed_ops():
+        assert A ** 0 == GradedOp.one(A.k)
+        for e in (1, 2, 3):
+            assert A ** e == _reference_pow(A, e)
+    with pytest.raises(PreconditionError):
+        op(1, (0, 1, 1)) ** -1
+
+
+def test_graded_pow_of_an_empty_window():
+    # floor 3 above top 2: the window holds no order at all.
+    A = op(1, (0, 2, 1), (1, 0, 1)).restrict(floor=3)
+    assert A.floor > A.top
+    assert A ** 1 is A
+    with pytest.raises(TruncationError):
+        _reference_pow(A, 1)
+    with pytest.raises(TruncationError):
+        A ** 2
+
+
+def test_graded_agrees_with_matches_reference():
+    ops = _windowed_ops()
+    verdicts = set()
+    for A in ops:
+        for B in ops:
+            got = A.agrees_with(B)
+            assert got == _reference_agrees_with(A, B)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    with pytest.raises(ContextMismatchError):
+        op(1, (0, 1, 1)).agrees_with(op(2, (0, 1, 1)))
 
 
 def test_apply_truncated_requires_bound():

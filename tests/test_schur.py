@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from weylnf.errors import PreconditionError, TruncationError
+from weylnf import schur
+from weylnf.errors import NotAnHcpError, PreconditionError, TruncationError
 from weylnf.gform import check_Aqk
 from weylnf.operators import GradedOp, commutator
+from weylnf.parsing import parse_operator
 from weylnf.scalars import CycloScalar
 from weylnf.schur import invert_unit, normal_form, normal_form_report, schur_operator
 
@@ -175,3 +177,50 @@ def test_random_conjugation_respects_window_exactness():
     deep = sp_deep.Sinv * (P * sp_deep.S)
     shallow = sp_shallow.Sinv * (P * sp_shallow.S)
     assert shallow.agrees_with(deep)
+
+
+# -- fit diagnostics ---------------------------------------------------------------
+
+
+def _k3_report():
+    """d^5 + x^2*d over d^3 + x*d + x^2 at depth 8: fitted over Q(xi_3)."""
+    return normal_form_report(parse_operator("d^5 + x^2*d"), parse_operator("d^3 + x*d + x^2"),
+                              depth=8)
+
+
+def _fail_fit_at(monkeypatch, order, times):
+    """Make ``fit_hcp`` raise NotAnHcpError on its first ``times`` calls at ``order``."""
+    real, failed = schur.fit_hcp, []
+
+    def fit(C, dmax, nbmax, margin, r=None):
+        if r == order and len(failed) < times:
+            failed.append(dmax)
+            raise NotAnHcpError("planted fit failure")
+        return real(C, dmax, nbmax, margin, r)
+
+    monkeypatch.setattr(schur, "fit_hcp", fit)
+    return failed
+
+
+def test_fit_diagnostics_of_the_k3_pair():
+    res = _k3_report()
+    assert res.fitted_orders == [5, 2, 0]
+    assert res.escalated_orders == []
+
+
+def test_fit_escalation_is_reported(monkeypatch):
+    plain = _k3_report().series
+    failed = _fail_fit_at(monkeypatch, 2, 1)
+    res = _k3_report()
+    assert failed == [2]
+    assert res.escalated_orders == [2]
+    assert res.fitted_orders == [5, 2, 0]
+    assert res.series == plain
+
+
+def test_failed_escalation_names_the_bound_tried(monkeypatch):
+    failed = _fail_fit_at(monkeypatch, 2, 2)
+    with pytest.raises(TruncationError) as exc:
+        _k3_report()
+    assert failed == [2, 4]
+    assert exc.value.required == {"order": 2, "dmax_tried": 4}
