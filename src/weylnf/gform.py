@@ -17,6 +17,11 @@ class n = rho (mod k) the eigenvalue is an ordinary polynomial in n, so
 :func:`fit_hcp` solves one small rational Vandermonde system per class,
 returns to the G-form by an inverse discrete Fourier transform over Q(xi),
 and still checks every remaining sample exactly.
+
+:func:`hcp_mul` forms one result order of a product from all of its pairs,
+as ``operators.order_product`` does for raw operators: each ``Hcp`` caches
+its G-form coefficients as integer lanes, the pairs are multiplied and
+summed in integers mod Phi_k, and each result coefficient is divided once.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     ContextMismatchError,
@@ -34,14 +40,15 @@ from .errors import (
     TruncationError,
 )
 from .linalg import solve_square
-from .operators import INF, Graded, GradedOp, _comp_nu, _nu_to_comp, product_floor
-from .scalars import CycloScalar, as_scalar, xi_pow
+from .operators import (INF, Graded, GradedOp, _comp_nu, _from_lanes, _lane_mul, _lanes,
+                        _nu_to_comp, product_floor)
+from .scalars import CycloScalar, as_scalar, cyclotomic_poly, xi_pow
 
 
 class Hcp:
     """A single homogeneous component in G-form (order r >= 0)."""
 
-    __slots__ = ("k", "r", "gamma", "bpart")
+    __slots__ = ("k", "r", "gamma", "bpart", "_lane_cache")
 
     def __init__(self, k: int, r: int, gamma=None, bpart=None):
         if r < 0:
@@ -96,14 +103,11 @@ class Hcp:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _check(self, other: "Hcp"):
-        if self.k != other.k:
-            raise ContextMismatchError("cyclotomic order mismatch")
-
     def __add__(self, other: "Hcp") -> "Hcp":
         if not isinstance(other, Hcp):
             return NotImplemented
-        self._check(other)
+        if self.k != other.k:
+            raise ContextMismatchError("cyclotomic order mismatch")
         if self.r != other.r:
             raise PreconditionError("cannot add components of different order")
         return _make_hcp(self.k, self.r, _add_dicts(self.gamma, other.gamma),
@@ -127,7 +131,6 @@ class Hcp:
     def __mul__(self, other: "Hcp") -> "Hcp":
         if not isinstance(other, Hcp):
             return NotImplemented
-        self._check(other)
         return hcp_mul(self, other)
 
     def __eq__(self, other):
@@ -190,7 +193,8 @@ class Hcp:
         return cls(k, data["r"], gamma, bpart)
 
 
-_set_k, _set_r, _set_gamma, _set_bpart = (getattr(Hcp, name).__set__ for name in Hcp.__slots__)
+_set_k, _set_r, _set_gamma, _set_bpart, _set_lanes = (
+    getattr(Hcp, name).__set__ for name in Hcp.__slots__)
 
 
 def _make_hcp(k: int, r: int, gamma: dict, bpart: dict) -> Hcp:
@@ -289,41 +293,81 @@ def eigen_eval(E: EigenFunction, n: int) -> CycloScalar:
     return E.eval(n)
 
 
-def hcp_mul(H1: Hcp, H2: Hcp) -> Hcp:
-    """Product H1 * H2 through the diagonal action: mu(n) = mu1(n) * mu2(n + r1).
+def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
+    """H1 * H2 + sum(h1 * h2 for h1, h2 in ``more``), all pairs of one total order.
 
-    The quasi-polynomial parts multiply term by term after the shift
-    (n + r1)^l2 = sum_s C(l2, s) r1^(l2-s) n^s and xi^(i2 (n + r1)) =
-    xi^(i2 r1) xi^(i2 n). The B parts change the product only on their finite
-    support, where it is corrected from the eigenfunctions.
+    mu(n) = mu1(n) * mu2(n + r1): after the shift (n + r1)^l2 = sum_s C(l2, s)
+    r1^(l2-s) n^s and xi^(i2 (n + r1)) = xi^(i2 r1) xi^(i2 n) the quasi parts
+    multiply term by term, on the factors' cached lanes (:func:`_gamma_lanes`)
+    mod Phi_k; the integer shift weights also scale each pair from D1 * D2 to
+    the lcm D of all pairs, and the sum is divided by D once. On the union of
+    the pairs' B supports the summed eigenfunction products, less the summed
+    quasi part, give the B correction.
     """
-    if H1.k != H2.k:
-        raise ContextMismatchError("cyclotomic order mismatch")
-    k, r1 = H1.k, H1.r
-    gamma: dict[tuple[int, int], CycloScalar] = {}
-    for (l2, i2), c2 in H2.gamma.items():
-        if i2 and r1:
-            c2 = c2 * xi_pow(k, i2 * r1)
-        # The nonzero shift weights: with r1 = 0 only s = l2 is left.
-        shift = [(s, math.comb(l2, s) * r1 ** (l2 - s)) for s in range(0 if r1 else l2, l2 + 1)]
-        for (l1, i1), c1 in H1.gamma.items():
-            base = c1 * c2
-            i3 = (i1 + i2) % k
-            for s, w in shift:
-                term = base if w == 1 else base * w
-                key = (l1 + s, i3)
-                prev = gamma.get(key)
-                gamma[key] = term if prev is None else prev + term
-    gamma = {key: c for key, c in gamma.items() if c}
+    pairs = [(H1, H2), *more]
+    k, t = H1.k, H1.r + H2.r
+    live, support = [], set()
+    for h1, h2 in pairs:
+        r1 = h1.r
+        if h1.k != k or h2.k != k:
+            raise ContextMismatchError("cyclotomic order mismatch")
+        if r1 + h2.r != t:
+            raise PreconditionError("the pairs of one product must share their total order")
+        if h1.gamma and h2.gamma:
+            live.append((r1, _gamma_lanes(h1), _gamma_lanes(h2)))
+        if h1.bpart or h2.bpart:
+            support.update(j - 1 for j in h1.bpart)
+            support.update(j - 1 - r1 for j in h2.bpart if j - 1 >= r1)
+    phi, xis = cyclotomic_poly(k), _xi_lanes(k)
+    den = math.lcm(*[g1[0] * g2[0] for _, g1, g2 in live])
+    acc: dict[tuple[int, int], list[int]] = {}
+    for r1, (d1, keys1, lanes1), (d2, keys2, lanes2) in live:
+        if r1 % k and any(i2 for _, i2 in keys2):
+            lanes2 = _lane_mul(phi, lanes2, [[lane[i2 * r1 % k] for _, i2 in keys2] for lane in xis])
+        n1, n2, scale = len(keys1), len(keys2), den // (d1 * d2)
+        if n2 > 1:
+            lanes1 = [[x for x in lane for _ in keys2] for lane in lanes1]
+        if n1 > 1:
+            lanes2 = [lane * n1 for lane in lanes2]
+        prod = list(zip(*_lane_mul(phi, lanes1, lanes2)))
+        for b, (l2, i2) in enumerate(keys2):
+            # The nonzero shift weights: with r1 = 0 only s = l2 is left.
+            shift = [(s, scale * math.comb(l2, s) * r1 ** (l2 - s))
+                     for s in range(0 if r1 else l2, l2 + 1)]
+            for a, (l1, i1) in enumerate(keys1):
+                vec, i3 = prod[a * n2 + b], (i1 + i2) % k
+                for s, w in shift:
+                    key = (l1 + s, i3)
+                    prev = acc.get(key)
+                    acc[key] = ([w * x for x in vec] if prev is None
+                                else [p + w * x for p, x in zip(prev, vec)])
+    gamma = {key: _from_lanes(k, vec, den) for key, vec in acc.items() if any(vec)}
     bpart = {}
-    support = {j - 1 for j in H1.bpart} | {j - 1 - r1 for j in H2.bpart if j - 1 >= r1}
     if support:
-        e1, e2, qp = H1.eigen(), H2.eigen(), EigenFunction(k, gamma)
+        eigs = [(h1.eigen(), h2.eigen(), h1.r) for h1, h2 in pairs]
+        qp = EigenFunction(k, gamma)
         for n in sorted(support):
-            v = e1.eval(n) * e2.eval(n + r1) - qp.eval_quasi(n)
+            v = sum((e1.eval(n) * e2.eval(n + r1) for e1, e2, r1 in eigs), -qp.eval_quasi(n))
             if v:
                 bpart[n + 1] = v
-    return _make_hcp(k, r1 + H2.r, gamma, bpart)
+    return _make_hcp(k, t, gamma, bpart)
+
+
+def _gamma_lanes(h: Hcp):
+    """``(D, keys, lanes)``: f[keys[m]] has coefficient i lanes[i][m] / D, D the
+    lcm of the denominators; kept in a slot that ``==``, hash and ``to_dict`` ignore."""
+    try:
+        return h._lane_cache
+    except AttributeError:
+        den, lanes = _lanes(h.k, h.gamma.values())
+        _set_lanes(h, (den, list(h.gamma), tuple(lanes)))
+        return h._lane_cache
+
+
+@lru_cache(maxsize=None)
+def _xi_lanes(k: int) -> list[list[int]]:
+    """Lane i holds coefficient i of xi^e, e = 0 .. k-1 (read only: it is shared)."""
+    return _lanes(k, [xi_pow(k, e) for e in range(k)])[1]
 
 
 def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = None) -> Hcp:
@@ -506,14 +550,13 @@ class HcpSeries(Graded):
         self._check_ctx(other)
         floor = product_floor(self, other)  # clamped at 0 by __init__
         top = self.top + other.top
-        comps: dict[int, Hcp] = {}
+        pairs: dict[int, list[tuple[Hcp, Hcp]]] = {}
         for t1, h1 in self.components.items():
             for t2, h2 in other.components.items():
                 t = t1 + t2
-                if floor is not None and t < floor:
-                    continue
-                prod = hcp_mul(h1, h2)
-                comps[t] = comps[t] + prod if t in comps else prod
+                if floor is None or t >= floor:
+                    pairs.setdefault(t, []).append((h1, h2))
+        comps = {t: hcp_mul(*plist[0], plist[1:]) for t, plist in pairs.items()}
         return HcpSeries(self.k, comps, floor, top)
 
     def __eq__(self, other):

@@ -245,17 +245,19 @@ def filtration_HS(L: HcpSeries, d: Fraction, m: int, w: Weight) -> HcpSeries:
 def _filtration(L: HcpSeries, d: Fraction, m: int | None, w: Weight) -> HcpSeries:
     """The Gamma_l A_i D^j monomials of L with weight >= d and, unless m is None, l <= m.
 
-    At order j the weight condition sigma*l + rho*j >= d is one threshold on
-    l: l >= ceil((d - rho*j) / sigma) when sigma > 0, and all or nothing
-    (rho*j >= d) when sigma = 0.
+    sigma, rho and d are brought to one common denominator once, as the
+    integers S, R and D. At order j the weight condition S*l + R*j >= D is
+    then one integer threshold on l: l >= ceil((D - R*j) / S) when S > 0,
+    and all or nothing (R*j >= D) when S = 0.
     """
-    sigma, rho = w.sigma, w.rho
+    den = math.lcm(w.sigma.denominator, w.rho.denominator, d.denominator)
+    S, R, D = (v.numerator * (den // v.denominator) for v in (w.sigma, w.rho, d))
     hi = math.inf if m is None else m
     comps = {}
     for j, h in L.components.items():
-        if sigma:
-            lo = -((rho * j - d) // sigma)
-        elif rho * j >= d:
+        if S:
+            lo = -((R * j - D) // S)
+        elif R * j >= D:
             lo = 0
         else:
             continue

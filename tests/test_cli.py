@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -305,6 +305,84 @@ def test_cli_eval_fuzz_ends_in_a_documented_code(expr, k):
     assert code in (0, 2, 3)
     if code:
         err = json.loads(out.getvalue())["error"]
+        assert err["code"] == code and err["message"]
+
+
+def _frag(*choices):
+    """One of ``choices``, each an argv fragment written as one space-separated string."""
+    return st.sampled_from([c.split() for c in choices])
+
+
+def _out(flag, suffix):
+    # "{tmp}" stands for the test's directory, in which "absent" does not exist.
+    return _frag("", f"{flag} {{tmp}}/out{suffix}", f"{flag} {{tmp}}/absent/out{suffix}")
+
+
+FUZZ_OPERATOR = st.one_of(
+    st.sampled_from(["d^2 + x", "d^3 + x*d + x^2", "d^3 + x", "x*d", "d", "xi*d + x",
+                     "G{r=1; f[0,1]=1}", "G{r=0; g[2]=1}", "d^", "", "x - x"]),
+    st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=6).map("".join))
+FUZZ_OPERAND = FUZZ_OPERATOR.map(lambda a: [a])
+FUZZ_PAIR = st.one_of(
+    st.tuples(FUZZ_OPERATOR, FUZZ_OPERATOR).map(lambda pq: ["--p", pq[0], "--q", pq[1]]),
+    _frag("--fixture generic", "--fixture powers", "--fixture airy-like", "--fixture kdv24",
+          "--fixture nope"))
+FUZZ_DEPTH = _frag("--depth 2", "--depth 4", "--depth 0", "--depth -1")
+FUZZ_WMAX = ("--wmax 4", "--wmax 2", "--wmax 0", "--wmax -1")
+# Contents of the newton input files, by name; None is the normal-form golden file.
+NEWTON_INPUTS = {"golden": None, "not-json": "{", "empty": "{}",
+                 "no-components": '{"k": 2, "floor": null, "top": 0}',
+                 "zero-series": '{"k": 2, "floor": null, "top": 0, "components": {}}'}
+# Per subcommand, the argv fragments drawn in order. Sizes stay small: depth
+# and wmax at most 4, at most 2 verify cases, one worker.
+FUZZ_ARGV = {
+    "eval": [FUZZ_OPERAND],
+    "mul": [FUZZ_OPERAND, FUZZ_OPERAND],
+    "commutator": [FUZZ_OPERAND, FUZZ_OPERAND],
+    "schur": [FUZZ_OPERATOR.map(lambda q: ["--q", q]), FUZZ_DEPTH],
+    "normal-form": [FUZZ_PAIR, FUZZ_DEPTH, _out("--out", ".json")],
+    "newton": [st.sampled_from([*NEWTON_INPUTS, "missing"]).map(
+                   lambda name: ["--input", "{tmp}/" + name + ".json"]),
+               _out("--svg", ".svg"), _out("--json", ".json")],
+    "classify": [FUZZ_PAIR, FUZZ_DEPTH, _frag("", *FUZZ_WMAX),
+                 _frag("", "--candidate [[2,0,1],[0,3,-1]]", "--candidate [[", "--candidate {}")],
+    "bc-find": [FUZZ_PAIR, _frag(*FUZZ_WMAX), FUZZ_DEPTH],
+    "expand-power": [_frag("--k 3", "--k 1", "--k 4", "--k 0", "--k -1", "--k 17"),
+                     _frag("", "--oracle"), _frag("", "--format json")],
+    "verify": [_frag("--suite filtration", "--suite appendix", "--suite powerform",
+                     "--suite all", "--suite nope"),
+               _frag("--cases 2", "--cases 1", "--cases 0", "--cases -1"),
+               _frag("", "--workers 1", "--workers 0")],
+}
+FUZZ_COMMON = [_frag("", "--k 1", "--k 3", "--k 0"),
+               _frag("", "--xcap 12", "--xcap 6", "--xcap -1"),
+               _frag("", "--format json", "--format text"),
+               _frag("", "--seed 3")]
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(sorted(FUZZ_ARGV)))
+    common = [] if cmd == "expand-power" else FUZZ_COMMON
+    return [cmd] + [arg for part in [*FUZZ_ARGV[cmd], *common] for arg in draw(part)]
+
+
+@given(argv=cli_argv())
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_argv_fuzz_ends_in_a_documented_code(argv, tmp_path):
+    for name, text in NEWTON_INPUTS.items():
+        if text is None:
+            with open(os.path.join(GOLDEN, "normal_form_generic.json"), encoding="utf-8") as fh:
+                text = fh.read()
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        err = json.loads(out.getvalue().splitlines()[-1])["error"]
         assert err["code"] == code and err["message"]
 
 

@@ -7,7 +7,12 @@ import random
 import pytest
 
 from weylnf import gform
-from weylnf.errors import NotAnHcpError, PreconditionError, TruncationError
+from weylnf.errors import (
+    ContextMismatchError,
+    NotAnHcpError,
+    PreconditionError,
+    TruncationError,
+)
 from weylnf.gform import (
     EigenFunction,
     Hcp,
@@ -20,7 +25,7 @@ from weylnf.gform import (
     sdeg,
 )
 from weylnf.linalg import solve_square
-from weylnf.operators import GradedOp, _comp_nu, _nu_to_comp, poly_from_pairs
+from weylnf.operators import GradedOp, _comp_nu, _nu_to_comp, poly_from_pairs, product_floor
 from weylnf.scalars import CycloScalar, xi_pow
 
 
@@ -148,7 +153,9 @@ def test_hcp_mul_matches_monomial_closed_form():
 
 
 def _rand_scalar(rng, k):
-    return CycloScalar(k, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)])
+    """A Q(xi) value with mixed denominators, reduced from k coefficients."""
+    return CycloScalar(k, [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+                           for _ in range(k)])
 
 
 def _checked_product(H1, H2):
@@ -157,6 +164,7 @@ def _checked_product(H1, H2):
     k = H1.k
     assert got.k == k and got.r == H1.r + H2.r
     assert all(type(c) is CycloScalar and c.k == k
+               and all(type(f) is Fraction for f in c.coeffs)
                for c in [*got.gamma.values(), *got.bpart.values()])
     # The checked constructor drops zeros and reduces A indices mod k, so a
     # result that breaks the invariant differs from its rebuild.
@@ -176,10 +184,13 @@ def test_expand_is_ring_homomorphism():
                  {(rng.randint(0, 2), rng.randint(0, k - 1)): rng.randint(-3, 3)},
                  {rng.randint(1, 2): rng.randint(-2, 2)})
         _checked_product(H1, H2)
-    # Multi-term factors over k = 1..4, with and without B parts.
-    for k in (1, 2, 3, 4):
+    # Multi-term factors with and without B parts. From k = 5 on, Phi_k has
+    # degree 4 or 6 (Phi_9 = x^6 + x^3 + 1, Phi_12 = x^4 - x^2 + 1), so the
+    # integer fold mod Phi_k spans several lanes and meets zero and negative
+    # coefficients of Phi_k.
+    for k in (1, 2, 3, 4, 5, 6, 9, 12):
         for bfree in (True, False):
-            for _ in range(6):
+            for _ in range(6 if k <= 4 else 3):
                 H1, H2 = (Hcp(k, rng.randint(0, 3),
                               {(rng.randint(0, 3), rng.randint(0, k - 1)): _rand_scalar(rng, k)
                                for _ in range(rng.randint(1, 3))},
@@ -187,13 +198,150 @@ def test_expand_is_ring_homomorphism():
                                                 for _ in range(rng.randint(1, 2))})
                           for _ in range(2))
                 _checked_product(H1, H2)
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 5, 6, 9, 12):
         # D (Gamma_1 - 1) = (Gamma_1 + 1 - 1) D: the Gamma_0 coefficient cancels.
         got = _checked_product(Hcp(k, 1, {(0, 0): 1}), Hcp(k, 0, {(1, 0): 1, (0, 0): -1}))
         assert got.gamma == {(1, 0): CycloScalar.one(k)}
         # (Gamma_1 + B_1) Gamma_1 = Gamma_2: the correction at n = 0 cancels.
         got = _checked_product(Hcp(k, 0, {(1, 0): 1}, {1: 1}), Hcp(k, 0, {(1, 0): 1}))
         assert got == Hcp(k, 0, {(2, 0): 1}) and not got.bpart
+
+
+def _reference_hcp_mul(H1, H2):
+    """The scalar body of ``hcp_mul`` before the integer lanes, one pair at a time."""
+    k, r1 = H1.k, H1.r
+    gamma = {}
+    for (l2, i2), c2 in H2.gamma.items():
+        if i2 and r1:
+            c2 = c2 * xi_pow(k, i2 * r1)
+        shift = [(s, math.comb(l2, s) * r1 ** (l2 - s)) for s in range(0 if r1 else l2, l2 + 1)]
+        for (l1, i1), c1 in H1.gamma.items():
+            base = c1 * c2
+            i3 = (i1 + i2) % k
+            for s, w in shift:
+                term = base if w == 1 else base * w
+                key = (l1 + s, i3)
+                prev = gamma.get(key)
+                gamma[key] = term if prev is None else prev + term
+    gamma = {key: c for key, c in gamma.items() if c}
+    bpart = {}
+    support = {j - 1 for j in H1.bpart} | {j - 1 - r1 for j in H2.bpart if j - 1 >= r1}
+    if support:
+        e1, e2, qp = H1.eigen(), H2.eigen(), EigenFunction(k, gamma)
+        for n in sorted(support):
+            v = e1.eval(n) * e2.eval(n + r1) - qp.eval_quasi(n)
+            if v:
+                bpart[n + 1] = v
+    return Hcp(k, r1 + H2.r, gamma, bpart)
+
+
+def _reference_series_mul(A, B):
+    """The body of ``HcpSeries.__mul__`` before the per-order products."""
+    floor = product_floor(A, B)
+    comps = {}
+    for t1, h1 in A.components.items():
+        for t2, h2 in B.components.items():
+            t = t1 + t2
+            if floor is not None and t < floor:
+                continue
+            prod = _reference_hcp_mul(h1, h2)
+            comps[t] = comps[t] + prod if t in comps else prod
+    return HcpSeries(A.k, comps, floor, A.top + B.top)
+
+
+def _rand_hcp(rng, k, r, terms=3, bterms=0):
+    return Hcp(k, r, {(rng.randint(0, 3), rng.randint(0, k - 1)): _rand_scalar(rng, k)
+                      for _ in range(rng.randint(1, terms))},
+               {rng.randint(1, 5): _rand_scalar(rng, k) for _ in range(bterms)})
+
+
+def _pairs_sum(pairs):
+    total = _reference_hcp_mul(*pairs[0])
+    for h1, h2 in pairs[1:]:
+        total = total + _reference_hcp_mul(h1, h2)
+    return total
+
+
+def test_hcp_mul_sums_pairs_like_the_reference():
+    rng = random.Random(43)
+    for k in (1, 2, 3, 4, 5, 12):
+        for _ in range(8):
+            t = rng.randint(0, 5)
+            pairs = []
+            for _ in range(rng.randint(1, 4)):
+                r1 = rng.randint(0, t)
+                pairs.append((_rand_hcp(rng, k, r1, bterms=rng.randint(0, 1)),
+                              _rand_hcp(rng, k, t - r1, bterms=rng.randint(0, 1))))
+            got = hcp_mul(*pairs[0], pairs[1:])
+            assert got == _pairs_sum(pairs)
+            assert got == Hcp(k, t, dict(got.gamma), dict(got.bpart))
+    k = 3
+    xi = xi_pow(k, 1)
+    A = Hcp(k, 2, {(1, 1): xi / 3, (0, 0): Fraction(1, 2)})
+    B = Hcp(k, 1, {(2, 2): Fraction(5, 7), (0, 1): 1 - xi})
+    # Pairs that cancel to zero, gamma and B parts alike.
+    AB = Hcp(k, 2, {(1, 0): 1}, {1: 2, 3: xi})
+    for more in ([(-A, B)], [(AB, B), (-AB, B)], [(-A, B), (AB, B), (AB.scalar_mul(-1), B)]):
+        got = hcp_mul(A, B, more)
+        assert got == _pairs_sum([(A, B), *more])
+    assert hcp_mul(A, B, [(-A, B)]).is_zero()
+    # B corrections from two pairs at the same n: both left factors carry B_2.
+    L1 = Hcp(k, 1, {(1, 0): 1}, {2: xi})
+    L2 = Hcp(k, 0, {(0, 2): Fraction(1, 3)}, {2: Fraction(-3, 2)})
+    R1, R2 = Hcp(k, 2, {(1, 1): 2}), Hcp(k, 3, {(0, 0): 1, (2, 1): xi}, {4: 1})
+    got = hcp_mul(L1, R1, [(L2, R2)])
+    assert got == _pairs_sum([(L1, R1), (L2, R2)]) and 2 in got.bpart
+    # A pair whose right B support lies below r1 adds no correction there.
+    below = (Hcp(k, 3, {(0, 1): 1}), Hcp(k, 0, {(1, 0): 1}, {1: 5, 2: 1}))
+    assert not _reference_hcp_mul(*below).bpart
+    got = hcp_mul(*below, [(L2, Hcp(k, 3, {(1, 2): 1}))])
+    assert got == _pairs_sum([below, (L2, Hcp(k, 3, {(1, 2): 1}))])
+    with pytest.raises(PreconditionError):
+        hcp_mul(A, B, [(A, A)])
+    with pytest.raises(ContextMismatchError):
+        hcp_mul(A, B, [(Hcp(2, 2, {(0, 0): 1}), Hcp(2, 1, {(0, 0): 1}))])
+
+
+def test_series_product_matches_the_per_pair_reference():
+    rng = random.Random(47)
+    for k in (2, 3, 5):
+        for _ in range(4):
+            A, B = (HcpSeries(k, {t: _rand_hcp(rng, k, t, bterms=rng.randint(0, 1))
+                                  for t in range(rng.randint(2, 5)) if rng.random() < 0.8})
+                    for _ in range(2))
+            for fa in (None, 1, 2):
+                for fb in (None, 0, 3):
+                    A1 = A if fa is None else A.restrict_floor(fa)
+                    B1 = B if fb is None else B.restrict_floor(fb)
+                    assert A1 * B1 == _reference_series_mul(A1, B1)
+
+
+def test_cached_lanes_are_no_part_of_the_value():
+    k = 5
+    xi = xi_pow(k, 1)
+    H = Hcp(k, 2, {(1, 3): xi / 3, (0, 0): Fraction(1, 2)}, {2: xi})
+    fresh = Hcp.from_dict(k, H.to_dict())
+    data, key = H.to_dict(), hash(H)
+    hcp_mul(H, H)
+    assert H._lane_cache[0] == 6 and not hasattr(fresh, "_lane_cache")
+    assert H == fresh and fresh == H and hash(H) == hash(fresh) == key
+    assert H.to_dict() == data
+    with pytest.raises(AttributeError):
+        H._lane_cache = None
+
+
+def test_series_product_reaches_the_traced_hcp_mul(layertrace):
+    # perfbench's reached-check on filtration-suite needs gform.hcp_mul spans
+    # from series products.
+    k = 3
+    P = HcpSeries(k, {2: Hcp(k, 2, {(0, 0): 1}), 1: Hcp(k, 1, {(1, 2): xi_pow(k, 1)})})
+    tracer = layertrace.Tracer()
+    with tracer.installed():
+        assert P * P == _reference_series_mul(P, P)
+    metrics = tracer.layer_metrics()
+    assert metrics["gform.series_mul_calls"] == 1
+    # One call per result order: 4, 3 and 2.
+    assert metrics["gform.hcp_mul_calls"] == 3
 
 
 def test_sdeg_subadditive_and_equality():
