@@ -224,14 +224,15 @@ def cmd_verify(args) -> int:
     results = (run_all(args.cases, args.seed, workers)
                if args.suite == "all"
                else [run_suite(args.suite, args.cases, args.seed, workers)])
-    bad = False
     for r in results:
         status = "ok" if r.passed else f"FAILED ({len(r.failures)} violations)"
         print(f"suite {r.name}: {r.cases} cases: {status}")
         for f in r.failures[:20]:
             print(f"  {f}")
-        bad = bad or not r.passed
-    return 5 if bad else 0
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        raise PropertyViolation(f"property suites failed: {', '.join(failed)}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

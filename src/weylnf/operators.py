@@ -26,7 +26,7 @@ back. A sequence of Q(xi) values over one common denominator D > 0 is a
 tuple of exactly ``deg Phi_k`` lanes, lane i holding the integers
 D * nu(j).coeffs[i]. The triangular map between coefficients and values is
 a binomial transform (perm(j, m) = comb(j, m) * m!), computed on the lanes
-with integer additions and subtractions only (:func:`_nu_lanes`,
+with integer additions and subtractions only (:meth:`Factor.nu`,
 :func:`_comp_of_lanes`). A :class:`Factor` caches one such sequence per
 order, with D_t the lcm of the component's denominators, and
 :func:`order_product` multiplies and sums the lanes in integers mod Phi_k,
@@ -36,6 +36,11 @@ unchecked by ``scalars._make``, so it keeps the scalar invariant: a tuple of
 exactly ``deg Phi_k`` ``Fraction`` s. :func:`_comp_nu` and
 :func:`_nu_to_comp` are the same transforms on ``CycloScalar`` lists, for
 the G-form fit and expansion.
+
+Each operator keeps one factor, made on its first product. Its component
+views share it, and so do the operators that the Schur solves build over
+their own factor, so each sequence is computed once per operator; a longer
+sequence resumes the difference table where the shorter one stopped.
 """
 
 from __future__ import annotations
@@ -168,10 +173,11 @@ class GradedOp(Graded):
     """Window-truncated element of the graded operator completion.
 
     A component is a dict from x-degree n to the coefficient of x^n d^(n+t);
-    ``xcaps`` adds the per-order exactness caps.
+    ``xcaps`` adds the per-order exactness caps. ``_factor``, once set, holds
+    the operator's :class:`Factor` and is no part of its value.
     """
 
-    __slots__ = ("xcaps",)
+    __slots__ = ("xcaps", "_factor")
 
     def __init__(self, k, components, floor, top, xcaps=None):
         comps = {}
@@ -265,7 +271,8 @@ class GradedOp(Graded):
         return GradedOp(self.k, comps, new_floor, self.top, caps)
 
     def component_as_op(self, t: int) -> "GradedOp":
-        """The order-t component alone, keeping its exactness cap."""
+        """The order-t component alone, keeping its exactness cap and sharing
+        this operator's factor."""
         comp = {t: dict(self.components.get(t, {}))}
         caps = {}
         cap = self.xcap(t)
@@ -274,7 +281,7 @@ class GradedOp(Graded):
                                   {"floor": self.floor, "order": t})
         if cap != INF:
             caps[t] = cap
-        return GradedOp(self.k, comp, None, t, caps)
+        return Factor.of(self).share(GradedOp(self.k, comp, None, t, caps))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -553,40 +560,10 @@ def _from_lanes(k: int, lanes, den: int) -> CycloScalar:
     return _make(k, tuple([Fraction(x, den) if x else _ZERO for x in lanes]))
 
 
-def _nu_lanes(comp: dict[int, CycloScalar], t: int, jmax: int, k: int,
-              start: int = 0) -> tuple[int, list[list[int]]]:
-    """D and the lanes of D * nu(j), j = start..jmax, for nu as in :func:`_comp_nu`.
-
-    As perm(j, m) = comb(j, m) * m!, nu is a polynomial in j whose forward
-    differences at j = 0 are c_m = m! * a_(m-t). A row of the difference table
-    holds Delta^m nu(j) for every m; the step j -> j+1 adds Delta^(m+1) nu(j)
-    to each entry, and the top entry stays constant. D is the lcm of the
-    component's denominators, so it does not depend on ``start``.
-    """
-    den, lanes = _lanes(k, comp.values())
-    ms = [n + t for n in comp]
-    count = max(0, jmax + 1 - start)
-    cols = []
-    for lane in lanes:
-        if not any(lane):
-            cols.append([0] * count)
-            continue
-        row = [0] * (max(ms) + 1)
-        for m, a in zip(ms, lane):
-            row[m] = a * math.factorial(m)
-        col = []
-        for j in range(jmax + 1):
-            if j >= start:
-                col.append(row[0])
-            row = [*map(add, row, row[1:]), row[-1]]
-        cols.append(col)
-    return den, cols
-
-
 def _comp_of_lanes(k: int, lanes, den: int, t: int) -> dict[int, CycloScalar]:
     """The order-t component whose nu(j) is (lanes[i][j - max(0, t)] / den)_i.
 
-    The inverse of :func:`_nu_lanes`: m! * D * a_(m-t) is the m-th forward
+    The inverse of :meth:`Factor.nu`: m! * D * a_(m-t) is the m-th forward
     difference of D * nu at j = 0, where nu(j) is zero for j < max(0, t).
     Each nonzero coefficient is divided back once, by D * m!.
     """
@@ -609,12 +586,11 @@ def _comp_of_lanes(k: int, lanes, den: int, t: int) -> dict[int, CycloScalar]:
     return out
 
 
-def _comp_nu(comp: dict[int, CycloScalar], t: int, jmax: int, k: int,
-             start: int = 0) -> list[CycloScalar]:
-    """Diagonal action values nu(j) = sum_n a_n * perm(j, n+t), j = start..jmax."""
-    den, cols = _nu_lanes(comp, t, jmax, k, start)
+def _comp_nu(comp: dict[int, CycloScalar], t: int, jmax: int, k: int) -> list[CycloScalar]:
+    """Diagonal action values nu(j) = sum_n a_n * perm(j, n+t), j = 0..jmax."""
+    den, lanes = Factor(k, {t: comp}, {}).nu(t, jmax)
     zero = CycloScalar.zero(k)
-    return [_from_lanes(k, vals, den) if any(vals) else zero for vals in zip(*cols)]
+    return [_from_lanes(k, vals, den) if any(vals) else zero for vals in zip(*lanes)]
 
 
 def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]:
@@ -659,13 +635,39 @@ def _lane_mul(phi: tuple[int, ...], a, b) -> list[list[int]]:
     return [x if x is not None else [0] * n for x in out[:d]]
 
 
+def _difference_rows(comp: dict[int, CycloScalar], t: int, k: int):
+    """D and, per lane, the difference-table row of D * nu at j = 0, for nu as
+    in :func:`_comp_nu`.
+
+    As perm(j, m) = comb(j, m) * m!, nu is a polynomial in j whose forward
+    differences at j = 0 are c_m = m! * a_(m-t). A row holds Delta^m nu(j) up
+    to the lane's degree; the step j -> j+1 adds Delta^(m+1) nu(j) to each
+    entry, and the top entry stays constant. D is the lcm of the denominators.
+    """
+    den, lanes = _lanes(k, comp.values())
+    rows = []
+    for lane in lanes:
+        row = [0] * (max(comp, default=-t) + t + 1)
+        for n, a in zip(comp, lane):
+            row[n + t] = a * math.factorial(n + t)
+        while len(row) > 1 and not row[-1]:
+            row.pop()
+        rows.append(row)
+    return den, rows
+
+
 class Factor:
     """One side of a product: components, caps and their nu sequences.
 
-    ``comps`` and ``caps`` may be dicts that the caller keeps filling (the
-    order-by-order solves do); an absent cap means exact everywhere. The nu
+    Each :class:`GradedOp` has one factor, made by :meth:`of` on its first
+    product and kept in a slot that ``==``, hash, ``to_dict`` and ``str``
+    ignore; :meth:`share` gives the same factor to an operator that agrees
+    with it at every order it reads (a component view, or the result of an
+    order-by-order solve over ``comps`` and ``caps``, which may be dicts that
+    the solve keeps filling). An absent cap means exact everywhere. The nu
     sequence of each order is computed once, as integer lanes over one
-    denominator, and only extended when a later pair needs a longer one.
+    denominator, together with the difference-table row where it stopped, so
+    a later pair that needs a longer sequence resumes from there.
     """
 
     __slots__ = ("k", "comps", "caps", "nus")
@@ -675,7 +677,15 @@ class Factor:
 
     @classmethod
     def of(cls, A: GradedOp) -> "Factor":
-        return cls(A.k, A.components, A.xcaps)
+        try:
+            return A._factor
+        except AttributeError:
+            return cls(A.k, A.components, A.xcaps).share(A)._factor
+
+    def share(self, A: GradedOp) -> GradedOp:
+        """A, with this factor as its own."""
+        object.__setattr__(A, "_factor", self)
+        return A
 
     def cap(self, t: int):
         return self.caps.get(t, INF)
@@ -688,15 +698,18 @@ class Factor:
         component, and ``lanes`` is a tuple of exactly ``deg Phi_k`` equally
         long lists of ints. Extending a sequence keeps D_t.
         """
-        cached = self.nus.get(t)
-        if cached is None:
-            den, lanes = _nu_lanes(self.comps[t], t, jmax, self.k)
-            cached = self.nus[t] = (den, tuple(lanes))
-        elif len(cached[1][0]) <= jmax:
-            more = _nu_lanes(self.comps[t], t, jmax, self.k, len(cached[1][0]))[1]
-            for lane, new in zip(cached[1], more):
-                lane.extend(new)
-        return cached
+        entry = self.nus.get(t)
+        if entry is None:
+            den, rows = _difference_rows(self.comps[t], t, self.k)
+            entry = self.nus[t] = (den, tuple([] for _ in rows), rows)
+        den, lanes, rows = entry
+        for i, lane in enumerate(lanes):
+            row = rows[i]
+            for _ in range(len(lane), jmax + 1):
+                lane.append(row[0])
+                row = [*map(add, row, row[1:]), row[-1]]
+            rows[i] = row
+        return den, lanes
 
 
 def order_product(t: int, pairs, L: Factor, R: Factor):

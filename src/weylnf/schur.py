@@ -10,7 +10,9 @@ solved (the remaining term Q_q S_t = d^q S_t is the unknown). R_t is one call
 of the operator kernel's single-order product, ``operators.order_product``,
 on exactly these pairs, so its x-window follows the product rule
 min(xcap_Q(a), xcap_S(b) - a); the nu sequences of Q's components and of each
-solved S_b are computed once and reused by every later order.
+solved S_b are computed once and reused by every later order. Q and S keep
+the solve's factors (``operators.Factor``), as S^-1 keeps :func:`invert_unit`'s,
+so the verification products and the conjugation extend those sequences.
 
 Each homogeneous solve is an upward x-degree recurrence: the
 equation at degree m determines s_(m+q) with the nonzero factor
@@ -114,7 +116,7 @@ def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None,
             s_comps[t] = s
         s_caps[t] = X
 
-    S = GradedOp(k, s_comps, -depth, 0, s_caps)
+    S = right.share(GradedOp(k, s_comps, -depth, 0, s_caps))
     Sinv = invert_unit(S)
     verified = False
     if verify:
@@ -135,7 +137,12 @@ def _assert_is_d_power(Z: GradedOp, q: int):
 
 
 def invert_unit(S: GradedOp) -> GradedOp:
-    """Inverse of S = 1 + (negative orders), solved order by order."""
+    """Inverse T of S = 1 + (negative orders), solved order by order.
+
+    T_t is minus the sum of the one-pair products S_t1 * T_t2, t1 < 0, whose
+    operands are built once: S_t1 as a view sharing S's factor, T_t2 over
+    the solve's factor, which T keeps. No nu sequence is computed twice.
+    """
     k = S.k
     if S.top != 0 or S.components.get(0) != {0: CycloScalar.one(k)}:
         raise PreconditionError("invert_unit needs ord(S) = 0 with S_0 = 1")
@@ -143,24 +150,23 @@ def invert_unit(S: GradedOp) -> GradedOp:
     lo = floor if floor is not None else min(S.components, default=0)
     t_comps: dict[int, dict[int, CycloScalar]] = {0: {0: CycloScalar.one(k)}}
     t_caps: dict[int, int] = {}
+    tf = Factor(k, t_comps, t_caps)
+    ops1 = {t1: S.component_as_op(t1) for t1 in S.active_orders() if t1 < 0}
+    ops2 = {0: tf.share(GradedOp(k, {0: t_comps[0]}, None, 0))}
     for t in range(-1, lo - 1, -1):
         acc = GradedOp.zero(k)
         for t1 in range(max(lo, t), 0):
-            t2 = t - t1
-            if t2 > 0 or (t1 not in S.components and S.xcap(t1) == INF):
-                continue
-            caps1 = {} if S.xcap(t1) == INF else {t1: S.xcap(t1)}
-            op1 = GradedOp(k, {t1: dict(S.components.get(t1, {}))}, None, t1, caps1)
-            caps2 = {} if t2 not in t_caps else {t2: t_caps[t2]}
-            op2 = GradedOp(k, {t2: dict(t_comps.get(t2, {}))}, None, max(t2, 0), caps2)
-            acc = acc + op1 * op2
+            if t1 in ops1:
+                acc = acc + ops1[t1] * ops2[t - t1]
         comp = acc.components.get(t, {})
         if comp:
             t_comps[t] = {n: -c for n, c in comp.items()}
         cap = acc.xcap(t)
+        caps2 = {}
         if cap != INF:
-            t_caps[t] = int(cap)
-    T = GradedOp(k, t_comps, floor, 0, t_caps)
+            t_caps[t] = caps2[t] = int(cap)
+        ops2[t] = tf.share(GradedOp(k, {t: t_comps.get(t, {})}, None, 0, caps2))
+    T = tf.share(GradedOp(k, t_comps, floor, 0, t_caps))
     _assert_is_identity(S * T)
     _assert_is_identity(T * S)
     return T
@@ -200,6 +206,8 @@ def normal_form_report(P: GradedOp, Q: GradedOp, depth: int, margin: int = 8
         raise PreconditionError("P and Q must share a scalar context")
     p = P.ord()
     q = Q.ord()
+    if q <= 0:
+        raise PreconditionError("ord(Q) must be positive")
     if not P.is_monic():
         raise PreconditionError("P must be monic")
     _require_diffop(P, "P", p)

@@ -16,6 +16,7 @@ from weylnf.cli import main
 from weylnf.errors import ParseError, PreconditionError
 from weylnf.operators import GradedOp
 from weylnf.parsing import MAX_EXPONENT, evaluate, parse, parse_operator, to_text
+from weylnf.suites import SuiteResult
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -112,6 +113,32 @@ def test_cli_bad_cyclotomic_order(k, capsys):
     code, out = run_cli(["eval", "d", "--k", k], capsys)
     assert code == 3
     assert json.loads(out)["error"]["kind"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--p", "d^9", "--q", "9", "--depth", "4"],
+    ["normal-form", "--p", "d^3", "--q", "x", "--depth", "4"],
+])
+def test_cli_q_of_order_below_one_exits_3(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    err = json.loads(out)["error"]
+    assert code == 3 and err["kind"] == "PreconditionError"
+    assert err["message"] == "ord(Q) must be positive"
+
+
+def test_cli_failed_suite_ends_with_a_json_error(monkeypatch, capsys):
+    def planted(name, cases, seed, workers):
+        return SuiteResult(name=name, cases=cases, failures=["case 0: planted violation"])
+
+    monkeypatch.setattr(cli, "run_suite", planted)
+    code, out = run_cli(["verify", "--suite", "filtration", "--cases", "1"], capsys)
+    lines = out.splitlines()
+    assert code == 5
+    assert lines[:2] == ["suite filtration: 1 cases: FAILED (1 violations)",
+                         "  case 0: planted violation"]
+    err = json.loads(lines[-1])["error"]
+    assert err["kind"] == "PropertyViolation" and err["code"] == 5
+    assert "filtration" in err["message"]
 
 
 def test_cli_newton_bad_scalar_in_input(tmp_path, capsys):
@@ -553,6 +580,13 @@ def test_console_entry_point(cli_env):
                           capture_output=True, text=True, env=cli_env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x*d"
+
+
+def test_package_runs_as_a_module(cli_env):
+    proc = subprocess.run([sys.executable, "-m", "weylnf", "eval", "d"],
+                          capture_output=True, text=True, env=cli_env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "d"
 
 
 def test_console_verify_filtration_suite(cli_env):

@@ -167,14 +167,13 @@ def test_field_coefficient_products_match_oracles(k):
 # -- the nu transforms ---------------------------------------------------------
 
 
-def _reference_comp_nu(comp, t, jmax, k, start=0):
+def _reference_comp_nu(comp, t, jmax, k):
     zero = CycloScalar.zero(k)
-    nu = [zero] * (jmax + 1 - start)
+    nu = [zero] * (jmax + 1)
     for n, c in comp.items():
         m = n + t
-        for j in range(max(m, start), jmax + 1):
-            f = math.perm(j, m)
-            nu[j - start] = nu[j - start] + c * f
+        for j in range(m, jmax + 1):
+            nu[j] = nu[j] + c * math.perm(j, m)
     return nu
 
 
@@ -224,9 +223,8 @@ SHIFTS = st.integers(min_value=-6, max_value=6)
 def test_comp_nu_matches_reference(k, t, data):
     comp = _component(data, k, t)
     jmax = data.draw(st.integers(-1, 16))
-    start = data.draw(st.integers(0, 6))
-    got = _comp_nu(comp, t, jmax, k, start)
-    assert got == _reference_comp_nu(comp, t, jmax, k, start)
+    got = _comp_nu(comp, t, jmax, k)
+    assert got == _reference_comp_nu(comp, t, jmax, k)
     for v in got:
         _assert_scalar_invariant(v, k)
 
@@ -274,7 +272,8 @@ def test_factor_nu_extends_in_steps(k, t, data):
 
 def test_nu_transforms_of_empty_input():
     for k in (1, 3, 5):
-        assert _comp_nu({}, -2, 4, k, 2) == [CycloScalar.zero(k)] * 3
+        assert _comp_nu({}, -2, 4, k) == [CycloScalar.zero(k)] * 5
+        assert _comp_nu({0: CycloScalar.one(k)}, 0, -1, k) == []
         assert _nu_to_comp([], 2, k) == {}
         assert _nu_to_comp([CycloScalar.zero(k)] * 5, -1, k) == {}
 
@@ -368,6 +367,53 @@ def test_order_product_edge_cases():
     assert cap == math.inf and comp
     _assert_matches_reference(2, [(0, 2), (2, 0)], L, R)
     assert order_product(5, [], L, R) == ({}, math.inf)
+
+
+def _fresh(A):
+    """A copy of A with the same value and no factor."""
+    return GradedOp.from_dict(A.to_dict())
+
+
+def test_cached_factor_is_no_part_of_the_value():
+    k = 3
+    A = _field_op(random.Random(5), k, 5, 4).restrict(floor=-2, xcap=6)
+    B = _field_op(random.Random(6), k, 5, 4)
+    fresh = _fresh(A)
+    data, text, key = A.to_dict(), str(A), hash(A)
+    A * B
+    B * A.component_as_op(A.ord())
+    assert Factor.of(A).nus and not hasattr(fresh, "_factor")
+    assert A == fresh and fresh == A and hash(A) == hash(fresh) == key
+    assert A.to_dict() == data and str(A) == text
+    with pytest.raises(AttributeError):
+        A._factor = None
+    for t in A.active_orders():
+        view = A.component_as_op(t)
+        assert Factor.of(view) is Factor.of(A)
+        assert view == _fresh(view)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_warm_factor_products_match_fresh_copies(k):
+    rng = random.Random(40 + k)
+    resumed = 0
+    for _ in range(6):
+        A, B = _field_op(rng, k, 5, 4), _field_op(rng, k, 5, 4)
+        if rng.random() < 0.7:
+            A = A.restrict(floor=rng.randint(-3, 0), xcap=rng.randint(3, 8))
+        if rng.random() < 0.7:
+            B = B.restrict(floor=rng.randint(-3, 0), xcap=rng.randint(3, 8))
+        # Shorter products fill the sequences of A and B part way first.
+        A * B.restrict(xcap=1)
+        A.restrict(xcap=1) * B
+        before = {id(lane): len(lane) for F in (Factor.of(A), Factor.of(B))
+                  for _, lanes, _ in F.nus.values() for lane in lanes}
+        assert A * B == _fresh(A) * _fresh(B)
+        assert B * A == _fresh(B) * _fresh(A)
+        resumed += sum(len(lane) > before.get(id(lane), len(lane))
+                       for F in (Factor.of(A), Factor.of(B))
+                       for _, lanes, _ in F.nus.values() for lane in lanes)
+    assert resumed
 
 
 # -- queries -------------------------------------------------------------------

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from weylnf import schur
+from weylnf import operators, schur
 from weylnf.errors import NotAnHcpError, PreconditionError, TruncationError
 from weylnf.gform import check_Aqk
-from weylnf.operators import GradedOp, commutator
+from weylnf.operators import Factor, GradedOp, commutator
 from weylnf.parsing import parse_operator
 from weylnf.scalars import CycloScalar
 from weylnf.schur import invert_unit, normal_form, normal_form_report, schur_operator
@@ -53,6 +53,50 @@ def test_schur_gauge_extends_with_depth():
         b = schur_operator(Q, depth=9, xcap=18)
         assert a.S.agrees_with(b.S)
         assert a.Sinv.agrees_with(b.Sinv)
+
+
+def _assert_factor_describes(A):
+    F = Factor.of(A)
+    for t in A.active_orders():
+        assert F.comps.get(t, {}) == A.components.get(t, {})
+        assert F.cap(t) == A.xcap(t)
+
+
+def test_schur_builds_each_nu_sequence_once(monkeypatch):
+    builds = []
+    rows = operators._difference_rows
+
+    def counted(comp, t, k):
+        builds.append(t)
+        return rows(comp, t, k)
+
+    Q = parse_operator("d^3 + x*d + x^2")
+    monkeypatch.setattr(operators, "_difference_rows", counted)
+    pair = schur_operator(Q, depth=16, xcap=47)
+    assert pair.verified
+    comps = len(Q.components) + len(pair.S.components) + len(pair.Sinv.components)
+    assert len(builds) <= 2 * comps
+    # Once per component of Q, S, Sinv and the verification's Q S.
+    assert len(builds) <= comps + len((Q * pair.S).components)
+    # S and Sinv keep the factors of their solves, filled and describing them.
+    for A in (pair.S, pair.Sinv):
+        assert Factor.of(A).nus
+        _assert_factor_describes(A)
+
+
+def test_invert_unit_shares_its_factors():
+    S = GradedOp.one(1) + op(1, (2, 1, 1), (1, 0, 1), (3, 0, 2))
+    S = S.restrict(floor=-6, xcap=9)
+    T = invert_unit(S)
+    _assert_factor_describes(S)
+    _assert_factor_describes(T)
+    assert T == invert_unit(GradedOp.from_dict(S.to_dict()))
+
+
+@pytest.mark.parametrize("q_src", ["9", "x", "x^2 + 1"])
+def test_normal_form_rejects_a_q_of_order_below_one(q_src):
+    with pytest.raises(PreconditionError, match=r"ord\(Q\) must be positive"):
+        normal_form_report(parse_operator("d^3"), parse_operator(q_src), depth=4)
 
 
 def test_invert_unit_geometric_series():
