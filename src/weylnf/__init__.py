@@ -33,12 +33,10 @@ from .errors import (
 from .fixtures import generic_pair, kdv_pair, named_pair
 from .gform import (
     AqkReport,
-    EigenFunction,
     Hcp,
     HcpSeries,
     check_Aqk,
-    eigen,
-    eigen_eval,
+    eigenvalues,
     fit_hcp,
     hcp_mul,
     sdeg,

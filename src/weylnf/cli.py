@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the power (this subcommand's --k is the exponent)")
     p.add_argument("--oracle", action="store_true",
                    help="also run the rewriting oracle and compare")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_expand_power)
 
     p = sub.add_parser("verify", parents=[common], help="run the property suites")

@@ -22,7 +22,7 @@ from .gform import HcpSeries, Hcp
 from .linalg import nullspace
 from .newton import TopLineClass, Weight, classify_top_line, filtration_HS
 from .operators import Graded, GradedOp, INF, commutator
-from .scalars import CycloScalar
+from .scalars import CycloScalar, _join_signed
 from .schur import NormalFormResult, normal_form_report
 
 
@@ -65,8 +65,6 @@ class BivarPoly:
         return hash(tuple(sorted(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for (u, v) in sorted(self.terms, key=lambda uv: (-uv[0], -uv[1])):
             c = self.terms[(u, v)]
@@ -84,13 +82,7 @@ class BivarPoly:
             if factors and mag != 1:
                 body = f"{mag}*{body}"
             parts.append((body, c < 0))
-        out = []
-        for i, (body, neg) in enumerate(parts):
-            if i == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append((" - " if neg else " + ") + body)
-        return "".join(out)
+        return _join_signed(parts)
 
     def __repr__(self):
         return f"BivarPoly({self})"

@@ -7,16 +7,16 @@ A homogeneous operator of order r >= 0 that is an HCP can be written as
 with Gamma_l = (x d)^l, A_i = exp((xi^i - 1) x * d), B_j the projector onto
 x^(j-1) (scaled delta), and D^r = d^r. The order-zero factor acts diagonally
 on monomials: Gamma_l scales x^n by n^l, A_i by xi^(i n), B_j picks out
-n = j - 1. That diagonal action is the backbone here: an
-:class:`EigenFunction` (quasi-polynomial part plus a finitely supported
-correction) determines the HCP uniquely, products are pointwise products of
-eigenfunctions with the argument of the right factor shifted by the left
-order, and fitting a raw component recovers the presentation by exact
-quasi-polynomial interpolation with a verification margin. On each residue
-class n = rho (mod k) the eigenvalue is an ordinary polynomial in n, so
-:func:`fit_hcp` solves one small rational Vandermonde system per class,
-returns to the G-form by an inverse discrete Fourier transform over Q(xi),
-and still checks every remaining sample exactly.
+n = j - 1. That diagonal action is the backbone here: the eigenvalue
+mu(n) = sum f_{l,i} n^l xi^(i n) + g_(n+1) determines the HCP uniquely, and on
+each residue class n = rho (mod k) its quasi part is an ordinary polynomial
+in n. :func:`eigenvalues` is the one evaluator: a forward discrete Fourier
+transform gives the class polynomials, and :func:`_class_value` evaluates
+them by Horner. Products are pointwise products of eigenvalues with the
+argument of the right factor shifted by the left order. :func:`fit_hcp`
+solves one small rational Vandermonde system per class, returns to the
+G-form by the inverse transform over Q(xi), and checks every remaining
+sample exactly against its class polynomial.
 
 :func:`hcp_mul` forms one result order of a product from all of its pairs,
 as ``operators.order_product`` does for raw operators: each ``Hcp`` caches
@@ -144,9 +144,6 @@ class Hcp:
 
     # -- the diagonal action -------------------------------------------------------
 
-    def eigen(self) -> "EigenFunction":
-        return EigenFunction(self.k, dict(self.gamma), {j - 1: c for j, c in self.bpart.items()})
-
     def expand(self, xcap: int = 16) -> GradedOp:
         """Exact window expansion into x^n d^(n+r) coefficients.
 
@@ -156,8 +153,7 @@ class Hcp:
         """
         finite = not self.bpart and all(i == 0 for _, i in self.gamma)
         mmax = max((l for l, _ in self.gamma), default=0) if finite else xcap
-        eig = self.eigen()
-        mu = [eig.eval(m) for m in range(mmax + 1)]
+        mu = eigenvalues(self, range(mmax + 1))
         comp = _nu_to_comp(mu, 0, self.k)
         caps = {} if finite else {self.r: xcap}
         return GradedOp(self.k, {self.r: comp} if comp else {}, None, self.r, caps)
@@ -243,54 +239,42 @@ def _is_hcp_dict(h) -> bool:
             and rows_ok(h.get("f", []), 3) and rows_ok(h.get("g", []), 2))
 
 
-class EigenFunction:
-    """Diagonal action n -> sum f_{l,i} n^l xi^(i n)  +  correction(n)."""
+def _class_polys(k: int, gamma: dict) -> list[list[CycloScalar]]:
+    """The forward DFT c[rho][l] = sum_i f[l,i] xi^(i rho), rho = 0 .. k-1.
 
-    __slots__ = ("k", "quasi", "corr")
-
-    def __init__(self, k: int, quasi=None, corr=None):
-        q = {}
-        for (l, i), c in (quasi or {}).items():
-            c = as_scalar(k, c)
-            if not c.is_zero():
-                q[(l, i % k)] = c
-        c_ = {}
-        for n, c in (corr or {}).items():
-            if n < 0:
-                continue
-            c = as_scalar(k, c)
-            if not c.is_zero():
-                c_[n] = c
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "quasi", q)
-        object.__setattr__(self, "corr", c_)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EigenFunction is immutable")
-
-    def eval_quasi(self, n: int) -> CycloScalar:
-        total = CycloScalar.zero(self.k)
-        for (l, i), c in self.quasi.items():
-            term = c * (Fraction(n) ** l)
-            if i:
-                term = term * xi_pow(self.k, i * n)
-            total = total + term
-        return total
-
-    def eval(self, n: int) -> CycloScalar:
-        total = self.eval_quasi(n)
-        extra = self.corr.get(n)
-        return total + extra if extra is not None else total
+    On n = rho (mod k) the quasi part sum f[l,i] n^l xi^(i n) is the
+    polynomial sum_l c[rho][l] n^l; every list has max(l) + 1 entries.
+    """
+    zero = CycloScalar.zero(k)
+    polys = [[zero] * (max((l for l, _ in gamma), default=0) + 1) for _ in range(k)]
+    xis = [xi_pow(k, e) for e in range(k)]
+    for (l, i), c in gamma.items():
+        for rho, c_rho in enumerate(polys):
+            c_rho[l] = c_rho[l] + (c * xis[i * rho % k] if i else c)
+    return polys
 
 
-def eigen(H: Hcp) -> EigenFunction:
-    return H.eigen()
+def _class_value(polys: list[list[CycloScalar]], n: int) -> CycloScalar:
+    """p_(n mod k)(n) by Horner: rational times scalar only."""
+    c = polys[n % len(polys)]
+    acc = c[-1]
+    for l in range(len(c) - 2, -1, -1):
+        acc = acc * n + c[l]
+    return acc
 
 
-def eigen_eval(E: EigenFunction, n: int) -> CycloScalar:
-    if n < 0:
-        raise PreconditionError("eigenvalues are defined for n >= 0")
-    return E.eval(n)
+def eigenvalues(H: Hcp, ns) -> list[CycloScalar]:
+    """mu(n) = sum f[l,i] n^l xi^(i n) + g[n+1]: the action of H's order-zero
+    factor on x^n, for each n in ``ns``."""
+    polys = _class_polys(H.k, H.gamma)
+    out = []
+    for n in ns:
+        if n < 0:
+            raise PreconditionError("eigenvalues are defined for n >= 0")
+        v = _class_value(polys, n)
+        g = H.bpart.get(n + 1)
+        out.append(v if g is None else v + g)
+    return out
 
 
 def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
@@ -301,8 +285,8 @@ def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
     multiply term by term, on the factors' cached lanes (:func:`_gamma_lanes`)
     mod Phi_k; the integer shift weights also scale each pair from D1 * D2 to
     the lcm D of all pairs, and the sum is divided by D once. On the union of
-    the pairs' B supports the summed eigenfunction products, less the summed
-    quasi part, give the B correction.
+    the pairs' B supports the summed products of :func:`eigenvalues`, less
+    the result's quasi part, give the B correction.
     """
     pairs = [(H1, H2), *more]
     k, t = H1.k, H1.r + H2.r
@@ -344,10 +328,11 @@ def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
     gamma = {key: _from_lanes(k, vec, den) for key, vec in acc.items() if any(vec)}
     bpart = {}
     if support:
-        eigs = [(h1.eigen(), h2.eigen(), h1.r) for h1, h2 in pairs]
-        qp = EigenFunction(k, gamma)
-        for n in sorted(support):
-            v = sum((e1.eval(n) * e2.eval(n + r1) for e1, e2, r1 in eigs), -qp.eval_quasi(n))
+        ns = sorted(support)
+        mus = [(eigenvalues(h1, ns), eigenvalues(h2, [n + h1.r for n in ns])) for h1, h2 in pairs]
+        quasi = _class_polys(k, gamma)
+        for m, n in enumerate(ns):
+            v = sum((mu1[m] * mu2[m] for mu1, mu2 in mus), -_class_value(quasi, n))
             if v:
                 bpart[n + 1] = v
     return _make_hcp(k, t, gamma, bpart)
@@ -414,14 +399,6 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
         vander = [[CycloScalar.from_rational(k, n ** l) for l in range(dmax + 1)] for n in nodes]
         polys[n0 % k] = solve_square(vander, [mu[n] for n in nodes])
 
-    def class_value(n: int) -> CycloScalar:
-        """p_(n mod k)(n) by Horner: rational times scalar only."""
-        c = polys[n % k]
-        acc = c[dmax]
-        for l in range(dmax - 1, -1, -1):
-            acc = acc * n + c[l]
-        return acc
-
     # The inverse DFT, f[l,i] = (1/k) sum_rho c[l,rho] xi^(-i rho).
     xis = [xi_pow(k, e) for e in range(k)]
     quasi = {}
@@ -432,11 +409,11 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
                 quasi[(l, i)] = v / k
     bpart = {}
     for n in range(nbmax):
-        v = mu[n] - class_value(n)
+        v = mu[n] - _class_value(polys, n)
         if v:
             bpart[n + 1] = v
     for n in range(nbmax + ncols, upto + 1):
-        if mu[n] != class_value(n):
+        if mu[n] != _class_value(polys, n):
             raise NotAnHcpError(
                 f"component at order {r} is not an HCP within bounds "
                 f"dmax={dmax}, nbmax={nbmax} (verification failed at sample {n})")

@@ -56,7 +56,7 @@ from .errors import (
     TruncationError,
     UndefinedOrderError,
 )
-from .scalars import _ZERO, CycloScalar, _make, as_scalar, cyclotomic_poly
+from .scalars import _ZERO, CycloScalar, _join_signed, _make, as_scalar, cyclotomic_poly
 
 INF = math.inf
 
@@ -492,23 +492,15 @@ class GradedOp(Graded):
         return cls(k, comps, data.get("floor"), data["top"], caps)
 
     def _body_str(self) -> str:
-        if not self.components:
-            return "0"
         monos = sorted(self.monomials(), key=lambda m: (-m.ddeg, m.xdeg))
-        parts = [_monomial_str(m.coeff, m.xdeg, m.ddeg) for m in monos]
-        body = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                body += " - " + p[1:]
-            else:
-                body += " + " + p
-        return body
+        return _join_signed(_monomial_str(m.coeff, m.xdeg, m.ddeg) for m in monos)
 
     def __repr__(self):
         return f"GradedOp(k={self.k}, {self})"
 
 
-def _monomial_str(coeff: CycloScalar, xdeg: int, ddeg: int) -> str:
+def _monomial_str(coeff: CycloScalar, xdeg: int, ddeg: int) -> tuple[str, bool]:
+    """``(body, negative)`` of one monomial, as :func:`scalars._join_signed` takes it."""
     factors = []
     if xdeg == 1:
         factors.append("x")
@@ -520,15 +512,13 @@ def _monomial_str(coeff: CycloScalar, xdeg: int, ddeg: int) -> str:
         factors.append(f"d^{ddeg}")
     if coeff.is_rational():
         r = coeff.rational_value()
+        mag = abs(r)
         if not factors:
-            return str(r)
-        if r == 1:
-            return "*".join(factors)
-        if r == -1:
-            return "-" + "*".join(factors)
-        return f"{r}*" + "*".join(factors)
+            return str(mag), r < 0
+        body = "*".join(factors)
+        return (body if mag == 1 else f"{mag}*{body}"), r < 0
     cs = f"({coeff})"
-    return cs if not factors else cs + "*" + "*".join(factors)
+    return (cs if not factors else cs + "*" + "*".join(factors)), False
 
 
 # -- multiplication kernel -------------------------------------------------------

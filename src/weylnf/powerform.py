@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PreconditionError
+from .scalars import _join_signed
 
 Word = tuple[tuple[int, ...], int]  # (derivs, dpow)
 
@@ -224,8 +225,6 @@ def specialize(e: StdFormExpansion, D, L):
 
 def pretty(e: StdFormExpansion) -> str:
     """Render as `c*L(t1,t2)*D^l` terms, descending D power."""
-    if not e.terms:
-        return "0"
     parts = []
     for w in e.words():
         factors = []
@@ -242,10 +241,4 @@ def pretty(e: StdFormExpansion) -> str:
         elif mag != 1:
             body = f"{mag}*{body}"
         parts.append((body, w.coeff < 0))
-    out = []
-    for i, (body, neg) in enumerate(parts):
-        if i == 0:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append((" - " if neg else " + ") + body)
-    return "".join(out)
+    return _join_signed(parts)

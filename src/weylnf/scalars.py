@@ -245,15 +245,7 @@ class CycloScalar:
                 mag = abs(c)
                 body = base if mag == 1 else f"{mag}*{base}"
                 terms.append((body, c < 0))
-        if not terms:
-            return "0"
-        out = []
-        for idx, (body, neg) in enumerate(terms):
-            if idx == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append((" - " if neg else " + ") + body)
-        return "".join(out)
+        return _join_signed(terms)
 
     def __repr__(self):
         return f"CycloScalar(k={self.k}, {self})"
@@ -269,6 +261,16 @@ def _make(k: int, coeffs: tuple[Fraction, ...]) -> CycloScalar:
     _set_k(out, k)
     _set_coeffs(out, coeffs)
     return out
+
+
+def _join_signed(parts) -> str:
+    """``(body, negative)`` parts as ``a - b + c`` (``-a`` when the first is
+    negative), or "0" when there are none."""
+    out = []
+    for body, neg in parts:
+        sign = (" - " if neg else " + ") if out else ("-" if neg else "")
+        out.append(sign + body)
+    return "".join(out) or "0"
 
 
 def as_scalar(k: int, value) -> CycloScalar:

@@ -293,6 +293,8 @@ def test_limits_admit_their_own_value():
     (["eval", "9" * 5000], 2, "ParseError"),
     (["eval", "(" * 2000 + "x" + ")" * 2000], 3, "PreconditionError"),
     (["eval", "x*(" * 2000 + "x" + ")" * 2000], 3, "PreconditionError"),
+    # expand-power prints text only; it takes no --format.
+    (["expand-power", "--k", "2", "--format", "json"], 2, "UsageError"),
 ])
 def test_cli_malformed_input_is_a_json_error(argv, code, kind, capsys):
     got, out = run_cli(argv, capsys)

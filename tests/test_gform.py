@@ -1,4 +1,4 @@
-"""G-form components: expansion oracles, eigen action, products, fitting."""
+"""G-form components: expansion oracles, eigenvalues, products, fitting."""
 
 from fractions import Fraction
 import math
@@ -14,12 +14,10 @@ from weylnf.errors import (
     TruncationError,
 )
 from weylnf.gform import (
-    EigenFunction,
     Hcp,
     HcpSeries,
     check_Aqk,
-    eigen,
-    eigen_eval,
+    eigenvalues,
     fit_hcp,
     hcp_mul,
     sdeg,
@@ -74,35 +72,59 @@ def test_expand_projector_action():
             assert out == {}
 
 
-# -- eigen ---------------------------------------------------------------------
+# -- eigenvalues ---------------------------------------------------------------
 
 
 def test_eigen_examples():
     g2 = Hcp(1, 0, {(2, 0): 1})
-    assert eigen_eval(eigen(g2), 3) == S(1, 9)
+    assert eigenvalues(g2, [3]) == [S(1, 9)]
     a1 = Hcp(2, 0, {(0, 1): 1})
-    for n in range(8):
-        assert eigen_eval(eigen(a1), n) == S(2, (-1) ** n)
+    assert eigenvalues(a1, range(8)) == [S(2, (-1) ** n) for n in range(8)]
     b2 = Hcp(1, 0, bpart={2: 1})
-    assert eigen_eval(eigen(b2), 1) == S(1, 1)
-    assert eigen_eval(eigen(b2), 2) == S(1, 0)
+    assert eigenvalues(b2, [1, 2]) == [S(1, 1), S(1, 0)]
+    assert eigenvalues(b2, []) == []
+    with pytest.raises(PreconditionError):
+        eigenvalues(Hcp(3, 1, {(1, 2): 1}, {1: 1}), [-1])
+
+
+def _from_definitions(H, xcap):
+    """H as an operator series built from the definitions, not from its
+    eigenvalues: Gamma_l = (x d)^l, A_i = sum_m ((xi^i - 1)^m / m!) x^m d^m,
+    B_j = x^(j-1) B_1 d^(j-1) / (j-1)! with B_1 = sum_m ((-1)^m / m!) x^m d^m,
+    all followed by d^r."""
+    k = H.k
+
+    def exp_xd(base):  # exp(base * x d) = sum_m (base^m / m!) x^m d^m
+        comp = {m: base ** m * Fraction(1, math.factorial(m)) for m in range(xcap + 1)}
+        return GradedOp(k, {0: {m: c for m, c in comp.items() if c}}, None, 0, {0: xcap})
+
+    xd = GradedOp.from_monomials(k, [(1, 1, 1)])
+    total = GradedOp.zero(k)
+    for (l, i), c in H.gamma.items():
+        total = total + (xd ** l * exp_xd(xi_pow(k, i) - 1)).scalar_mul(c)
+    for j, c in H.bpart.items():
+        bj = GradedOp.x_op(k, j - 1) * exp_xd(S(k, -1)) * GradedOp.d_op(k, j - 1)
+        total = total + bj.scalar_mul(c * Fraction(1, math.factorial(j - 1)))
+    return total * GradedOp.d_op(k, H.r)
 
 
 def test_eigen_matches_action():
+    # k up to 6: the forward DFT's xi powers reduce mod Phi_k of degree 1, 2
+    # and 4, with k > deg Phi_k from k = 2 on.
     rng = random.Random(23)
-    for _ in range(40):
-        k = rng.choice([1, 2, 3])
+    for _ in range(60):
+        k = rng.choice([1, 2, 3, 4, 5, 6])
         r = rng.randint(0, 2)
-        H = Hcp(k, r,
-                {(rng.randint(0, 3), rng.randint(0, k - 1)): rng.randint(-3, 3) for _ in range(2)},
-                {rng.randint(1, 3): rng.randint(-2, 2)})
-        E = H.eigen()
-        G = H.expand(xcap=14)
-        for n in range(r, 12):
-            out = G.apply_to_poly(poly_from_pairs(k, [(n, 1)]), through_degree=12)
-            expect = E.eval(n - r) * math.perm(n, r)
-            got = out.get(n - r, S(k, 0))
-            assert got == expect
+        H = Hcp(k, r, {(rng.randint(0, 3), rng.randint(0, k - 1)): _rand_scalar(rng, k)
+                       for _ in range(2)},
+                {rng.randint(1, 5): rng.randint(-2, 2)})
+        mu = eigenvalues(H, range(12 - r))
+        for G in (H.expand(xcap=14), _from_definitions(H, xcap=16)):
+            for n in range(r, 12):
+                out = G.apply_to_poly(poly_from_pairs(k, [(n, 1)]), through_degree=12)
+                expect = mu[n - r] * math.perm(n, r)
+                got = out.get(n - r, S(k, 0))
+                assert got == expect
 
 
 # -- products --------------------------------------------------------------------
@@ -227,9 +249,10 @@ def _reference_hcp_mul(H1, H2):
     bpart = {}
     support = {j - 1 for j in H1.bpart} | {j - 1 - r1 for j in H2.bpart if j - 1 >= r1}
     if support:
-        e1, e2, qp = H1.eigen(), H2.eigen(), EigenFunction(k, gamma)
-        for n in sorted(support):
-            v = e1.eval(n) * e2.eval(n + r1) - qp.eval_quasi(n)
+        ns = sorted(support)
+        mu1, mu2 = eigenvalues(H1, ns), eigenvalues(H2, [n + r1 for n in ns])
+        for n, a, b, q in zip(ns, mu1, mu2, eigenvalues(Hcp(k, 0, gamma), ns)):
+            v = a * b - q
             if v:
                 bpart[n + 1] = v
     return Hcp(k, r1 + H2.r, gamma, bpart)
@@ -443,8 +466,9 @@ def _dense_fit(C, dmax, nbmax, r):
     mu = _comp_nu(C.components.get(r, {}), 0, samples[-1], k)
     matrix = [[xi_pow(k, i * n) * n ** l for l, i in cols] for n in samples]
     sol = solve_square(matrix, [mu[n] for n in samples])
-    quasi = EigenFunction(k, dict(zip(cols, sol)))
-    return Hcp(k, r, quasi.quasi, {n + 1: mu[n] - quasi.eval_quasi(n) for n in range(nbmax)})
+    gamma = dict(zip(cols, sol))
+    quasi = eigenvalues(Hcp(k, r, gamma), range(nbmax))
+    return Hcp(k, r, gamma, {n + 1: mu[n] - quasi[n] for n in range(nbmax)})
 
 
 def test_fit_matches_dense_system():
