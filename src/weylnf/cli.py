@@ -15,7 +15,7 @@ import sys
 from .criterion import BivarPoly, bc_certificate, classify_pair
 from .errors import ParseError, PreconditionError, PropertyViolation, UsageError, WeylnfError
 from .fixtures import named_pair
-from .gform import HcpSeries, check_Aqk
+from .gform import EXPANSION_XCAP, HcpSeries, check_Aqk
 from .newton import classify_top_line, e_set, newton_report, render_svg
 from .operators import GradedOp, commutator
 from .parsing import parse_operator
@@ -24,7 +24,6 @@ from .schur import normal_form_report, schur_operator
 from .suites import run_all, run_suite
 
 
-EXPANSION_XCAP = 16  # --xcap when it is not given (schur then solves to 24 + ord Q)
 MAX_XCAP = 256  # largest --xcap
 MAX_DEPTH = 64  # largest --depth
 MAX_WMAX = 64  # largest --wmax of classify and bc-find

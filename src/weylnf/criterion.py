@@ -22,7 +22,7 @@ from .gform import HcpSeries, Hcp
 from .linalg import nullspace
 from .newton import TopLineClass, Weight, classify_top_line, filtration_HS
 from .operators import Graded, GradedOp, INF, commutator
-from .scalars import CycloScalar, _join_signed
+from .scalars import CycloScalar, _join_signed, _signed_term
 from .schur import NormalFormResult, normal_form_report
 
 
@@ -67,21 +67,7 @@ class BivarPoly:
     def __str__(self):
         parts = []
         for (u, v) in sorted(self.terms, key=lambda uv: (-uv[0], -uv[1])):
-            c = self.terms[(u, v)]
-            factors = []
-            if u == 1:
-                factors.append("X")
-            elif u > 1:
-                factors.append(f"X^{u}")
-            if v == 1:
-                factors.append("Y")
-            elif v > 1:
-                factors.append(f"Y^{v}")
-            mag = abs(c)
-            body = "*".join(factors) if factors else str(mag)
-            if factors and mag != 1:
-                body = f"{mag}*{body}"
-            parts.append((body, c < 0))
+            parts.append(_signed_term(self.terms[(u, v)], [("X", u), ("Y", v)]))
         return _join_signed(parts)
 
     def __repr__(self):
@@ -175,11 +161,13 @@ class BCResult:
 def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult | None:
     """Minimal-weight nonzero F with F(P, Q) = 0 on the whole window, if any.
 
-    The nullspace search runs on coefficients at orders within ``depth`` of
-    the top; a candidate is accepted only if its evaluation vanishes on the
+    For each candidate weight w the nullspace search runs on coefficients
+    at orders w - depth .. w within the common window, and adds lower
+    orders of it one at a time while the nullspace has more than one
+    vector. A candidate is accepted only if its evaluation vanishes on the
     entire common window, and the result is flagged re-verified when that
-    window reaches at least twice the search depth. Absence of a certificate
-    is bounded evidence only, never a nonexistence proof.
+    window reaches at least twice the search depth below w. Absence of a
+    certificate is bounded evidence only, never a nonexistence proof.
     """
     if wmax < 0:
         raise PreconditionError("wmax must be nonnegative")
@@ -192,36 +180,33 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
     monos = sorted(((u, v) for u in range(wmax // p + 1) for v in range(wmax // q + 1)
                     if p * u + q * v <= wmax),
                    key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
-    evals: dict[tuple[int, int], GradedOp] = {}
     p_pows = {0: GradedOp.one(k)}
     q_pows = {0: GradedOp.one(k)}
-    for (u, v) in monos:
-        evals[(u, v)] = _power(p_pows, P, u) * _power(q_pows, Q, v)
+    evals = {(u, v): _power(p_pows, P, u) * _power(q_pows, Q, v) for u, v in monos}
+    common_floor = max(e.floor_eff() for e in evals.values())
+    lowest = max(common_floor, min(min(e.components, default=0) for e in evals.values()))
 
-    maxord = max(p * u + q * v for u, v in monos)
-    floors = [e.floor_eff() for e in evals.values()]
-    common_floor = max(floors)
-    search_floor = max(maxord - depth, common_floor)
-    if search_floor == -INF:
-        search_floor = min((min(e.components, default=0) for e in evals.values()))
-    search_floor = int(search_floor)
+    blocks: dict[int, list] = {}  # order -> its rows, one column per monomial
 
-    rows = []
-    for t in range(search_floor, maxord + 1):
-        cap = min((e.xcap(t) for e in evals.values()))
-        ns = set()
-        for e in evals.values():
-            ns |= set(e.components.get(t, {}))
-        for n in sorted(ns):
-            if n > cap:
-                continue
-            rows.append([e.components.get(t, {}).get(n, CycloScalar.zero(k))
-                         for e in (evals[m] for m in monos)])
-    weights = sorted({p * u + q * v for u, v in monos})
-    for wcap in weights:
+    def rows_at(t: int) -> list:
+        if t not in blocks:
+            cap = min(e.xcap(t) for e in evals.values())
+            ns = sorted({n for e in evals.values() for n in e.components.get(t, {}) if n <= cap})
+            zero = CycloScalar.zero(k)
+            blocks[t] = [[evals[m].components.get(t, {}).get(n, zero) for m in monos]
+                         for n in ns]
+        return blocks[t]
+
+    for wcap in sorted({p * u + q * v for u, v in monos}):
         cols = [i for i, (u, v) in enumerate(monos) if p * u + q * v <= wcap]
-        sub = [[row[i] for i in cols] for row in rows]
+        lo = max(wcap - depth, common_floor)
+        sub = _on_columns([row for t in range(lo, wcap + 1) for row in rows_at(t)], cols)
         basis = nullspace(sub, len(cols))
+        while len(basis) > 1 and lo > lowest:
+            lo -= 1
+            more = _on_columns(rows_at(lo), cols)
+            if more:
+                basis = _restrict(basis, more)
         for vec in basis:
             poly = BivarPoly({monos[cols[i]]: vec[i].rational_value()
                               for i in range(len(cols)) if vec[i]})
@@ -234,10 +219,39 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
                 continue
             lead = max(poly.terms, key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
             poly = poly.scale(1 / poly.terms[lead])
-            reverified = common_floor == -INF or common_floor <= maxord - 2 * depth
+            reverified = common_floor == -INF or common_floor <= wcap - 2 * depth
             return BCResult(poly=poly, weight=poly.weighted_degree(p, q),
-                            search_floor=search_floor, reverified=reverified)
+                            search_floor=lo, reverified=reverified)
     return None
+
+
+def _on_columns(rows: list, cols: list[int]) -> list:
+    """``rows`` restricted to the columns ``cols``, without those that vanish there."""
+    sliced = ([row[i] for i in cols] for row in rows)
+    return [row for row in sliced if any(row)]
+
+
+def _restrict(basis: list, rows: list) -> list:
+    """The combinations of the nullspace ``basis`` of some rows that ``rows``
+    annihilate. They are the basis :func:`nullspace` returns for both sets
+    of rows together, as both are one on their own free column and zero on
+    the other free columns, in ascending order."""
+    zero = CycloScalar.zero(basis[0][0].k)
+    products = []
+    for row in rows:
+        support = [(i, x) for i, x in enumerate(row) if x]
+        products.append([sum((x * vec[i] for i, x in support if vec[i]), zero)
+                         for vec in basis])
+    out = []
+    for c in nullspace(products, len(basis)):
+        combo = [zero] * len(basis[0])
+        for cj, vec in zip(c, basis):
+            if cj:
+                for i, b in enumerate(vec):
+                    if b:
+                        combo[i] = combo[i] + cj * b
+        out.append(combo)
+    return out
 
 
 @dataclass

@@ -45,6 +45,9 @@ from .operators import (INF, Graded, GradedOp, _comp_nu, _from_lanes, _lane_mul,
 from .scalars import CycloScalar, as_scalar, cyclotomic_poly, xi_pow
 
 
+EXPANSION_XCAP = 16  # the x-window of an infinite expansion when none is given
+
+
 class Hcp:
     """A single homogeneous component in G-form (order r >= 0)."""
 
@@ -144,7 +147,7 @@ class Hcp:
 
     # -- the diagonal action -------------------------------------------------------
 
-    def expand(self, xcap: int = 16) -> GradedOp:
+    def expand(self, xcap: int = EXPANSION_XCAP) -> GradedOp:
         """Exact window expansion into x^n d^(n+r) coefficients.
 
         Pure Gamma content expands to finitely many monomials and the result
@@ -183,7 +186,7 @@ class Hcp:
 
     @classmethod
     def from_dict(cls, k: int, data: dict) -> "Hcp":
-        from .scalars import parse_scalar
+        from .parsing import parse_scalar
         gamma = {(l, i): parse_scalar(k, s) for l, i, s in data.get("f", [])}
         bpart = {j: parse_scalar(k, s) for j, s in data.get("g", [])}
         return cls(k, data["r"], gamma, bpart)
@@ -551,7 +554,7 @@ class HcpSeries(Graded):
 
     # -- expansion and serialization -------------------------------------------------------
 
-    def expand(self, xcap: int = 16) -> GradedOp:
+    def expand(self, xcap: int = EXPANSION_XCAP) -> GradedOp:
         comps = {}
         caps = {}
         for t, h in self.components.items():

@@ -56,7 +56,8 @@ from .errors import (
     TruncationError,
     UndefinedOrderError,
 )
-from .scalars import _ZERO, CycloScalar, _join_signed, _make, as_scalar, cyclotomic_poly
+from .scalars import (_ZERO, CycloScalar, _join_signed, _make, _signed_term, as_scalar,
+                      cyclotomic_poly)
 
 INF = math.inf
 
@@ -473,7 +474,7 @@ class GradedOp(Graded):
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradedOp":
-        from .scalars import parse_scalar
+        from .parsing import parse_scalar
         k = data["k"]
         comps = {}
         caps = {}
@@ -501,24 +502,10 @@ class GradedOp(Graded):
 
 def _monomial_str(coeff: CycloScalar, xdeg: int, ddeg: int) -> tuple[str, bool]:
     """``(body, negative)`` of one monomial, as :func:`scalars._join_signed` takes it."""
-    factors = []
-    if xdeg == 1:
-        factors.append("x")
-    elif xdeg > 1:
-        factors.append(f"x^{xdeg}")
-    if ddeg == 1:
-        factors.append("d")
-    elif ddeg > 1:
-        factors.append(f"d^{ddeg}")
+    powers = [("x", xdeg), ("d", ddeg)]
     if coeff.is_rational():
-        r = coeff.rational_value()
-        mag = abs(r)
-        if not factors:
-            return str(mag), r < 0
-        body = "*".join(factors)
-        return (body if mag == 1 else f"{mag}*{body}"), r < 0
-    cs = f"({coeff})"
-    return (cs if not factors else cs + "*" + "*".join(factors)), False
+        return _signed_term(coeff.rational_value(), powers)
+    return _signed_term(1, [(f"({coeff})", 1)] + powers)
 
 
 # -- multiplication kernel -------------------------------------------------------

@@ -1,15 +1,22 @@
-"""Operator expression grammar: parser, printer, evaluator.
+"""Expression grammar for every exact literal: parser, printer, evaluator.
 
     expr   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
-    factor := atom ['^' nat]
-    atom   := rational | 'xi' | 'x' | 'd' | gform | '(' expr ')' | '-' atom
+    factor := '-' factor | atom ['^' nat]
+    atom   := rational | 'xi' | 'x' | 'd' | gform | '(' expr ')'
     gform  := 'G' '{' 'r=' int (';' ('f[' nat ',' nat ']=' scalar
                                     | 'g[' nat ']=' scalar))* '}'
+    scalar := an expr without 'x', 'd' or G-forms
 
 `d` denotes the derivative, `xi` the root of unity of the ambient
 cyclotomic order (an error when no order is set), and rationals require an
-explicit `/`. Whitespace is insignificant; errors carry line and column.
+explicit `/`. Unary minus binds looser than `^`: `-a^n` is `-(a^n)`.
+Whitespace is insignificant; errors carry line and column.
+
+The scalars of a G-form and of the JSON files read by
+:meth:`GradedOp.from_dict` and :meth:`Hcp.from_dict` (:func:`parse_scalar`)
+are read by the same parser and evaluator as operators, in a scalar context
+that rejects `x`, `d` and `G` at their token.
 
 An exponent (after `^`, and the power `l` of n in `f[l,i]`) is at most
 :data:`MAX_EXPONENT`, and so is the product of the exponents of nested
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .gform import Hcp
+from .gform import EXPANSION_XCAP, Hcp
 from .operators import GradedOp
 from .scalars import CycloScalar, xi_pow
 
@@ -153,9 +160,10 @@ def _tokenize(src: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, src: str):
+    def __init__(self, src: str, scalar: bool = False):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.scalar = scalar  # reading a scalar: no x, d or G-forms
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -214,6 +222,9 @@ class _Parser:
         return node
 
     def factor(self):
+        if self.peek().kind == "-":
+            self.next()
+            return Neg(self.factor())
         node = self.atom()
         if self.peek().kind == "^":
             self.next()
@@ -222,9 +233,6 @@ class _Parser:
 
     def atom(self):
         t = self.peek()
-        if t.kind == "-":
-            self.next()
-            return Neg(self.atom())
         if t.kind == "nat":
             num = self.nat()
             if self.peek().kind == "/":
@@ -241,6 +249,8 @@ class _Parser:
             self.expect(")")
             return node
         if t.kind == "name":
+            if self.scalar and t.text in ("x", "d", "G"):
+                raise ParseError(f"expected a scalar, got {t.text!r}", t.line, t.col)
             if t.text == "xi":
                 self.next()
                 return Xi()
@@ -281,54 +291,24 @@ class _Parser:
                 i = self.nat()
                 self.expect("]")
                 self.expect("=")
-                fentries.append((l, i, self.scalar_expr()))
+                fentries.append((l, i, self.coefficient()))
             elif name.text == "g":
                 self.expect("[")
                 j = self.nat()
                 self.expect("]")
                 self.expect("=")
-                gentries.append((j, self.scalar_expr()))
+                gentries.append((j, self.coefficient()))
             else:
                 raise ParseError(f"expected 'f' or 'g', got {name.text!r}",
                                  name.line, name.col)
         self.expect("}")
         return GFormLit(r, tuple(fentries), tuple(gentries))
 
-    def scalar_expr(self):
-        """Additive scalar expression of rationals and xi powers."""
-        node = self.scalar_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.scalar_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+    def coefficient(self):
+        self.scalar = True
+        node = self.expr()
+        self.scalar = False
         return node
-
-    def scalar_term(self):
-        node = self.scalar_atom()
-        while self.peek().kind == "*":
-            self.next()
-            node = Mul(node, self.scalar_atom())
-        return node
-
-    def scalar_atom(self):
-        t = self.peek()
-        if t.kind == "-":
-            self.next()
-            return Neg(self.scalar_atom())
-        if t.kind == "nat":
-            return self.atom()
-        if t.kind == "name" and t.text == "xi":
-            self.next()
-            if self.peek().kind == "^":
-                self.next()
-                return Pow(Xi(), self.exponent())
-            return Xi()
-        if t.kind == "(":
-            self.next()
-            node = self.scalar_expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"expected a scalar, got {t.text!r}", t.line, t.col)
 
 
 def _power_weight(node) -> int:
@@ -355,7 +335,7 @@ def parse(src: str):
 # prints at that level, its right one a level higher, and the whole is
 # parenthesised when printed above it. A flat chain such as x + x + ... + x
 # parses to a left-nested tree as deep as the chain is long, so the printer
-# and the evaluators walk left spines in a loop and recurse only into right
+# and the evaluator walk left spines in a loop and recurse only into right
 # operands.
 _BINARY = {Add: (operator.add, " + ", 0), Sub: (operator.sub, " - ", 0),
            Mul: (operator.mul, "*", 1)}
@@ -384,7 +364,7 @@ def _print_chain(node, level: int) -> str:
 
 
 def _print(node, level: int) -> str:
-    # levels: 0 additive, 1 multiplicative, 2 power/atom
+    # levels: 0 additive, 1 multiplicative, 2 factor, 3 base of a power
     if isinstance(node, Num):
         s = str(node.value)
         return f"({s})" if "/" in s and level >= 2 else s
@@ -404,29 +384,18 @@ def _print(node, level: int) -> str:
     if type(node) in _BINARY:
         return _print_chain(node, level)
     if isinstance(node, Pow):
-        return f"{_print(node.base, 2)}^{node.exp}"
-    if isinstance(node, Neg):
-        return f"-{_print(node.arg, 2)}"
-    raise TypeError(f"not an AST node: {node!r}")
+        s = f"{_print(node.base, 3)}^{node.exp}"
+    elif isinstance(node, Neg):
+        s = f"-{_print(node.arg, 2)}"
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    return f"({s})" if level > 2 else s
 
 
 # -- evaluator ---------------------------------------------------------------------------
 
 
-def _fold_spine(node, value):
-    """``value`` of each operand of the left-nested chain at ``node``,
-    combined left to right."""
-    rights = []
-    while type(node) in _BINARY:
-        rights.append(node)
-        node = node.left
-    acc = value(node)
-    for link in reversed(rights):
-        acc = _BINARY[type(link)][0](acc, value(link.right))
-    return acc
-
-
-def evaluate(node, k: int | None = None, xcap: int = 16) -> GradedOp:
+def evaluate(node, k: int | None = None, xcap: int = EXPANSION_XCAP) -> GradedOp:
     """Evaluate the AST to a graded operator.
 
     ``k`` is the cyclotomic order; expressions mentioning xi (or G-form
@@ -457,13 +426,20 @@ def _eval(node, k_opt, k: int, xcap: int) -> GradedOp:
                 raise PreconditionError("G-form A_i entry needs a cyclotomic order (--k)")
             if i >= k:
                 raise PreconditionError(f"A index {i} is out of range for k={k}")
-            gamma[(l, i)] = _eval_scalar(sc, k)
-        bpart = {j: _eval_scalar(sc, k) for j, sc in node.gentries}
+            gamma[(l, i)] = _constant(sc, k_opt, k)
+        bpart = {j: _constant(sc, k_opt, k) for j, sc in node.gentries}
         if node.r < 0:
             raise PreconditionError("G-form orders r < 0 are out of scope")
         return Hcp(k, node.r, gamma, bpart).expand(xcap)
-    if type(node) in _BINARY:
-        return _fold_spine(node, lambda n: _eval(n, k_opt, k, xcap))
+    if type(node) in _BINARY:  # a left-nested chain, combined left to right
+        rights = []
+        while type(node) in _BINARY:
+            rights.append(node)
+            node = node.left
+        acc = _eval(node, k_opt, k, xcap)
+        for link in reversed(rights):
+            acc = _BINARY[type(link)][0](acc, _eval(link.right, k_opt, k, xcap))
+        return acc
     if isinstance(node, Pow):
         return _eval(node.base, k_opt, k, xcap) ** node.exp
     if isinstance(node, Neg):
@@ -471,22 +447,21 @@ def _eval(node, k_opt, k: int, xcap: int) -> GradedOp:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _eval_scalar(node, k: int) -> CycloScalar:
-    if isinstance(node, Num):
-        return CycloScalar.from_rational(k, node.value)
-    if isinstance(node, Xi):
-        return xi_pow(k, 1)
-    if type(node) in _BINARY:
-        return _fold_spine(node, lambda n: _eval_scalar(n, k))
-    if isinstance(node, Pow):
-        return _eval_scalar(node.base, k) ** node.exp
-    if isinstance(node, Neg):
-        return -_eval_scalar(node.arg, k)
-    raise PreconditionError("operator symbols are not allowed inside G-form scalars")
+def _constant(node, k_opt, k: int) -> CycloScalar:
+    """The value of the scalar AST ``node``: the constant term of its operator."""
+    return _eval(node, k_opt, k, 0).components.get(0, {}).get(0, CycloScalar.zero(k))
 
 
-def parse_operator(src: str, k: int | None = None, xcap: int = 16) -> GradedOp:
+def parse_operator(src: str, k: int | None = None, xcap: int = EXPANSION_XCAP) -> GradedOp:
     try:
         return evaluate(parse(src), k, xcap)
+    except RecursionError:
+        raise PreconditionError("expression nests too deeply to parse and evaluate") from None
+
+
+def parse_scalar(k: int, text: str) -> CycloScalar:
+    """The scalar ``text`` of Q(xi_k), such as the rendering ``1/2 + 3*xi^2``."""
+    try:
+        return _constant(_Parser(text, scalar=True).parse(), k, k)
     except RecursionError:
         raise PreconditionError("expression nests too deeply to parse and evaluate") from None

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PreconditionError
-from .scalars import _join_signed
+from .scalars import _join_signed, _signed_term
 
 Word = tuple[tuple[int, ...], int]  # (derivs, dpow)
 
@@ -227,18 +227,8 @@ def pretty(e: StdFormExpansion) -> str:
     """Render as `c*L(t1,t2)*D^l` terms, descending D power."""
     parts = []
     for w in e.words():
-        factors = []
+        powers = [("D", w.dpow)]
         if w.derivs:
-            factors.append("L(" + ",".join(str(t) for t in w.derivs) + ")")
-        if w.dpow == 1:
-            factors.append("D")
-        elif w.dpow > 1:
-            factors.append(f"D^{w.dpow}")
-        mag = abs(w.coeff)
-        body = "*".join(factors)
-        if not factors:
-            body = str(mag)
-        elif mag != 1:
-            body = f"{mag}*{body}"
-        parts.append((body, w.coeff < 0))
+            powers.insert(0, ("L(" + ",".join(str(t) for t in w.derivs) + ")", 1))
+        parts.append(_signed_term(w.coeff, powers))
     return _join_signed(parts)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ContextMismatchError, DivisionByZeroError, ParseError, PreconditionError
+from .errors import ContextMismatchError, DivisionByZeroError, PreconditionError
 
 Rational = Fraction
 
@@ -234,18 +234,7 @@ class CycloScalar:
         return hash((self.k, self.coeffs))
 
     def __str__(self):
-        terms = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                terms.append((str(abs(c)), c < 0))
-            else:
-                base = "xi" if e == 1 else f"xi^{e}"
-                mag = abs(c)
-                body = base if mag == 1 else f"{mag}*{base}"
-                terms.append((body, c < 0))
-        return _join_signed(terms)
+        return _join_signed(_signed_term(c, [("xi", e)]) for e, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return f"CycloScalar(k={self.k}, {self})"
@@ -271,6 +260,25 @@ def _join_signed(parts) -> str:
         sign = (" - " if neg else " + ") if out else ("-" if neg else "")
         out.append(sign + body)
     return "".join(out) or "0"
+
+
+def _signed_term(c, powers) -> tuple[str, bool]:
+    """``(body, negative)`` of ``c`` times ``name^e`` for each ``(name, e)`` of
+    ``powers``, as :func:`_join_signed` takes it; a factor ``name^0``, an
+    exponent ``^1`` and a magnitude ``1*`` are left out."""
+    factors = []
+    for name, e in powers:
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    mag = abs(c)
+    if not factors:
+        return str(mag), c < 0
+    body = "*".join(factors)
+    if mag != 1:
+        body = f"{mag}*{body}"
+    return body, c < 0
 
 
 def as_scalar(k: int, value) -> CycloScalar:
@@ -330,45 +338,3 @@ def xi_pow(k: int, e: int) -> CycloScalar:
 def inv(a: CycloScalar) -> CycloScalar:
     return a.inv()
 
-
-def parse_scalar(k: int, text: str) -> CycloScalar:
-    """Parse the canonical rendering, e.g. ``1/2 + 3*xi^2`` or ``-xi``."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ParseError("empty scalar")
-    i = 0
-    total = CycloScalar.zero(k)
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    while i <= len(s):
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        term = s[i:j]
-        if not term:
-            raise ParseError(f"bad scalar syntax in {text!r}")
-        total = total + sign * _parse_scalar_term(k, term, text)
-        if j >= len(s):
-            break
-        sign = -1 if s[j] == "-" else 1
-        i = j + 1
-    return total
-
-
-def _parse_scalar_term(k: int, term: str, original: str) -> CycloScalar:
-    try:
-        coeff = Fraction(1)
-        rest = term
-        if "*" in term:
-            head, rest = term.split("*", 1)
-            coeff = Fraction(head)
-        if not rest.startswith("xi"):
-            return CycloScalar.from_rational(k, Fraction(rest) * coeff)
-        tail = rest[2:]
-        if tail and not tail.startswith("^"):
-            raise ParseError(f"bad scalar syntax in {original!r}")
-        return coeff * xi_pow(k, int(tail[1:]) if tail else 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad scalar syntax in {original!r}") from exc

@@ -59,8 +59,7 @@ def _require_diffop(A: GradedOp, name: str, max_ddeg: int):
                     f"{name} has a monomial of d-degree {n + t}, above its order")
 
 
-def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None,
-                   verify: bool = True) -> SchurPair:
+def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None) -> SchurPair:
     """Compute S with S^-1 Q S = d^q exact down to ``depth`` orders below q.
 
     Q must be monic and normalized with ord(Q) = deg(Q) = q > 0. Q may carry
@@ -118,12 +117,8 @@ def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None,
 
     S = right.share(GradedOp(k, s_comps, -depth, 0, s_caps))
     Sinv = invert_unit(S)
-    verified = False
-    if verify:
-        Z = Sinv * (Q * S)
-        _assert_is_d_power(Z, q)
-        verified = True
-    return SchurPair(S=S, Sinv=Sinv, q=q, depth=depth, xcap=X, verified=verified)
+    _assert_is_d_power(Sinv * (Q * S), q)
+    return SchurPair(S=S, Sinv=Sinv, q=q, depth=depth, xcap=X, verified=True)
 
 
 def _assert_is_d_power(Z: GradedOp, q: int):

@@ -1,13 +1,14 @@
 """Parser round trips, CLI behavior, exit codes, golden files."""
 
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 import io
 import json
 import os
 import subprocess
 import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -15,7 +16,9 @@ from weylnf import cli, parsing
 from weylnf.cli import main
 from weylnf.errors import ParseError, PreconditionError
 from weylnf.operators import GradedOp
-from weylnf.parsing import MAX_EXPONENT, evaluate, parse, parse_operator, to_text
+from weylnf.parsing import (MAX_EXPONENT, Add, DSym, GFormLit, Mul, Neg, Num, Pow, Sub, Xi,
+                            XSym, evaluate, parse, parse_operator, to_text)
+from weylnf.scalars import CycloScalar
 from weylnf.suites import SuiteResult
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -53,6 +56,11 @@ CORPUS = [
     "G{r=0; f[0,1]=1+xi}",
     "G{r=0; f[2,1]=-1/2+2*xi^2}",
     "d^10",
+    "-(d^2)",
+    "(d^2)^3",
+    "(-d)^2",
+    "x*-d^2",
+    "-(-x)^3",
 ]
 
 
@@ -68,6 +76,61 @@ def test_round_trip_evaluates_identically(src):
     a = evaluate(parse(src), k=3, xcap=10)
     b = evaluate(parse(to_text(parse(src))), k=3, xcap=10)
     assert a == b
+
+
+SCALAR_LEAVES = st.one_of(st.fractions(min_value=0, max_value=9, max_denominator=4).map(Num),
+                          st.just(Xi()))
+
+
+def _branches(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(pairs.map(lambda ab: Add(*ab)), pairs.map(lambda ab: Sub(*ab)),
+                     pairs.map(lambda ab: Mul(*ab)), children.map(Neg),
+                     st.tuples(children, st.integers(0, 3)).map(lambda be: Pow(*be)))
+
+
+SCALAR_ASTS = st.recursive(SCALAR_LEAVES, _branches, max_leaves=6)
+GFORM_LITERALS = st.builds(
+    GFormLit, st.integers(-2, 3),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), SCALAR_ASTS), max_size=2).map(tuple),
+    st.lists(st.tuples(st.integers(1, 3), SCALAR_ASTS), max_size=2).map(tuple))
+ASTS = st.recursive(SCALAR_LEAVES | st.sampled_from([XSym(), DSym()]) | GFORM_LITERALS,
+                    _branches, max_leaves=10)
+
+
+@given(ASTS)
+@settings(max_examples=300, deadline=None)
+def test_printed_ast_parses_back(ast):
+    # Nested powers past MAX_EXPONENT are refused by the parser, by design.
+    assume(parsing._power_weight(ast) <= MAX_EXPONENT)
+    assert parse(to_text(ast)) == ast
+
+
+def test_minus_binds_looser_than_power():
+    assert parse("-d^2") == Neg(Pow(DSym(), 2))
+    assert parse_operator("-d^2") == -GradedOp.d_op(1, 2)
+    assert parse_operator("-xi^2", k=3) == parse_operator("G{r=0; f[0,0]=-xi^2}", k=3)
+    A = parse_operator("x - d^2")
+    assert str(A) == "-d^2 + x" and parse_operator(str(A)) == A
+
+
+@st.composite
+def total_operators(draw):
+    """A total operator over Q(xi_k), k in {1, 2, 3, 5}, whose leading
+    monomial (d-degree 5 or 6) has a rational, often negative, coefficient."""
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeff = st.lists(fracs, min_size=k, max_size=k).map(lambda c: CycloScalar(k, c))
+    monos = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4), coeff), max_size=4))
+    lead = (draw(st.integers(0, 2)), draw(st.sampled_from([5, 6])),
+            draw(st.sampled_from([-1, -2, Fraction(-1, 2), 1])))
+    return GradedOp.from_monomials(k, monos + [lead])
+
+
+@given(total_operators())
+@settings(max_examples=200, deadline=None)
+def test_printed_operator_parses_back(A):
+    assert parse_operator(str(A), A.k) == A
 
 
 def test_parse_examples():
@@ -141,15 +204,53 @@ def test_cli_failed_suite_ends_with_a_json_error(monkeypatch, capsys):
     assert "filtration" in err["message"]
 
 
-def test_cli_newton_bad_scalar_in_input(tmp_path, capsys):
+def _newton_with_scalar(scalar, tmp_path, capsys):
+    """Exit code and JSON error of ``newton`` on the golden normal form with
+    its first G-form scalar replaced by ``scalar``."""
     with open(os.path.join(GOLDEN, "normal_form_generic.json")) as fh:
         data = json.load(fh)
-    data["series"]["components"]["0"]["f"][0][2] = "1/0"
+    data["series"]["components"]["0"]["f"][0][2] = scalar
     inp = tmp_path / "bad.json"
     inp.write_text(json.dumps(data))
     code, out = run_cli(["newton", "--input", str(inp)], capsys)
-    assert code == 2
-    assert json.loads(out)["error"]["kind"] == "ParseError"
+    return code, json.loads(out)["error"]
+
+
+def test_cli_newton_bad_scalar_in_input(tmp_path, capsys):
+    code, err = _newton_with_scalar("1/0", tmp_path, capsys)
+    assert code == 2 and err["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("scalar, code, message", [
+    ("xi^99", 3, "exponent 99 at line 1, col 4 exceeds the maximum 64"),
+    ("0.5", 2, "unexpected character '.' (line 1, col 2)"),
+    ("+1", 2, "expected an atom, got '+' (line 1, col 1)"),
+    ("2*x", 2, "expected a scalar, got 'x' (line 1, col 3)"),
+], ids=["xi^99", "0.5", "+1", "2*x"])
+def test_cli_newton_input_scalars_use_the_operator_grammar(scalar, code, message, tmp_path,
+                                                           capsys):
+    got, err = _newton_with_scalar(scalar, tmp_path, capsys)
+    assert (got, err["message"]) == (code, message)
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["eval", "--", "-d^2"], 0, "-d^2"),
+    (["eval", "--", "-x^2*d + d"], 0, "d - x^2*d"),
+    (["eval", "G{r=0; f[0,0]=xi}"], 3,
+     {"kind": "PreconditionError", "message": "xi used without a cyclotomic order (--k)"}),
+    (["eval", "G{r=0; f[0,0]=x}"], 2,
+     {"kind": "ParseError", "message": "expected a scalar, got 'x' (line 1, col 15)"}),
+    (["eval", "G{r=0; g[1]=G{r=0}}"], 2,
+     {"kind": "ParseError", "message": "expected a scalar, got 'G' (line 1, col 13)"}),
+], ids=["-d^2", "-x^2*d+d", "gform-xi", "gform-x", "gform-G"])
+def test_cli_eval_one_grammar(argv, code, out, capsys):
+    got, text = run_cli(argv, capsys)
+    assert got == code
+    if code:
+        err = json.loads(text)["error"]
+        assert {key: err[key] for key in out} == out
+    else:
+        assert text.strip() == out
 
 
 def _newton_error(path, capsys):

@@ -1,12 +1,14 @@
 """Pipeline pieces: decomposition, identities, evaluation, certificates."""
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
 
 from weylnf.criterion import (
     BivarPoly,
+    _restrict,
     bc_certificate,
     classify_pair,
     evaluate_poly,
@@ -17,7 +19,10 @@ from weylnf.criterion import (
 from weylnf.errors import PreconditionError
 from weylnf.fixtures import airy_like_pair, generic_pair, kdv_pair, power_pair
 from weylnf.gform import Hcp, HcpSeries
+from weylnf.linalg import nullspace
 from weylnf.operators import GradedOp, commutator
+from weylnf.parsing import parse_operator
+from weylnf.scalars import CycloScalar
 
 
 def F(d):
@@ -106,6 +111,70 @@ def test_bc_certificate_kdv():
 def test_bc_certificate_none_for_noncommuting():
     P, Q = generic_pair()
     assert bc_certificate(P, Q, wmax=12, depth=8) is None
+
+
+@pytest.mark.parametrize("wmax", [12, 16, 24])
+def test_bc_certificate_is_minimal_at_any_wmax(wmax):
+    # The rows follow each candidate weight, not wmax: at wmax 24 the search
+    # once returned the reducible X^2*Y - Y^4.
+    L = parse_operator("d^2 + x")
+    res = bc_certificate(L ** 3, L ** 2, wmax=wmax, depth=8)
+    assert res is not None and res.poly == X2_Y3 and res.weight == 12
+
+
+@pytest.mark.parametrize("depth", [8, 12])
+def test_bc_certificate_reaches_the_constant_column(depth):
+    # The constant column is zero on orders 4..12; the search adds lower
+    # orders until the nullspace is one vector (at depth 8 it found none).
+    L = parse_operator("d^2 + x")
+    res = bc_certificate(L ** 3 + GradedOp.from_scalar(1, 2), L ** 2, wmax=12, depth=depth)
+    assert res is not None
+    assert str(res.poly) == "X^2 - 4*X - Y^3 + 4"
+
+
+def test_bc_certificate_is_irreducible_for_a_lower_order_term():
+    L = parse_operator("d^2 + x")
+    res = bc_certificate(L ** 3 + L, L ** 2, wmax=24, depth=8)
+    assert res is not None and str(res.poly) == "X^2 - Y^3 - 2*Y^2 - Y"
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_restricted_basis_is_the_nullspace_of_all_rows(seed):
+    # bc_certificate adds rows to a nullspace through _restrict; the basis
+    # must be the one nullspace returns for all the rows at once.
+    rng = random.Random(seed)
+    k, ncols = rng.choice([1, 3]), rng.randint(2, 7)
+
+    def row():
+        return [CycloScalar(k, [rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(2)])
+                for _ in range(ncols)]
+
+    first = [row() for _ in range(rng.randint(1, ncols - 1))]
+    more = [row() for _ in range(rng.randint(1, 3))]
+    more.append([a + b for a, b in zip(more[0], first[0])])  # a dependent row
+    basis = nullspace(first, ncols)
+    assert basis
+    assert _restrict(basis, more) == nullspace(first + more, ncols)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bc_certificate_oracle_burchnall_chaundy(seed):
+    """P = L^a + c and Q = L^b with gcd(a, b) = 1 satisfy exactly
+    (X - c)^b - Y^a = 0, the minimal relation (Burchnall and Chaundy, Proc.
+    London Math. Soc. (2) 21, 1923), for every wmax from its weight on."""
+    rng = random.Random(seed)
+    a, b = rng.choice([(1, 2), (2, 1), (3, 2), (2, 3), (3, 1)])
+    c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    a0, a1, a2 = (Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3))
+    L = GradedOp.from_monomials(1, [(0, 2, 1), (0, 0, a0), (1, 0, a1), (2, 0, a2)])
+    P, Q = L ** a + GradedOp.from_scalar(1, c), L ** b
+    terms = {(u, 0): Fraction(math.comb(b, u)) * (-c) ** (b - u) for u in range(b + 1)}
+    terms[(0, a)] = terms.get((0, a), 0) - 1
+    want = BivarPoly(terms)
+    weight = 2 * a * b
+    for wmax in range(weight, weight + 9):
+        res = bc_certificate(P, Q, wmax=wmax, depth=8)
+        assert res is not None and res.poly == want, (a, b, c, L, wmax)
 
 
 def test_hs_check_s0_example():

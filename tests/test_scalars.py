@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylnf.errors import ContextMismatchError, DivisionByZeroError, ParseError, PreconditionError
-from weylnf.scalars import CycloScalar, cyclotomic_poly, parse_scalar, xi_pow
+from weylnf.parsing import parse_scalar
+from weylnf.scalars import CycloScalar, cyclotomic_poly, xi_pow
 
 
 def naive_mod_xk_minus_1(k, a, b):
@@ -145,6 +146,14 @@ def test_rendering_round_trip():
     ]
     for a in cases:
         assert parse_scalar(a.k, str(a)) == a
+
+
+@given(st.integers(min_value=1, max_value=8),
+       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_rendering_round_trip_random(k, coeffs):
+    a = CycloScalar(k, coeffs or [0])
+    assert parse_scalar(k, str(a)) == a
 
 
 def test_rendering_examples():
