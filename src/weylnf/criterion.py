@@ -201,7 +201,7 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
         cols = [i for i, (u, v) in enumerate(monos) if p * u + q * v <= wcap]
         lo = max(wcap - depth, common_floor)
         sub = _on_columns([row for t in range(lo, wcap + 1) for row in rows_at(t)], cols)
-        basis = nullspace(sub, len(cols))
+        basis = nullspace(sub, len(cols), k)
         while len(basis) > 1 and lo > lowest:
             lo -= 1
             more = _on_columns(rows_at(lo), cols)
@@ -243,7 +243,7 @@ def _restrict(basis: list, rows: list) -> list:
         products.append([sum((x * vec[i] for i, x in support if vec[i]), zero)
                          for vec in basis])
     out = []
-    for c in nullspace(products, len(basis)):
+    for c in nullspace(products, len(basis), zero.k):
         combo = [zero] * len(basis[0])
         for cj, vec in zip(c, basis):
             if cj:

@@ -19,9 +19,9 @@ G-form by the inverse transform over Q(xi), and checks every remaining
 sample exactly against its class polynomial.
 
 :func:`hcp_mul` forms one result order of a product from all of its pairs,
-as ``operators.order_product`` does for raw operators: each ``Hcp`` caches
-its G-form coefficients as integer lanes, the pairs are multiplied and
-summed in integers mod Phi_k, and each result coefficient is divided once.
+as ``operators.order_product`` does for raw operators: a pair of terms is
+one product mod Phi_k of the integer vectors each ``Hcp`` caches, each result
+coefficient is divided once, and a product keeps its vectors for the next.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .errors import (
     TruncationError,
 )
 from .linalg import solve_square
-from .operators import (INF, Graded, GradedOp, _comp_nu, _from_lanes, _lane_mul, _lanes,
-                        _nu_to_comp, product_floor)
+from .operators import (INF, Graded, GradedOp, _comp_nu, _from_lanes, _lanes, _nu_to_comp,
+                        product_floor)
 from .scalars import CycloScalar, as_scalar, cyclotomic_poly, xi_pow
 
 
@@ -285,11 +285,11 @@ def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
 
     mu(n) = mu1(n) * mu2(n + r1): after the shift (n + r1)^l2 = sum_s C(l2, s)
     r1^(l2-s) n^s and xi^(i2 (n + r1)) = xi^(i2 r1) xi^(i2 n) the quasi parts
-    multiply term by term, on the factors' cached lanes (:func:`_gamma_lanes`)
-    mod Phi_k; the integer shift weights also scale each pair from D1 * D2 to
-    the lcm D of all pairs, and the sum is divided by D once. On the union of
-    the pairs' B supports the summed products of :func:`eigenvalues`, less
-    the result's quasi part, give the B correction.
+    multiply term by term, as products mod Phi_k of integer vectors (:func:`_terms`)
+    that the shift weights scale to the lcm D of the pairs' D1 * D2. The gcd of
+    D and the sums is divided out once, and the result keeps the sums as its
+    vectors. On the union of the pairs' B supports the summed products of
+    :func:`eigenvalues`, less the result's quasi part, give the B correction.
     """
     pairs = [(H1, H2), *more]
     k, t = H1.k, H1.r + H2.r
@@ -301,34 +301,32 @@ def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
         if r1 + h2.r != t:
             raise PreconditionError("the pairs of one product must share their total order")
         if h1.gamma and h2.gamma:
-            live.append((r1, _gamma_lanes(h1), _gamma_lanes(h2)))
+            live.append((r1, _terms(h1), _terms(h2)))
         if h1.bpart or h2.bpart:
             support.update(j - 1 for j in h1.bpart)
             support.update(j - 1 - r1 for j in h2.bpart if j - 1 >= r1)
-    phi, xis = cyclotomic_poly(k), _xi_lanes(k)
-    den = math.lcm(*[g1[0] * g2[0] for _, g1, g2 in live])
+    vmul, xis = _ring(k)
+    den = math.lcm(*[d1 * d2 for _, (d1, _), (d2, _) in live])
     acc: dict[tuple[int, int], list[int]] = {}
-    for r1, (d1, keys1, lanes1), (d2, keys2, lanes2) in live:
-        if r1 % k and any(i2 for _, i2 in keys2):
-            lanes2 = _lane_mul(phi, lanes2, [[lane[i2 * r1 % k] for _, i2 in keys2] for lane in xis])
-        n1, n2, scale = len(keys1), len(keys2), den // (d1 * d2)
-        if n2 > 1:
-            lanes1 = [[x for x in lane for _ in keys2] for lane in lanes1]
-        if n1 > 1:
-            lanes2 = [lane * n1 for lane in lanes2]
-        prod = list(zip(*_lane_mul(phi, lanes1, lanes2)))
-        for b, (l2, i2) in enumerate(keys2):
-            # The nonzero shift weights: with r1 = 0 only s = l2 is left.
-            shift = [(s, scale * math.comb(l2, s) * r1 ** (l2 - s))
-                     for s in range(0 if r1 else l2, l2 + 1)]
-            for a, (l1, i1) in enumerate(keys1):
-                vec, i3 = prod[a * n2 + b], (i1 + i2) % k
+    for r1, (d1, terms1), (d2, terms2) in live:
+        scale, e1 = den // (d1 * d2), r1 % k
+        for l2, i2, v2 in terms2:
+            if e1 and i2:
+                v2 = vmul(v2, xis[i2 * e1 % k])
+            shift = _shift_weights(l2, r1)
+            if scale != 1:
+                shift = [(s, scale * w) for s, w in shift]
+            for l1, i1, v1 in terms1:
+                p, i3 = vmul(v1, v2), (i1 + i2) % k
                 for s, w in shift:
-                    key = (l1 + s, i3)
-                    prev = acc.get(key)
-                    acc[key] = ([w * x for x in vec] if prev is None
-                                else [p + w * x for p, x in zip(prev, vec)])
-    gamma = {key: _from_lanes(k, vec, den) for key, vec in acc.items() if any(vec)}
+                    a = acc.setdefault((l1 + s, i3), [0] * len(p))
+                    for j, x in enumerate(p):
+                        a[j] += w * x
+    terms = [(l, i, tuple(a)) for (l, i), a in sorted(acc.items()) if any(a)]
+    if den > 1 and (g := math.gcd(den, *[x for _, _, vec in terms for x in vec])) > 1:
+        den //= g
+        terms = [(l, i, tuple([x // g for x in vec])) for l, i, vec in terms]
+    gamma = {(l, i): _from_lanes(k, vec, den) for l, i, vec in terms}
     bpart = {}
     if support:
         ns = sorted(support)
@@ -338,24 +336,48 @@ def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
             v = sum((mu1[m] * mu2[m] for mu1, mu2 in mus), -_class_value(quasi, n))
             if v:
                 bpart[n + 1] = v
-    return _make_hcp(k, t, gamma, bpart)
+    out = _make_hcp(k, t, gamma, bpart)
+    _set_lanes(out, (den, terms))
+    return out
 
 
-def _gamma_lanes(h: Hcp):
-    """``(D, keys, lanes)``: f[keys[m]] has coefficient i lanes[i][m] / D, D the
-    lcm of the denominators; kept in a slot that ``==``, hash and ``to_dict`` ignore."""
-    try:
-        return h._lane_cache
-    except AttributeError:
+def _terms(h: Hcp):
+    """``(D, [(l, i, vec)])``: vec holds D * f[l,i].coeffs, D the lcm of the
+    denominators; kept in a slot that ``==``, hash and ``to_dict`` ignore."""
+    if not hasattr(h, "_lane_cache"):
         den, lanes = _lanes(h.k, h.gamma.values())
-        _set_lanes(h, (den, list(h.gamma), tuple(lanes)))
-        return h._lane_cache
+        _set_lanes(h, (den, [(l, i, vec) for (l, i), vec in zip(h.gamma, zip(*lanes))]))
+    return h._lane_cache
 
 
 @lru_cache(maxsize=None)
-def _xi_lanes(k: int) -> list[list[int]]:
-    """Lane i holds coefficient i of xi^e, e = 0 .. k-1 (read only: it is shared)."""
-    return _lanes(k, [xi_pow(k, e) for e in range(k)])[1]
+def _ring(k: int):
+    """``(mul, xis)``: the product of two coefficient vectors mod Phi_k, in closed form
+    for deg Phi_k = d <= 2, else folded down by the monic Phi_k; and xi^e, e < k."""
+    phi = cyclotomic_poly(k)
+    d = len(phi) - 1
+    xis = tuple(tuple([int(c) for c in xi_pow(k, e).coeffs]) for e in range(k))
+    if d == 1:
+        return (lambda a, b: (a[0] * b[0],)), xis
+    if d == 2:
+        p0, p1 = phi[0], phi[1]
+        return (lambda a, b: (a[0] * b[0] - p0 * a[1] * b[1],
+                              a[0] * b[1] + a[1] * b[0] - p1 * a[1] * b[1])), xis
+
+    def mul(a, b):
+        out = [sum(a[i] * b[e - i] for i in range(max(0, e - d + 1), min(e, d - 1) + 1))
+               for e in range(2 * d - 1)]
+        for e in range(2 * d - 2, d - 1, -1):
+            for i in range(d):
+                out[e - d + i] -= out[e] * phi[i]
+        return tuple(out[:d])
+    return mul, xis
+
+
+@lru_cache(maxsize=None)
+def _shift_weights(l2: int, r1: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (s, C(l2, s) r1^(l2-s)) of (n + r1)^l2: with r1 = 0 only s = l2."""
+    return tuple((s, math.comb(l2, s) * r1 ** (l2 - s)) for s in range(0 if r1 else l2, l2 + 1))
 
 
 def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = None) -> Hcp:
@@ -450,14 +472,16 @@ class HcpSeries(Graded):
     __slots__ = ()
 
     def __init__(self, k: int, components: dict[int, Hcp], floor=None, top=None):
-        comps = {}
         for t, h in components.items():
             if h.k != k:
                 raise ContextMismatchError("component context mismatch")
             if h.r != t:
                 raise PreconditionError(f"component at order {t} has r={h.r}")
-            if not h.is_zero():
-                comps[t] = h
+        self._set_components(k, components, floor, top)
+
+    def _set_components(self, k: int, components: dict[int, Hcp], floor, top):
+        """Store checked components, without the zero ones, in a normalised window."""
+        comps = {t: h for t, h in components.items() if h.gamma or h.bpart}
         if floor is not None:
             floor = max(floor, 0)
             if top is None:
@@ -528,7 +552,7 @@ class HcpSeries(Graded):
         if not isinstance(other, HcpSeries):
             return NotImplemented
         self._check_ctx(other)
-        floor = product_floor(self, other)  # clamped at 0 by __init__
+        floor = product_floor(self, other)  # clamped at 0 by _set_components
         top = self.top + other.top
         pairs: dict[int, list[tuple[Hcp, Hcp]]] = {}
         for t1, h1 in self.components.items():
@@ -537,7 +561,7 @@ class HcpSeries(Graded):
                 if floor is None or t >= floor:
                     pairs.setdefault(t, []).append((h1, h2))
         comps = {t: hcp_mul(*plist[0], plist[1:]) for t, plist in pairs.items()}
-        return HcpSeries(self.k, comps, floor, top)
+        return _make_series(self.k, comps, floor, top)
 
     def __eq__(self, other):
         if not isinstance(other, HcpSeries):
@@ -596,6 +620,13 @@ class HcpSeries(Graded):
 
     def __repr__(self):
         return f"HcpSeries(k={self.k}, orders={sorted(self.components, reverse=True)})"
+
+
+def _make_series(k: int, components: dict[int, Hcp], floor=None, top=None) -> HcpSeries:
+    """Unchecked ``HcpSeries``: each component has context k and r equal to its order."""
+    out = object.__new__(HcpSeries)
+    out._set_components(k, components, floor, top)
+    return out
 
 
 def check_Aqk(P: HcpSeries, kk: int, enforce_growth: bool = True) -> AqkReport:

@@ -47,8 +47,8 @@ def solve_square(matrix: list[list[CycloScalar]], rhs: list[CycloScalar]) -> lis
     return [row[n] for row in a]
 
 
-def nullspace(matrix: list[list[CycloScalar]], ncols: int) -> list[list[CycloScalar]]:
-    """Basis of the right nullspace of ``matrix`` (rows may number zero).
+def nullspace(matrix: list[list[CycloScalar]], ncols: int, k: int) -> list[list[CycloScalar]]:
+    """Basis of the right nullspace over Q(xi_k) of ``matrix`` (rows may number zero).
 
     Columns are kept in their given order; free columns produce one basis
     vector each, in ascending column order.
@@ -57,7 +57,6 @@ def nullspace(matrix: list[list[CycloScalar]], ncols: int) -> list[list[CycloSca
         raise PreconditionError("ragged matrix")
     rows = [list(r) for r in matrix if any(r)]
     pivots = _rref(rows, ncols)
-    k = matrix[0][0].k if matrix and ncols else 1
     zero, one = CycloScalar.zero(k), CycloScalar.one(k)
     basis = []
     for fc in range(ncols):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .gform import Hcp, HcpSeries, _make_hcp, check_Aqk
+from .gform import Hcp, HcpSeries, _make_hcp, _make_series, check_Aqk
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def _filtration(L: HcpSeries, d: Fraction, m: int | None, w: Weight) -> HcpSerie
         gamma = {key: c for key, c in h.gamma.items() if lo <= key[0] <= hi}
         if gamma:
             comps[j] = _make_hcp(L.k, j, gamma, {})
-    return HcpSeries(L.k, comps, L.floor, L.top)
+    return _make_series(L.k, comps, L.floor, L.top)
 
 
 def convex_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

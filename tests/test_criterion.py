@@ -149,12 +149,12 @@ def test_restricted_basis_is_the_nullspace_of_all_rows(seed):
         return [CycloScalar(k, [rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(2)])
                 for _ in range(ncols)]
 
-    first = [row() for _ in range(rng.randint(1, ncols - 1))]
+    first = [row() for _ in range(rng.randint(0, ncols - 1))]
     more = [row() for _ in range(rng.randint(1, 3))]
-    more.append([a + b for a, b in zip(more[0], first[0])])  # a dependent row
-    basis = nullspace(first, ncols)
+    more.append([a + b for a, b in zip(more[0], (first or more)[0])])  # a dependent row
+    basis = nullspace(first, ncols, k)
     assert basis
-    assert _restrict(basis, more) == nullspace(first + more, ncols)
+    assert _restrict(basis, more) == nullspace(first + more, ncols, k)
 
 
 @pytest.mark.parametrize("seed", range(10))

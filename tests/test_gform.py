@@ -1,12 +1,16 @@
 """G-form components: expansion oracles, eigenvalues, products, fitting."""
 
 from fractions import Fraction
+import json
 import math
+import os
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from weylnf import gform
+from weylnf import gform, suites
 from weylnf.errors import (
     ContextMismatchError,
     NotAnHcpError,
@@ -345,12 +349,61 @@ def test_cached_lanes_are_no_part_of_the_value():
     H = Hcp(k, 2, {(1, 3): xi / 3, (0, 0): Fraction(1, 2)}, {2: xi})
     fresh = Hcp.from_dict(k, H.to_dict())
     data, key = H.to_dict(), hash(H)
-    hcp_mul(H, H)
-    assert H._lane_cache[0] == 6 and not hasattr(fresh, "_lane_cache")
+    P = hcp_mul(H, H)
+    # (D, [(l, i, D * f[l,i].coeffs)]), one int per coefficient of Q(xi_5).
+    assert H._lane_cache == (6, [(1, 3, (0, 2, 0, 0)), (0, 0, (3, 0, 0, 0))])
+    assert not hasattr(fresh, "_lane_cache")
     assert H == fresh and fresh == H and hash(H) == hash(fresh) == key
     assert H.to_dict() == data
+    # A product carries its lanes, and they are no part of its value either.
+    assert P._lane_cache[0] == 36 and P == Hcp.from_dict(k, P.to_dict())
+    assert hash(P) == hash(Hcp.from_dict(k, P.to_dict()))
     with pytest.raises(AttributeError):
         H._lane_cache = None
+    with pytest.raises(AttributeError):
+        P._lane_cache = None
+
+
+def _scalars(k):
+    """k small numerators over one denominator, reduced mod Phi_k."""
+    return st.tuples(st.lists(st.sampled_from((1, -1, 2, 0, -3)), min_size=k, max_size=k),
+                     st.sampled_from((1, 2, 3, 4))).map(
+        lambda nd: CycloScalar(k, [Fraction(n, nd[1]) for n in nd[0]]))
+
+
+@st.composite
+def _product_pairs(draw):
+    """k, the total order t and 1..3 pairs of that order, some with B parts,
+    some with r1 = 0 (mod k), and sometimes a pair that cancels the first."""
+    k = draw(st.integers(1, 12))
+    t = draw(st.integers(0, 2 * k))
+    scalars = _scalars(k)
+    keys = st.tuples(st.integers(0, 3), st.integers(0, k - 1))
+
+    def hcp(r):
+        return Hcp(k, r, draw(st.dictionaries(keys, scalars, min_size=1, max_size=3)),
+                   draw(st.dictionaries(st.integers(1, 5), scalars, max_size=1)))
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        r1 = draw(st.sampled_from([r for r in range(t + 1) if r % k == 0])
+                  if draw(st.booleans()) else st.integers(0, t))
+        pairs.append((hcp(r1), hcp(t - r1)))
+    if draw(st.booleans()):
+        pairs.append((-pairs[0][0], pairs[0][1]))
+    return k, pairs
+
+
+@given(_product_pairs())
+@settings(max_examples=100, deadline=None)
+def test_hcp_mul_on_term_vectors_matches_the_reference(case):
+    # deg Phi_k is 1, 2, 4 or 6 for k in 1..12: every branch of the vector product.
+    k, pairs = case
+    got = hcp_mul(*pairs[0], pairs[1:])
+    assert got == _pairs_sum(pairs)
+    # The lanes a product carries are the ones a fresh Hcp of its value builds.
+    fresh = Hcp.from_dict(k, got.to_dict())
+    assert got._lane_cache == gform._terms(fresh)
 
 
 def test_series_product_reaches_the_traced_hcp_mul(layertrace):
@@ -365,6 +418,22 @@ def test_series_product_reaches_the_traced_hcp_mul(layertrace):
     assert metrics["gform.series_mul_calls"] == 1
     # One call per result order: 4, 3 and 2.
     assert metrics["gform.hcp_mul_calls"] == 3
+
+
+def test_filtration_cases_reach_the_predicted_layers(layertrace):
+    # perfbench's selftest checks these counters on a traced filtration-suite
+    # pass; a product or filtration that bypasses a traced entry point fails here.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "predictions.json")
+    with open(path) as f:
+        expect = json.load(f)["reached"]["filtration-suite"]
+    tracer = layertrace.Tracer()
+    with tracer.installed():
+        for i in range(4):
+            assert suites.filtration_case(i, 3) == []
+    metrics = tracer.layer_metrics()
+    assert [name for name in expect["positive"] if not metrics[name] > 0] == []
+    assert [name for name in expect["zero"] if metrics[name] != 0] == []
 
 
 def test_sdeg_subadditive_and_equality():

@@ -7,7 +7,7 @@ import pytest
 
 from weylnf.errors import PreconditionError
 from weylnf.linalg import nullspace, solve_square
-from weylnf.scalars import CycloScalar
+from weylnf.scalars import CycloScalar, xi_pow
 
 KS = (1, 3, 5)
 
@@ -100,7 +100,7 @@ def test_nullspace_annihilates_with_full_dimension(k):
     for ncols in range(1, 7):
         for rank in range(ncols + 1):
             matrix = _planted_rank(rng, k, rank, ncols)
-            basis = nullspace(matrix, ncols)
+            basis = nullspace(matrix, ncols, k)
             assert len(basis) == ncols - rank
             for vec in basis:
                 assert len(vec) == ncols and any(vec)
@@ -114,16 +114,23 @@ def test_nullspace_of_zero_rows_is_the_unit_vectors(k):
     for ncols in range(4):
         units = [[one if i == j else zero for j in range(ncols)] for i in range(ncols)]
         for nrows in (1, 2):
-            assert nullspace([[zero] * ncols for _ in range(nrows)], ncols) == units
-    # With no rows at all there is no scalar to take k from: the vectors are rational.
-    assert nullspace([], 0) == []
-    assert nullspace([], 2) == [[CycloScalar.one(1), CycloScalar.zero(1)],
-                                [CycloScalar.zero(1), CycloScalar.one(1)]]
+            assert nullspace([[zero] * ncols for _ in range(nrows)], ncols, k) == units
+        # With no rows at all the field still comes from k.
+        assert nullspace([], ncols, k) == units
+
+
+def test_nullspace_without_rows_is_over_the_callers_field():
+    # No row carries a scalar, so the field comes from k alone, and the unit
+    # vectors combine with the caller's Q(xi_3) scalars.
+    xi = xi_pow(3, 1)
+    basis = nullspace([], 2, 3)
+    assert all(v.k == 3 for vec in basis for v in vec)
+    assert [a * xi + b for a, b in zip(*basis)] == [xi, CycloScalar.one(3)]
 
 
 def test_nullspace_rejects_ragged_rows():
     zero = CycloScalar.zero(3)
     with pytest.raises(PreconditionError, match="ragged"):
-        nullspace([[zero, zero], [zero]], 2)
+        nullspace([[zero, zero], [zero]], 2, 3)
     with pytest.raises(PreconditionError, match="ragged"):
-        nullspace([[zero, zero]], 3)
+        nullspace([[zero, zero]], 3, 3)
