@@ -20,8 +20,9 @@ sample exactly against its class polynomial.
 
 :func:`hcp_mul` forms one result order of a product from all of its pairs,
 as ``operators.order_product`` does for raw operators: a pair of terms is
-one product mod Phi_k of the integer vectors each ``Hcp`` caches, each result
-coefficient is divided once, and a product keeps its vectors for the next.
+one ``scalars._ring`` product of the integer vectors (``scalars``' lane form)
+each ``Hcp`` caches, each result coefficient is divided once, and a product
+keeps its vectors for the next.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from .errors import (
     TruncationError,
 )
 from .linalg import solve_square
-from .operators import (INF, Graded, GradedOp, _comp_nu, _from_lanes, _lanes, _nu_to_comp,
-                        product_floor)
-from .scalars import CycloScalar, as_scalar, cyclotomic_poly, xi_pow
+from .operators import INF, Graded, GradedOp, _comp_nu, _nu_to_comp, product_floor
+from .scalars import CycloScalar, _from_lanes, _lanes, _ring, _xi_powers, as_scalar
 
 
 EXPANSION_XCAP = 16  # the x-window of an infinite expansion when none is given
@@ -250,7 +250,7 @@ def _class_polys(k: int, gamma: dict) -> list[list[CycloScalar]]:
     """
     zero = CycloScalar.zero(k)
     polys = [[zero] * (max((l for l, _ in gamma), default=0) + 1) for _ in range(k)]
-    xis = [xi_pow(k, e) for e in range(k)]
+    xis = _xi_powers(k)
     for (l, i), c in gamma.items():
         for rho, c_rho in enumerate(polys):
             c_rho[l] = c_rho[l] + (c * xis[i * rho % k] if i else c)
@@ -351,30 +351,6 @@ def _terms(h: Hcp):
 
 
 @lru_cache(maxsize=None)
-def _ring(k: int):
-    """``(mul, xis)``: the product of two coefficient vectors mod Phi_k, in closed form
-    for deg Phi_k = d <= 2, else folded down by the monic Phi_k; and xi^e, e < k."""
-    phi = cyclotomic_poly(k)
-    d = len(phi) - 1
-    xis = tuple(tuple([int(c) for c in xi_pow(k, e).coeffs]) for e in range(k))
-    if d == 1:
-        return (lambda a, b: (a[0] * b[0],)), xis
-    if d == 2:
-        p0, p1 = phi[0], phi[1]
-        return (lambda a, b: (a[0] * b[0] - p0 * a[1] * b[1],
-                              a[0] * b[1] + a[1] * b[0] - p1 * a[1] * b[1])), xis
-
-    def mul(a, b):
-        out = [sum(a[i] * b[e - i] for i in range(max(0, e - d + 1), min(e, d - 1) + 1))
-               for e in range(2 * d - 1)]
-        for e in range(2 * d - 2, d - 1, -1):
-            for i in range(d):
-                out[e - d + i] -= out[e] * phi[i]
-        return tuple(out[:d])
-    return mul, xis
-
-
-@lru_cache(maxsize=None)
 def _shift_weights(l2: int, r1: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (s, C(l2, s) r1^(l2-s)) of (n + r1)^l2: with r1 = 0 only s = l2."""
     return tuple((s, math.comb(l2, s) * r1 ** (l2 - s)) for s in range(0 if r1 else l2, l2 + 1))
@@ -425,7 +401,7 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
         polys[n0 % k] = solve_square(vander, [mu[n] for n in nodes])
 
     # The inverse DFT, f[l,i] = (1/k) sum_rho c[l,rho] xi^(-i rho).
-    xis = [xi_pow(k, e) for e in range(k)]
+    xis = _xi_powers(k)
     quasi = {}
     for l in range(dmax + 1):
         for i in range(k):

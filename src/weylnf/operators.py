@@ -22,18 +22,16 @@ respects the grading and yields the product window rule
 product and the Schur solve both go through it.
 
 Nu sequences live as integer lanes from the coefficients to the product and
-back. A sequence of Q(xi) values over one common denominator D > 0 is a
-tuple of exactly ``deg Phi_k`` lanes, lane i holding the integers
-D * nu(j).coeffs[i]. The triangular map between coefficients and values is
-a binomial transform (perm(j, m) = comb(j, m) * m!), computed on the lanes
-with integer additions and subtractions only (:meth:`Factor.nu`,
-:func:`_comp_of_lanes`). A :class:`Factor` caches one such sequence per
-order, with D_t the lcm of the component's denominators, and
-:func:`order_product` multiplies and sums the lanes in integers mod Phi_k,
-which is monic, so no ``CycloScalar`` is built between the two transforms.
-Each nonzero coefficient of a result is divided back once and built
-unchecked by ``scalars._make``, so it keeps the scalar invariant: a tuple of
-exactly ``deg Phi_k`` ``Fraction`` s. :func:`_comp_nu` and
+back: the lane form of a sequence of Q(xi) values over one common
+denominator D > 0, as the ``scalars`` module docstring defines it. The
+triangular map between coefficients and values is a binomial transform
+(perm(j, m) = comb(j, m) * m!), computed on the lanes with integer additions
+and subtractions only (:meth:`Factor.nu`, :func:`_comp_of_lanes`). A
+:class:`Factor` caches one such sequence per order, with D_t the lcm of the
+component's denominators, and :func:`order_product` multiplies and sums the
+lanes in integers mod Phi_k (``scalars._lane_mul``), so no ``CycloScalar``
+is built between the two transforms. Each nonzero coefficient of a result
+is divided back once by ``scalars._from_lanes``. :func:`_comp_nu` and
 :func:`_nu_to_comp` are the same transforms on ``CycloScalar`` lists, for
 the G-form fit and expansion.
 
@@ -48,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
 from .errors import (
     ContextMismatchError,
@@ -56,8 +54,8 @@ from .errors import (
     TruncationError,
     UndefinedOrderError,
 )
-from .scalars import (_ZERO, CycloScalar, _join_signed, _make, _signed_term, as_scalar,
-                      cyclotomic_poly)
+from .scalars import (CycloScalar, _from_lanes, _join_signed, _lane_mul, _lanes, _signed_term,
+                      as_scalar, cyclotomic_poly)
 
 INF = math.inf
 
@@ -521,22 +519,6 @@ def product_floor(A, B):
     return None if val == -INF else int(val)
 
 
-def _lanes(k: int, values) -> tuple[int, list[list[int]]]:
-    """The lcm D of the coefficient denominators of ``values``, and per
-    coefficient index i the lane of integers D * v.coeffs[i] over ``values``."""
-    coeffs = [v.coeffs for v in values]
-    den = math.lcm(*{f.denominator for c in coeffs for f in c})
-    lanes = [[f.numerator * (den // f.denominator) for f in lane] for lane in zip(*coeffs)]
-    return den, lanes or [[] for _ in range(len(cyclotomic_poly(k)) - 1)]
-
-
-def _from_lanes(k: int, lanes, den: int) -> CycloScalar:
-    """The scalar with coefficients lanes / den."""
-    if den == 1:  # Fraction(x) skips the gcd that Fraction(x, 1) takes
-        return _make(k, tuple([Fraction(x) if x else _ZERO for x in lanes]))
-    return _make(k, tuple([Fraction(x, den) if x else _ZERO for x in lanes]))
-
-
 def _comp_of_lanes(k: int, lanes, den: int, t: int) -> dict[int, CycloScalar]:
     """The order-t component whose nu(j) is (lanes[i][j - max(0, t)] / den)_i.
 
@@ -577,39 +559,6 @@ def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]
     """
     den, lanes = _lanes(k, nu[max(0, t):])
     return _comp_of_lanes(k, lanes, den, t)
-
-
-def _lane_mul(phi: tuple[int, ...], a, b) -> list[list[int]]:
-    """Pointwise product of two equally long lane tuples, reduced mod Phi_k.
-
-    Lane i of the result holds coefficient i of each product: the lanes are
-    convolved, and every coefficient e >= deg Phi_k is folded down through
-    xi^e = -sum_(i < d) phi[i] * xi^(e-d+i), which stays in integers because
-    Phi_k is monic. With deg Phi_k = 1 it is one integer product per value.
-    """
-    d, n = len(a), len(a[0])
-    if d == 1:
-        return [list(map(mul, a[0], b[0]))]
-    a = [x if any(x) else None for x in a]
-    b = [y if any(y) else None for y in b]
-    out: list = [None] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x is None:
-            continue
-        for j, y in enumerate(b):
-            if y is not None:
-                p = list(map(mul, x, y))
-                out[i + j] = p if out[i + j] is None else list(map(add, out[i + j], p))
-    for e in range(2 * d - 2, d - 1, -1):
-        c = out[e]
-        if c is None:
-            continue
-        for i, f in enumerate(phi[:d]):
-            if f:
-                fc = c if f == 1 else [f * x for x in c]
-                tgt = out[e - d + i]
-                out[e - d + i] = [-x for x in fc] if tgt is None else list(map(sub, tgt, fc))
-    return [x if x is not None else [0] * n for x in out[:d]]
 
 
 def _difference_rows(comp: dict[int, CycloScalar], t: int, k: int):

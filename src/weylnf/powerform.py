@@ -87,11 +87,7 @@ class StdFormExpansion:
 
 @lru_cache(maxsize=None)
 def g_value(t: tuple[int, ...]) -> int:
-    """The recursion for the word coefficient g(t1,...,tm).
-
-    lru_cache keeps the memo table; CPython's per-call locking makes the
-    shared table safe to use from several threads.
-    """
+    """The recursion for the word coefficient g(t1,...,tm), memoised by lru_cache."""
     if any(ti < 0 for ti in t):
         return 0
     m = len(t)

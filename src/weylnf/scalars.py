@@ -16,12 +16,22 @@ Invariant: ``coeffs`` is a tuple of exactly ``deg Phi_k`` objects of type
 ``Fraction``, already reduced mod Phi_k. The public ``CycloScalar(k, coeffs)``
 establishes it by coercing and reducing whatever it is given; arithmetic
 results that keep it by construction are built unchecked by :func:`_make`.
+
+This is the only module that knows that storage; the hot loops elsewhere
+run on integer forms made and read back here. Lane invariant: values over
+one common denominator D > 0 are exactly ``deg Phi_k`` lanes of ``int``,
+lane i holding D * v.coeffs[i] (:func:`_lanes`, :func:`_from_lanes`), and
+products fold each xi^e, e >= deg Phi_k, through the monic Phi_k, so they
+stay in integers (:func:`_lane_mul` on lanes, :func:`_ring` on single
+vectors). :func:`_xi_powers` keeps xi^0 .. xi^(k-1) once per k.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, mul, sub
 
 from .errors import ContextMismatchError, DivisionByZeroError, PreconditionError
 
@@ -30,26 +40,23 @@ Rational = Fraction
 _ZERO = Fraction(0)
 
 
-def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(k: int) -> tuple[int, ...]:
-    """Coefficients of Phi_k, ascending, monic integer polynomial."""
+    """Coefficients of Phi_k, ascending, monic integer polynomial: x^k - 1
+    divided exactly, in integers, by the monic Phi_d of each proper divisor d."""
     if k < 1:
         raise PreconditionError(f"cyclotomic order must be positive, got {k}")
-    if k == 1:
-        return (-1, 1)
-    num = [Fraction(-1)] + [_ZERO] * (k - 1) + [Fraction(1)]  # x^k - 1
+    num = [-1] + [0] * (k - 1) + [1]  # x^k - 1
     for d in range(1, k):
-        if k % d == 0:
-            # Phi_d is monic, so the quotient stays integral.
-            num, rem = _frac_poly_divmod(num, [Fraction(c) for c in cyclotomic_poly(d)])
-            assert not _poly_trim(rem)
-    return tuple(int(c) for c in num)
+        if k % d == 0:  # synthetic division; num[s + m] ends as quotient coefficient s
+            phi_d = cyclotomic_poly(d)
+            m = len(phi_d) - 1
+            for s in range(len(num) - 1 - m, -1, -1):
+                for i, f in enumerate(phi_d[:m]):
+                    num[s + i] -= num[s + m] * f
+            assert not any(num[:m])
+            num = num[m:]
+    return tuple(num)
 
 
 def _reduce_mod_phi(k: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -177,22 +184,22 @@ class CycloScalar:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
-        """Multiplicative inverse, by the extended Euclid algorithm mod Phi_k."""
-        if self.is_zero():
-            raise DivisionByZeroError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.k)]
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                c = r1[0]
-                return CycloScalar(self.k, [x / c for x in s1])
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, _poly_trim(rem)
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            s0, s1 = s1, s_new
-            if not r1:
-                raise ArithmeticError("Phi_k not coprime to element")  # unreachable
+        """Multiplicative inverse: 1/a for a rational a, else b / N with b the
+        product of the other Galois conjugates a(xi^j), 1 < j < k, gcd(j, k) = 1,
+        and N = a * b the norm, rational as Gal(Q(xi)/Q) = (Z/k)^x permutes the
+        factors. Over a's common denominator D they are integer vectors, and
+        a^-1 = D * b / N."""
+        k, a = self.k, self.coeffs
+        if not any(a[1:]):
+            if not a[0]:
+                raise DivisionByZeroError("inverse of zero")
+            return CycloScalar(k, [1 / a[0]])
+        den, lanes = _lanes(k, (self,))
+        v = [x for x, in lanes]
+        vmul, xis = _ring(k)
+        b = reduce(vmul, [[sum(x * xis[i * j % k][m] for i, x in enumerate(v) if x)
+                           for m in range(len(v))] for j in range(2, k) if math.gcd(j, k) == 1])
+        return _from_lanes(k, [den * x for x in b], vmul(v, b)[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -290,51 +297,91 @@ def as_scalar(k: int, value) -> CycloScalar:
     return CycloScalar.from_rational(k, value)
 
 
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    while len(num) >= len(den) and _poly_trim(num):
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        q[shift] = factor
-        for i, d in enumerate(den):
-            num[shift + i] -= factor * d
-        _poly_trim(num)
-    return q, num
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
-
-
 def xi_pow(k: int, e: int) -> CycloScalar:
     """xi^e reduced to canonical form; e may be negative."""
-    d = len(cyclotomic_poly(k)) - 1
-    e %= k
-    coeffs = [Fraction(0)] * (e + 1)
-    coeffs[e] = Fraction(1)
-    if e < d:
-        return CycloScalar(k, coeffs + [Fraction(0)] * (d - e - 1))
-    return CycloScalar(k, coeffs)
+    cyclotomic_poly(k)  # rejects k < 1 before e % k divides by it
+    return CycloScalar(k, [0] * (e % k) + [1])
 
 
 def inv(a: CycloScalar) -> CycloScalar:
     return a.inv()
 
+
+# -- integer forms ------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _xi_powers(k: int) -> tuple[CycloScalar, ...]:
+    """xi^0 .. xi^(k-1), built once per k."""
+    return tuple(xi_pow(k, e) for e in range(k))
+
+
+def _lanes(k: int, values) -> tuple[int, list[list[int]]]:
+    """The lcm D of the coefficient denominators of ``values``, and per
+    coefficient index i the lane of integers D * v.coeffs[i] over ``values``."""
+    coeffs = [v.coeffs for v in values]
+    den = math.lcm(*{f.denominator for c in coeffs for f in c})
+    lanes = [[f.numerator * (den // f.denominator) for f in lane] for lane in zip(*coeffs)]
+    return den, lanes or [[] for _ in range(len(cyclotomic_poly(k)) - 1)]
+
+
+def _from_lanes(k: int, lanes, den: int) -> CycloScalar:
+    """The scalar with coefficients lanes / den."""
+    if den == 1:  # Fraction(x) skips the gcd that Fraction(x, 1) takes
+        return _make(k, tuple([Fraction(x) if x else _ZERO for x in lanes]))
+    return _make(k, tuple([Fraction(x, den) if x else _ZERO for x in lanes]))
+
+
+@lru_cache(maxsize=None)
+def _ring(k: int):
+    """``(mul, xis)``: the product of two coefficient vectors mod Phi_k, in closed form
+    for deg Phi_k = d <= 2, else folded down by :func:`_reduce_mod_phi`; and the
+    vector of xi^e, e < k."""
+    phi = cyclotomic_poly(k)
+    d = len(phi) - 1
+    xis = tuple(tuple([int(c) for c in x.coeffs]) for x in _xi_powers(k))
+    if d == 1:
+        return (lambda a, b: (a[0] * b[0],)), xis
+    if d == 2:
+        p0, p1 = phi[0], phi[1]
+        return (lambda a, b: (a[0] * b[0] - p0 * a[1] * b[1],
+                              a[0] * b[1] + a[1] * b[0] - p1 * a[1] * b[1])), xis
+
+    def fold_mul(a, b):
+        return _reduce_mod_phi(k, [sum(a[i] * b[e - i]
+                                       for i in range(max(0, e - d + 1), min(e, d - 1) + 1))
+                                   for e in range(2 * d - 1)])
+    return fold_mul, xis
+
+
+def _lane_mul(phi: tuple[int, ...], a, b) -> list[list[int]]:
+    """Pointwise product of two equally long lane tuples, reduced mod Phi_k.
+
+    Lane i of the result holds coefficient i of each product: the lanes are
+    convolved, and every coefficient e >= deg Phi_k is folded down through
+    xi^e = -sum_(i < d) phi[i] * xi^(e-d+i), which stays in integers because
+    Phi_k is monic. With deg Phi_k = 1 it is one integer product per value.
+    """
+    d, n = len(a), len(a[0])
+    if d == 1:
+        return [list(map(mul, a[0], b[0]))]
+    a = [x if any(x) else None for x in a]
+    b = [y if any(y) else None for y in b]
+    out: list = [None] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x is None:
+            continue
+        for j, y in enumerate(b):
+            if y is not None:
+                p = list(map(mul, x, y))
+                out[i + j] = p if out[i + j] is None else list(map(add, out[i + j], p))
+    for e in range(2 * d - 2, d - 1, -1):
+        c = out[e]
+        if c is None:
+            continue
+        for i, f in enumerate(phi[:d]):
+            if f:
+                fc = c if f == 1 else [f * x for x in c]
+                tgt = out[e - d + i]
+                out[e - d + i] = [-x for x in fc] if tgt is None else list(map(sub, tgt, fc))
+    return [x if x is not None else [0] * n for x in out[:d]]

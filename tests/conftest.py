@@ -23,12 +23,23 @@ def cli_env():
     return env
 
 
-@pytest.fixture(scope="session")
-def layertrace():
-    """``perfbench/layertrace.py``, loaded from its file (it is not a package)."""
+def _perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded from its file (``perfbench`` is not a package)."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "layertrace.py")
-    spec = importlib.util.spec_from_file_location("layertrace", path)
+                        "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def layertrace():
+    """``perfbench/layertrace.py``: the benchmark's per-layer tracer."""
+    return _perfbench_module("layertrace")
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``perfbench/workloads.py``: the benchmark's workloads and their checks."""
+    return _perfbench_module("workloads")

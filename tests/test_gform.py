@@ -420,20 +420,43 @@ def test_series_product_reaches_the_traced_hcp_mul(layertrace):
     assert metrics["gform.hcp_mul_calls"] == 3
 
 
-def test_filtration_cases_reach_the_predicted_layers(layertrace):
-    # perfbench's selftest checks these counters on a traced filtration-suite
-    # pass; a product or filtration that bypasses a traced entry point fails here.
+def _predicted_reach(workload: str) -> dict:
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "perfbench", "predictions.json")
     with open(path) as f:
-        expect = json.load(f)["reached"]["filtration-suite"]
+        return json.load(f)["reached"][workload]
+
+
+def _unreached(expect: dict, metrics: dict) -> list[str]:
+    """The counters of ``expect`` that a traced pass left on the wrong side of zero."""
+    return ([name for name in expect["positive"] if not metrics[name] > 0]
+            + [name for name in expect["zero"] if metrics[name] != 0])
+
+
+def test_filtration_cases_reach_the_predicted_layers(layertrace):
+    # perfbench's selftest checks these counters on a traced filtration-suite
+    # pass; a product or filtration that bypasses a traced entry point fails here.
+    expect = _predicted_reach("filtration-suite")
     tracer = layertrace.Tracer()
     with tracer.installed():
         for i in range(4):
             assert suites.filtration_case(i, 3) == []
+    assert _unreached(expect, tracer.layer_metrics()) == []
+
+
+@pytest.mark.parametrize("workload", ["nf-k3", "classify-fixtures"])
+def test_workload_passes_reach_the_predicted_layers(layertrace, workloads, workload):
+    # The same check on one traced pass of the benchmark's other workloads, with
+    # scalars.max_bits taken over the pass's outputs as perfbench/run.py takes it.
+    setup, check = workloads.WORKLOADS[workload]
+    ops = setup(3)
+    tracer = layertrace.Tracer()
+    with tracer.installed():
+        outputs = [call() for _, call in ops]
+    assert [check(label, out)[1] for (label, _), out in zip(ops, outputs)] == [[]] * len(ops)
     metrics = tracer.layer_metrics()
-    assert [name for name in expect["positive"] if not metrics[name] > 0] == []
-    assert [name for name in expect["zero"] if metrics[name] != 0] == []
+    metrics["scalars.max_bits"] = max(layertrace.max_bits(out) for out in outputs)
+    assert _unreached(_predicted_reach(workload), metrics) == []
 
 
 def test_sdeg_subadditive_and_equality():

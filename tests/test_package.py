@@ -1,0 +1,29 @@
+"""The package as a whole: its runtime imports nothing outside the standard library."""
+
+import ast
+import os
+import sys
+
+import weylnf
+
+PACKAGE = os.path.dirname(os.path.abspath(weylnf.__file__))
+
+
+def _imported_roots(path):
+    """The top-level name of every absolute import in the module at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_modules_import_only_the_standard_library_and_weylnf():
+    modules = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    assert "scalars.py" in modules
+    foreign = {(name, root) for name in modules
+               for root in _imported_roots(os.path.join(PACKAGE, name))
+               if root != "weylnf" and root not in sys.stdlib_module_names}
+    assert foreign == set()

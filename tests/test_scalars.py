@@ -1,15 +1,17 @@
 """Field arithmetic in Q(xi): unit values, oracles, and axiom sweeps."""
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylnf.cli import MAX_K
 from weylnf.errors import ContextMismatchError, DivisionByZeroError, ParseError, PreconditionError
 from weylnf.parsing import parse_scalar
-from weylnf.scalars import CycloScalar, cyclotomic_poly, xi_pow
+from weylnf.scalars import CycloScalar, _ring, cyclotomic_poly, xi_pow
 
 
 def naive_mod_xk_minus_1(k, a, b):
@@ -103,14 +105,17 @@ def test_ring_axioms_random_sweep():
 
 
 def test_inverse_two_sided_random():
+    # Orders 7 .. 16 give Phi_k of degree 4 to 8, where the inverse multiplies
+    # up to seven Galois conjugates; the result keeps the scalar invariant.
     rng = random.Random(7)
     count = 0
-    while count < 200:
-        k = rng.choice([1, 2, 3, 4, 5, 6])
+    while count < 300:
+        k = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16])
         a = _rand_scalar(rng, k)
         if a.is_zero():
             continue
         count += 1
+        _assert_invariant(k, a.inv())
         assert a * a.inv() == CycloScalar.one(k)
         assert a.inv() * a == CycloScalar.one(k)
 
@@ -233,6 +238,43 @@ def test_public_constructor_still_coerces_and_reduces():
     assert a.coeffs == (Fraction(0), Fraction(-1))
     assert all(type(c) is Fraction for c in CycloScalar(4, (2, Fraction(1, 3))).coeffs)
     assert CycloScalar(6, [3]).coeffs == (Fraction(3), Fraction(0))
+
+
+# -- Phi_k, the Galois-conjugate inverse and the integer product ------------------------
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, MAX_K + 1))
+def test_cyclotomic_polys_multiply_to_xk_minus_1(k):
+    # x^k - 1 is the product of Phi_d over the divisors d of k, and deg Phi_k
+    # is Euler's phi(k).
+    prod = [1]
+    for d in range(1, k + 1):
+        if k % d == 0:
+            phi = cyclotomic_poly(d)
+            assert phi[-1] == 1 and all(type(c) is int for c in phi)
+            prod = _poly_mul(prod, phi)
+    assert prod == [-1] + [0] * (k - 1) + [1]
+    assert _degree(k) == sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_integer_ring_product_matches_scalar_product(k):
+    vmul, xis = _ring(k)
+    assert [CycloScalar(k, x) for x in xis] == [xi_pow(k, e) for e in range(k)]
+    rng = random.Random(100 + k)
+    for _ in range(25):
+        a, b = ([rng.randint(-9, 9) for _ in range(_degree(k))] for _ in range(2))
+        got = vmul(a, b)
+        assert all(type(c) is int for c in got)
+        assert CycloScalar(k, got) == CycloScalar(k, a) * CycloScalar(k, b)
 
 
 # -- hash and equality against plain rationals -------------------------------------------
