@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .criterion import BivarPoly, bc_certificate, classify_pair
@@ -217,12 +216,8 @@ def cmd_expand_power(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.workers < 1:
-        raise PreconditionError("--workers must be at least 1")
-    workers = min(args.workers, os.cpu_count() or 1)
-    results = (run_all(args.cases, args.seed, workers)
-               if args.suite == "all"
-               else [run_suite(args.suite, args.cases, args.seed, workers)])
+    results = (run_all(args.cases, args.seed) if args.suite == "all"
+               else [run_suite(args.suite, args.cases, args.seed)])
     for r in results:
         status = "ok" if r.passed else f"FAILED ({len(r.failures)} violations)"
         print(f"suite {r.name}: {r.cases} cases: {status}")
@@ -238,37 +233,39 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="weylnf",
                          description="exact normal-form calculus for "
                                      "ordinary differential operators")
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--k", type=int, default=None,
+    # Each subcommand takes only the shared options it reads.
+    window = _ArgumentParser(add_help=False)
+    window.add_argument("--k", type=int, default=None,
                         help="cyclotomic order for xi and G-form literals")
-    common.add_argument("--xcap", type=int, default=None,
+    window.add_argument("--xcap", type=int, default=None,
                         help=f"x-degree window for infinite expansions (default "
                              f"{EXPANSION_XCAP}; schur solves S to 24 + ord Q by default)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=1)
+    fmt = _ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    both = [window, fmt]
 
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate and print an operator")
+    p = sub.add_parser("eval", parents=both, help="evaluate and print an operator")
     p.add_argument("expr")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("mul", parents=[common], help="product of two operators")
+    p = sub.add_parser("mul", parents=both, help="product of two operators")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=cmd_mul)
 
-    p = sub.add_parser("commutator", parents=[common], help="[A, B]")
+    p = sub.add_parser("commutator", parents=both, help="[A, B]")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=cmd_commutator)
 
-    p = sub.add_parser("schur", parents=[common], help="Schur operator for Q")
+    p = sub.add_parser("schur", parents=both, help="Schur operator for Q")
     p.add_argument("--q", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.set_defaults(func=cmd_schur)
 
-    p = sub.add_parser("normal-form", parents=[common],
+    p = sub.add_parser("normal-form", parents=[window],
                        help="normal form of P with respect to Q")
     p.add_argument("--p")
     p.add_argument("--q")
@@ -277,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON result to a file")
     p.set_defaults(func=cmd_normal_form)
 
-    p = sub.add_parser("newton", parents=[common],
+    p = sub.add_parser("newton",
                        help="Newton region report from a normal-form JSON file")
     p.add_argument("--input", required=True)
     p.add_argument("--svg")
     p.add_argument("--json", dest="json_out")
     p.set_defaults(func=cmd_newton)
 
-    p = sub.add_parser("classify", parents=[common], help="full pipeline on a pair")
+    p = sub.add_parser("classify", parents=both, help="full pipeline on a pair")
     p.add_argument("--p")
     p.add_argument("--q")
     p.add_argument("--fixture")
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate", help="JSON [[u,v,coeff],...] to tabulate identities")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("bc-find", parents=[common],
+    p = sub.add_parser("bc-find", parents=both,
                        help="search for a Burchnall-Chaundy certificate")
     p.add_argument("--p")
     p.add_argument("--q")
@@ -309,12 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the rewriting oracle and compare")
     p.set_defaults(func=cmd_expand_power)
 
-    p = sub.add_parser("verify", parents=[common], help="run the property suites")
+    p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--suite", choices=("appendix", "filtration", "powerform", "all"),
                    required=True)
     p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, at least 1, capped at the CPU count")
+    p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -154,7 +154,6 @@ def evaluate_poly(F: BivarPoly, P: Graded, Q: Graded) -> Graded:
 class BCResult:
     poly: BivarPoly
     weight: int
-    search_floor: int | None
     reverified: bool
 
 
@@ -221,7 +220,7 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
             poly = poly.scale(1 / poly.terms[lead])
             reverified = common_floor == -INF or common_floor <= wcap - 2 * depth
             return BCResult(poly=poly, weight=poly.weighted_degree(p, q),
-                            search_floor=lo, reverified=reverified)
+                            reverified=reverified)
     return None
 
 
@@ -308,18 +307,6 @@ def hs_coefficient_check(Pprime: HcpSeries, F: BivarPoly, s: int) -> HsCheck:
                    sigma=sigma, a0=a0, nf_weight=nf_weight)
 
 
-def _swapped_variant(P: GradedOp, Q: GradedOp, depth: int) -> str | None:
-    """Observational only: the top-line variant of Q with respect to P."""
-    from .errors import WeylnfError
-    try:
-        if not P.is_normalized():
-            return None
-        swapped = normal_form_report(Q, P, depth)
-        return classify_top_line(swapped.series).variant
-    except WeylnfError:
-        return None
-
-
 @dataclass
 class PairReport:
     """Machine-checkable record of the full pipeline on one pair."""
@@ -327,7 +314,6 @@ class PairReport:
     p: int
     q: int
     commutes: bool
-    commutator_floor: int | None
     classification: TopLineClass
     stability: dict
     certificate: BCResult | None
@@ -361,14 +347,8 @@ class PairReport:
 
 
 def classify_pair(P: GradedOp, Q: GradedOp, depth: int, wmax: int | None = None,
-                  candidate_F: BivarPoly | None = None,
-                  cross_check_swap: bool = False) -> PairReport:
-    """Commutator test, normal form, top-line classification, certificate.
-
-    With ``cross_check_swap`` the swapped pair (Q with respect to P) is also
-    classified when admissible and its variant reported for inspection; no
-    symmetry claim is asserted from it.
-    """
+                  candidate_F: BivarPoly | None = None) -> PairReport:
+    """Commutator test, normal form, top-line classification, certificate."""
     if wmax is not None and wmax < 0:
         raise PreconditionError("wmax must be nonnegative")
     p, q = P.ord(), Q.ord()
@@ -419,7 +399,7 @@ def classify_pair(P: GradedOp, Q: GradedOp, depth: int, wmax: int | None = None,
         type_ids = [[i, str(type_identity(top, i))] for i in range(umax + 1)]
 
     windows = {
-        "commutatorFloor": None if C.floor is None else C.floor,
+        "commutatorFloor": C.floor,
         "normalFormFloor": nf.series.floor,
         "depth": depth,
         "schurXcap": nf.schur.xcap,
@@ -429,10 +409,7 @@ def classify_pair(P: GradedOp, Q: GradedOp, depth: int, wmax: int | None = None,
         # The coefficient-extraction argument fixes the slope p/q; record
         # whether the computed region slope coincides, surfacing mismatches.
         windows["sigmaEqualsPOverQ"] = cls.sigma == Fraction(p, q)
-    if cross_check_swap:
-        windows["swappedVariant"] = _swapped_variant(P, Q, depth)
-    return PairReport(p=p, q=q, commutes=commutes,
-                      commutator_floor=C.floor, classification=cls,
+    return PairReport(p=p, q=q, commutes=commutes, classification=cls,
                       stability=stability, certificate=certificate,
                       type_identities=type_ids, verdict=verdict,
                       tentative=cls.tentative, windows=windows, normal_form=nf)

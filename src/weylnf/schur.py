@@ -189,14 +189,16 @@ class NormalFormResult:
     escalated_orders: list[int] = field(default_factory=list)
 
 
-def default_fit_xcap(p: int, q: int, depth: int, margin: int) -> int:
+FIT_MARGIN = 8  # eigenvalue samples each G-form fit checks beyond its unknowns
+
+
+def default_fit_xcap(p: int, q: int, depth: int) -> int:
     """x-window needed to fit every component at the default bounds,
     with room for one bound escalation and the cap loss of conjugation."""
-    return q * (min(depth, p) + 2) + margin + p + 4
+    return q * (min(depth, p) + 2) + FIT_MARGIN + p + 4
 
 
-def normal_form_report(P: GradedOp, Q: GradedOp, depth: int, margin: int = 8
-                       ) -> NormalFormResult:
+def normal_form_report(P: GradedOp, Q: GradedOp, depth: int) -> NormalFormResult:
     if P.k != Q.k:
         raise PreconditionError("P and Q must share a scalar context")
     p = P.ord()
@@ -210,7 +212,7 @@ def normal_form_report(P: GradedOp, Q: GradedOp, depth: int, margin: int = 8
     if P.k != q:
         P = P.lift_context(q)
         Q = Q.lift_context(q)
-    X = default_fit_xcap(p, q, depth, margin)
+    X = default_fit_xcap(p, q, depth)
     pair = schur_operator(Q, depth=depth, xcap=X)
     conj = pair.Sinv * (P * pair.S)
 
@@ -226,11 +228,11 @@ def normal_form_report(P: GradedOp, Q: GradedOp, depth: int, margin: int = 8
         i = p - t
         dmax = max(i - 1, 0)
         try:
-            h = fit_hcp(single, dmax=dmax, nbmax=0, margin=margin, r=t)
+            h = fit_hcp(single, dmax=dmax, nbmax=0, margin=FIT_MARGIN, r=t)
         except NotAnHcpError:
             escalated.append(t)
             try:
-                h = fit_hcp(single, dmax=dmax + 2, nbmax=0, margin=margin, r=t)
+                h = fit_hcp(single, dmax=dmax + 2, nbmax=0, margin=FIT_MARGIN, r=t)
             except NotAnHcpError as exc:
                 raise TruncationError(
                     f"component at order {t} did not fit; this is evidence of "
@@ -256,6 +258,6 @@ def normal_form_report(P: GradedOp, Q: GradedOp, depth: int, margin: int = 8
                             escalated_orders=escalated)
 
 
-def normal_form(P: GradedOp, Q: GradedOp, depth: int, margin: int = 8) -> HcpSeries:
+def normal_form(P: GradedOp, Q: GradedOp, depth: int) -> HcpSeries:
     """P' = S^-1 P S as an HCP series on orders max(0, p-depth)..p."""
-    return normal_form_report(P, Q, depth, margin).series
+    return normal_form_report(P, Q, depth).series

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -119,32 +118,6 @@ def rand_monomial_hcp(rng: random.Random, k: int, lmax: int = 3, rmax: int = 3,
                       ai: bool = True) -> Hcp:
     i = rng.randint(0, k - 1) if ai else 0
     return Hcp(k, rng.randint(0, rmax), {(rng.randint(0, lmax), i): _nonzero(rng, k)})
-
-
-def rand_restriction_series(rng: random.Random, k: int) -> HcpSeries:
-    """Monic finite series whose top line is a restriction line.
-
-    The vertices on the line carry no A_i (required by the coefficient
-    extraction); strictly lower-weight junk may carry anything B-free.
-    """
-    p = rng.randint(3, 6)
-    a0 = rng.randint(1, 2)
-    b0 = rng.randint(0, p - 1)
-    sigma = Fraction(p - b0, a0)
-    w = Weight(sigma, 1)
-    gamma_by_order: dict[int, dict] = {p: {(0, 0): CycloScalar.one(k)}}
-    gamma_by_order.setdefault(b0, {})[(a0, 0)] = _nonzero(rng, k)
-    b1 = 2 * b0 - p
-    if b1 >= 0 and b1 != p and rng.random() < 0.5:
-        gamma_by_order.setdefault(b1, {})[(2 * a0, 0)] = _nonzero(rng, k)
-    for _ in range(rng.randint(0, 3)):
-        l = rng.randint(0, 4)
-        j = rng.randint(0, p - 1)
-        if w.value(l, j) < p and (l, j) != (0, p):
-            i = rng.randint(0, k - 1)
-            gamma_by_order.setdefault(j, {})[(l, i)] = \
-                gamma_by_order.get(j, {}).get((l, i), CycloScalar.zero(k)) + _scalar(rng, k)
-    return HcpSeries(k, {j: Hcp(k, j, gamma) for j, gamma in gamma_by_order.items()})
 
 
 def _v(P: HcpSeries, w: Weight) -> Fraction | None:
@@ -444,27 +417,14 @@ _CASE_FUNCS = {
 }
 
 
-def _run_one(args):
-    name, idx, seed = args
-    return _CASE_FUNCS[name](idx, seed)
-
-
-def run_suite(name: str, cases: int, seed: int, workers: int = 1) -> SuiteResult:
+def run_suite(name: str, cases: int, seed: int) -> SuiteResult:
     if name not in _CASE_FUNCS:
         raise ValueError(f"unknown suite {name!r}")
     if cases < 0:
         raise PreconditionError("the number of cases must be nonnegative")
-    failures: list[str] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for fl in pool.map(_run_one, [(name, i, seed) for i in range(cases)],
-                               chunksize=8):
-                failures.extend(fl)
-    else:
-        for i in range(cases):
-            failures.extend(_CASE_FUNCS[name](i, seed))
+    failures = [f for i in range(cases) for f in _CASE_FUNCS[name](i, seed)]
     return SuiteResult(name=name, cases=cases, failures=failures)
 
 
-def run_all(cases: int, seed: int, workers: int = 1) -> list[SuiteResult]:
-    return [run_suite(name, cases, seed, workers) for name in sorted(_CASE_FUNCS)]
+def run_all(cases: int, seed: int) -> list[SuiteResult]:
+    return [run_suite(name, cases, seed) for name in sorted(_CASE_FUNCS)]

@@ -27,11 +27,12 @@ from weylnf.criterion import (
 )
 from weylnf.fixtures import generic_pair, kdv_pair
 from weylnf.gform import Hcp, HcpSeries, eigenvalues
-from weylnf.newton import classify_top_line, e_set, up_edge
+from weylnf.newton import Weight, classify_top_line, e_set, up_edge
 from weylnf.operators import GradedOp, commutator
 from weylnf.powerform import expand_power, expand_power_oracle, g_value, t_block
+from weylnf.scalars import CycloScalar
 from weylnf.schur import normal_form_report, schur_operator
-from weylnf.suites import rand_restriction_series, run_suite
+from weylnf.suites import _nonzero, _scalar, run_suite
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -230,6 +231,32 @@ def test_generic_pair_shows_tentative_restriction():
     assert cls.variant == "restriction" and cls.sigma == 3
     assert cls.vertices == [(0, 3), (1, 0)]
     assert cls.tentative and rep.tentative
+
+
+def rand_restriction_series(rng: random.Random, k: int) -> HcpSeries:
+    """Monic finite series whose top line is a restriction line.
+
+    The vertices on the line carry no A_i (required by the coefficient
+    extraction); strictly lower-weight junk may carry anything B-free.
+    """
+    p = rng.randint(3, 6)
+    a0 = rng.randint(1, 2)
+    b0 = rng.randint(0, p - 1)
+    sigma = Fraction(p - b0, a0)
+    w = Weight(sigma, 1)
+    gamma_by_order: dict[int, dict] = {p: {(0, 0): CycloScalar.one(k)}}
+    gamma_by_order.setdefault(b0, {})[(a0, 0)] = _nonzero(rng, k)
+    b1 = 2 * b0 - p
+    if b1 >= 0 and b1 != p and rng.random() < 0.5:
+        gamma_by_order.setdefault(b1, {})[(2 * a0, 0)] = _nonzero(rng, k)
+    for _ in range(rng.randint(0, 3)):
+        l = rng.randint(0, 4)
+        j = rng.randint(0, p - 1)
+        if w.value(l, j) < p and (l, j) != (0, p):
+            i = rng.randint(0, k - 1)
+            gamma_by_order.setdefault(j, {})[(l, i)] = \
+                gamma_by_order.get(j, {}).get((l, i), CycloScalar.zero(k)) + _scalar(rng, k)
+    return HcpSeries(k, {j: Hcp(k, j, gamma) for j, gamma in gamma_by_order.items()})
 
 
 def test_criterion_8_restriction_machinery():

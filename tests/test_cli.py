@@ -190,7 +190,7 @@ def test_cli_q_of_order_below_one_exits_3(argv, capsys):
 
 
 def test_cli_failed_suite_ends_with_a_json_error(monkeypatch, capsys):
-    def planted(name, cases, seed, workers):
+    def planted(name, cases, seed):
         return SuiteResult(name=name, cases=cases, failures=["case 0: planted violation"])
 
     monkeypatch.setattr(cli, "run_suite", planted)
@@ -312,14 +312,6 @@ def test_cli_verify_small(capsys):
     assert "suite powerform: 4 cases: ok" in out
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_cli_verify_rejects_too_few_workers(workers, capsys):
-    code, out = run_cli(["verify", "--suite", "powerform", "--cases", "1",
-                         "--workers", workers], capsys)
-    assert code == 3
-    assert json.loads(out)["error"]["kind"] == "PreconditionError"
-
-
 @pytest.mark.parametrize("argv", [
     ["bc-find", "--fixture", "kdv24", "--wmax", "-2", "--depth", "4"],
     ["bc-find", "--fixture", "kdv24", "--wmax", "4", "--depth", "-1"],
@@ -371,6 +363,38 @@ def test_cli_over_limit_values_exit_3(argv, monkeypatch, capsys):
     assert "exceeds the maximum" in err["message"]
 
 
+# A shortest valid command line of each subcommand, and the shared options it
+# takes; any other of those options exits 2.
+MINIMAL_ARGV = {
+    "eval": (["x"], {"--k", "--xcap", "--format"}),
+    "mul": (["d", "x"], {"--k", "--xcap", "--format"}),
+    "commutator": (["d", "x"], {"--k", "--xcap", "--format"}),
+    "schur": (["--q", "d^2", "--depth", "2"], {"--k", "--xcap", "--format"}),
+    "normal-form": (["--fixture", "generic", "--depth", "2"], {"--k", "--xcap"}),
+    "newton": (["--input", os.path.join(GOLDEN, "normal_form_generic.json")], set()),
+    "classify": (["--fixture", "generic", "--depth", "2"], {"--k", "--xcap", "--format"}),
+    "bc-find": (["--fixture", "generic", "--wmax", "2", "--depth", "2"],
+                {"--k", "--xcap", "--format"}),
+    "expand-power": (["--k", "2"], {"--k"}),
+    "verify": (["--suite", "powerform", "--cases", "1"], {"--seed"}),
+}
+SHARED_OPTIONS = {"--k": "3", "--xcap": "12", "--format": "json", "--seed": "3",
+                  "--workers": "2"}
+
+
+@pytest.mark.parametrize("cmd", sorted(MINIMAL_ARGV))
+def test_cli_subcommand_takes_only_the_options_it_reads(cmd, capsys):
+    argv, takes = MINIMAL_ARGV[cmd]
+    parser = cli.build_parser()
+    for option, value in SHARED_OPTIONS.items():
+        full = [cmd, *argv, option, value]
+        if option in takes:
+            parser.parse_args(full)
+        else:
+            code, out = run_cli(full, capsys)
+            assert (code, json.loads(out)["error"]["kind"]) == (2, "UsageError"), full
+
+
 def test_limits_admit_their_own_value():
     assert parse_operator(f"d^{MAX_EXPONENT}") == GradedOp.d_op(1, MAX_EXPONENT)
     assert parse_operator("(d^8)^8") == GradedOp.d_op(1, 64)
@@ -394,8 +418,14 @@ def test_limits_admit_their_own_value():
     (["eval", "9" * 5000], 2, "ParseError"),
     (["eval", "(" * 2000 + "x" + ")" * 2000], 3, "PreconditionError"),
     (["eval", "x*(" * 2000 + "x" + ")" * 2000], 3, "PreconditionError"),
-    # expand-power prints text only; it takes no --format.
+    # A subcommand takes only the options it reads: expand-power prints text
+    # only, newton reads a file, verify runs no operator and has no window.
     (["expand-power", "--k", "2", "--format", "json"], 2, "UsageError"),
+    (["verify", "--suite", "powerform", "--cases", "1", "--workers", "2"], 2, "UsageError"),
+    (["classify", "--fixture", "generic", "--depth", "4", "--seed", "3"], 2, "UsageError"),
+    (["newton", "--input", os.path.join(GOLDEN, "normal_form_generic.json"),
+      "--format", "json"], 2, "UsageError"),
+    (["verify", "--suite", "powerform", "--cases", "1", "--k", "3"], 2, "UsageError"),
 ])
 def test_cli_malformed_input_is_a_json_error(argv, code, kind, capsys):
     got, out = run_cli(argv, capsys)
@@ -464,7 +494,7 @@ NEWTON_INPUTS = {"golden": None, "not-json": "{", "empty": "{}",
                  "no-components": '{"k": 2, "floor": null, "top": 0}',
                  "zero-series": '{"k": 2, "floor": null, "top": 0, "components": {}}'}
 # Per subcommand, the argv fragments drawn in order. Sizes stay small: depth
-# and wmax at most 4, at most 2 verify cases, one worker.
+# and wmax at most 4, at most 2 verify cases.
 FUZZ_ARGV = {
     "eval": [FUZZ_OPERAND],
     "mul": [FUZZ_OPERAND, FUZZ_OPERAND],
@@ -482,19 +512,22 @@ FUZZ_ARGV = {
     "verify": [_frag("--suite filtration", "--suite appendix", "--suite powerform",
                      "--suite all", "--suite nope"),
                _frag("--cases 2", "--cases 1", "--cases 0", "--cases -1"),
-               _frag("", "--workers 1", "--workers 0")],
+               _frag("", "--seed 3")],
 }
-FUZZ_COMMON = [_frag("", "--k 1", "--k 3", "--k 0"),
-               _frag("", "--xcap 12", "--xcap 6", "--xcap -1"),
-               _frag("", "--format json", "--format text"),
-               _frag("", "--seed 3")]
+FUZZ_WINDOW = [_frag("", "--k 1", "--k 3", "--k 0"),
+               _frag("", "--xcap 12", "--xcap 6", "--xcap -1")]
+FUZZ_FORMAT = [_frag("", "--format json", "--format text")]
+# Per subcommand, the shared options it takes (verify's --seed is its own).
+FUZZ_SHARED = {cmd: FUZZ_WINDOW + FUZZ_FORMAT
+               for cmd in ("eval", "mul", "commutator", "schur", "classify", "bc-find")}
+FUZZ_SHARED["normal-form"] = FUZZ_WINDOW
 
 
 @st.composite
 def cli_argv(draw):
     cmd = draw(st.sampled_from(sorted(FUZZ_ARGV)))
-    common = [] if cmd == "expand-power" else FUZZ_COMMON
-    return [cmd] + [arg for part in [*FUZZ_ARGV[cmd], *common] for arg in draw(part)]
+    return [cmd] + [arg for part in [*FUZZ_ARGV[cmd], *FUZZ_SHARED.get(cmd, [])]
+                    for arg in draw(part)]
 
 
 @given(argv=cli_argv())
@@ -527,7 +560,7 @@ def test_cli_expand_power_oracle_mismatch_exits_5(monkeypatch, capsys):
 
 def test_cli_verify_worker_fanout(capsys):
     code, out = run_cli(["verify", "--suite", "appendix", "--cases", "6",
-                         "--seed", "9", "--workers", "2"], capsys)
+                         "--seed", "9"], capsys)
     assert code == 0
     assert "suite appendix: 6 cases: ok" in out
 

@@ -1,7 +1,9 @@
-"""The package as a whole: its runtime imports nothing outside the standard library."""
+"""The package as a whole: its runtime imports nothing outside the standard
+library, and importing it starts no machinery for other processes."""
 
 import ast
 import os
+import subprocess
 import sys
 
 import weylnf
@@ -27,3 +29,13 @@ def test_modules_import_only_the_standard_library_and_weylnf():
                for root in _imported_roots(os.path.join(PACKAGE, name))
                if root != "weylnf" and root not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+def test_import_loads_no_process_pool(cli_env):
+    code = ("import sys, weylnf; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
