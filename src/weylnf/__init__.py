@@ -39,7 +39,6 @@ from .gform import (
     eigenvalues,
     fit_hcp,
     hcp_mul,
-    sdeg,
 )
 from .newton import (
     NewtonData,
@@ -76,7 +75,7 @@ from .powerform import (
     specialize,
     t_block,
 )
-from .scalars import CycloScalar, Rational, cyclotomic_poly, inv, xi_pow
+from .scalars import CycloScalar, cyclotomic_poly, xi_pow
 from .schur import (
     NormalFormResult,
     SchurPair,

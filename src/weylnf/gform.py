@@ -18,11 +18,11 @@ solves one small rational Vandermonde system per class, returns to the
 G-form by the inverse transform over Q(xi), and checks every remaining
 sample exactly against its class polynomial.
 
-:func:`hcp_mul` forms one result order of a product from all of its pairs,
-as ``operators.order_product`` does for raw operators: a pair of terms is
-one ``scalars._ring`` product of the integer vectors (``scalars``' lane form)
-each ``Hcp`` caches, each result coefficient is divided once, and a product
-keeps its vectors for the next.
+An :class:`Hcp` is integer vectors (``scalars``' lane form) over one reduced
+denominator, as FLINT's ``fmpq_poly`` holds a polynomial. Sums, rational
+multiples, ``newton``'s filtrations and :func:`hcp_mul`, which forms one
+result order from all of its pairs as ``operators.order_product`` does, run
+on these ints (``scalars._ring`` products); ``Hcp.gamma`` is built for I/O.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .errors import (
     ContextMismatchError,
@@ -49,9 +50,16 @@ EXPANSION_XCAP = 16  # the x-window of an infinite expansion when none is given
 
 
 class Hcp:
-    """A single homogeneous component in G-form (order r >= 0)."""
+    """A single homogeneous component in G-form (order r >= 0).
 
-    __slots__ = ("k", "r", "gamma", "bpart", "_lane_cache")
+    ``terms`` is the quasi part: ``(l, i, vec)`` sorted by ``(l, i)``, ``vec``
+    the nonzero ``deg Phi_k`` ints den * f[l,i].coeffs, and ``den > 0`` shares
+    no factor with all of them. The form is canonical, so ``==`` and hash read
+    it (with the ``bpart`` dict of ``CycloScalar``s); ``gamma``, {(l, i):
+    f[l,i]}, is a view for I/O and eigenvalues, built on first read and cached.
+    """
+
+    __slots__ = ("k", "r", "den", "terms", "bpart", "_gamma")
 
     def __init__(self, k: int, r: int, gamma=None, bpart=None):
         if r < 0:
@@ -60,49 +68,47 @@ class Hcp:
         for (l, i), c in (gamma or {}).items():
             if l < 0:
                 raise PreconditionError("Gamma index must be nonnegative")
-            c = as_scalar(k, c)
-            if c:
-                key = (l, i % k)
-                prev = g.get(key)
-                g[key] = c if prev is None else prev + c
-        b = {}
-        for j, c in (bpart or {}).items():
-            if j < 1:
-                raise PreconditionError("B index must be positive")
-            c = as_scalar(k, c)
-            if c:
-                b[j] = c
+            key, c = (l, i % k), as_scalar(k, c)
+            g[key] = g[key] + c if key in g else c
+        if any(j < 1 for j in bpart or {}):
+            raise PreconditionError("B index must be positive")
+        b = {j: as_scalar(k, c) for j, c in (bpart or {}).items()}
+        g = {key: g[key] for key in sorted(g) if g[key]}
+        den, lanes = _lanes(k, g.values())
         _set_k(self, k)
         _set_r(self, r)
-        _set_gamma(self, {key: c for key, c in g.items() if c})
-        _set_bpart(self, b)
+        _set_den(self, den)
+        _set_terms(self, tuple([(l, i, vec) for (l, i), vec in zip(g, zip(*lanes))]))
+        _set_bpart(self, {j: c for j, c in b.items() if c})
+        _set_gamma(self, g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hcp is immutable")
 
+    @property
+    def gamma(self) -> dict:
+        if not hasattr(self, "_gamma"):
+            _set_gamma(self, {(l, i): _from_lanes(self.k, vec, self.den)
+                              for l, i, vec in self.terms})
+        return self._gamma
+
     # -- queries ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.gamma and not self.bpart
+        return not self.terms and not self.bpart
 
     def sdeg_a(self):
         """Largest Gamma index present, or None standing for -infinity."""
-        return max((l for l, _ in self.gamma), default=None)
-
-    def sdeg_b(self):
-        return max(self.bpart, default=None)
-
-    def is_totally_bfree(self) -> bool:
-        return not self.bpart
+        return self.terms[-1][0] if self.terms else None
 
     def contains_ai(self) -> bool:
-        return any(i > 0 for _, i in self.gamma)
+        return any(i for _, i, _ in self.terms)
 
     def point_contains_ai(self, l: int) -> bool:
-        return any(i > 0 and ll == l for ll, i in self.gamma)
+        return any(i and ll == l for ll, i, _ in self.terms)
 
     def gamma_degrees(self) -> set[int]:
-        return {l for l, _ in self.gamma}
+        return {l for l, _, _ in self.terms}
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -113,8 +119,19 @@ class Hcp:
             raise ContextMismatchError("cyclotomic order mismatch")
         if self.r != other.r:
             raise PreconditionError("cannot add components of different order")
-        return _make_hcp(self.k, self.r, _add_dicts(self.gamma, other.gamma),
-                         _add_dicts(self.bpart, other.bpart))
+        den = math.lcm(self.den, other.den)
+        acc = {}
+        for h in (self, other):
+            scale = den // h.den
+            for l, i, vec in h.terms:
+                if scale != 1:
+                    vec = [scale * x for x in vec]
+                prev = acc.get((l, i))
+                acc[(l, i)] = vec if prev is None else list(map(add, prev, vec))
+        terms = tuple([(l, i, tuple(v)) for (l, i), v in sorted(acc.items()) if any(v)])
+        bpart = {j: c for j in {**self.bpart, **other.bpart}
+                 if (c := self.bpart.get(j, 0) + other.bpart.get(j, 0))}
+        return _make_hcp(self.k, self.r, *_canonical(den, terms), bpart)
 
     def __neg__(self):
         return self.scalar_mul(-1)
@@ -123,12 +140,22 @@ class Hcp:
         return self + (-other)
 
     def scalar_mul(self, value) -> "Hcp":
+        """The product with a rational, on the ints, or with a ``CycloScalar``,
+        each vector times its vector through ``scalars._ring``."""
+        k = self.k
         if not isinstance(value, (int, Fraction)):
-            value = as_scalar(self.k, value)
+            value = as_scalar(k, value)
+            value = value.coeffs[0] if value.is_rational() else value
         if not value:
-            return _make_hcp(self.k, self.r, {}, {})
-        return _make_hcp(self.k, self.r,
-                         {key: c * value for key, c in self.gamma.items()},
+            return _make_hcp(k, self.r, 1, (), {})
+        if isinstance(value, CycloScalar):
+            vmul, (den, lanes) = _ring(k)[0], _lanes(k, (value,))
+            v = [x for x, in lanes]
+            terms = tuple([(l, i, vmul(vec, v)) for l, i, vec in self.terms])
+        else:
+            den, num = value.denominator, value.numerator
+            terms = tuple([(l, i, tuple([num * x for x in vec])) for l, i, vec in self.terms])
+        return _make_hcp(k, self.r, *_canonical(self.den * den, terms),
                          {j: c * value for j, c in self.bpart.items()})
 
     def __mul__(self, other: "Hcp") -> "Hcp":
@@ -139,11 +166,11 @@ class Hcp:
     def __eq__(self, other):
         if not isinstance(other, Hcp):
             return NotImplemented
-        return (self.k, self.r, self.gamma, self.bpart) == (other.k, other.r, other.gamma, other.bpart)
+        return ((self.k, self.r, self.den, self.terms, self.bpart)
+                == (other.k, other.r, other.den, other.terms, other.bpart))
 
     def __hash__(self):
-        return hash((self.k, self.r, tuple(sorted(self.gamma.items())),
-                     tuple(sorted(self.bpart.items()))))
+        return hash((self.k, self.r, self.den, self.terms, tuple(sorted(self.bpart.items()))))
 
     # -- the diagonal action -------------------------------------------------------
 
@@ -154,8 +181,8 @@ class Hcp:
         is exact everywhere; A_i (i > 0) and B_j parts have infinite tails,
         truncated at ``xcap``.
         """
-        finite = not self.bpart and all(i == 0 for _, i in self.gamma)
-        mmax = max((l for l, _ in self.gamma), default=0) if finite else xcap
+        finite = not self.bpart and not self.contains_ai()
+        mmax = (self.sdeg_a() or 0) if finite else xcap
         mu = eigenvalues(self, range(mmax + 1))
         comp = _nu_to_comp(mu, 0, self.k)
         caps = {} if finite else {self.r: xcap}
@@ -192,40 +219,29 @@ class Hcp:
         return cls(k, data["r"], gamma, bpart)
 
 
-_set_k, _set_r, _set_gamma, _set_bpart, _set_lanes = (
+_set_k, _set_r, _set_den, _set_terms, _set_bpart, _set_gamma = (
     getattr(Hcp, name).__set__ for name in Hcp.__slots__)
 
 
-def _make_hcp(k: int, r: int, gamma: dict, bpart: dict) -> Hcp:
-    """Unchecked constructor: the arguments must already satisfy the invariant.
-
-    ``r >= 0``; ``gamma`` keys ``(l, i)`` with ``l >= 0`` and ``0 <= i < k``;
-    ``bpart`` keys ``j >= 1``; every value a nonzero ``CycloScalar`` of order
-    ``k``. The dicts are stored, not copied. A sub-dict of a valid ``gamma``
-    is valid. The public ``Hcp(k, r, gamma, bpart)`` checks all of this.
-    """
+def _make_hcp(k: int, r: int, den: int, terms: tuple, bpart: dict) -> Hcp:
+    """Unchecked constructor: ``r >= 0``; ``den`` and ``terms`` canonical (see
+    :class:`Hcp`), with ``l >= 0`` and ``0 <= i < k``; ``bpart`` keys ``j >= 1``,
+    each value a nonzero ``CycloScalar`` of order k. Nothing is copied."""
     out = object.__new__(Hcp)
     _set_k(out, k)
     _set_r(out, r)
-    _set_gamma(out, gamma)
+    _set_den(out, den)
+    _set_terms(out, terms)
     _set_bpart(out, bpart)
     return out
 
 
-def _add_dicts(a: dict, b: dict) -> dict:
-    """Keywise a + b, adding only on a repeated key and dropping zero sums."""
-    out = dict(a)
-    for key, c in b.items():
-        prev = out.get(key)
-        if prev is None:
-            out[key] = c
-        else:
-            c = prev + c
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-    return out
+def _canonical(den: int, terms: tuple) -> tuple[int, tuple]:
+    """Sorted nonzero ``terms`` over ``den``, with the gcd of den and all entries out."""
+    if den > 1 and (g := math.gcd(den, *[x for _, _, vec in terms for x in vec])) > 1:
+        den //= g
+        terms = tuple([(l, i, tuple([x // g for x in vec])) for l, i, vec in terms])
+    return den, terms
 
 
 def _is_int(v) -> bool:
@@ -285,10 +301,10 @@ def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
 
     mu(n) = mu1(n) * mu2(n + r1): after the shift (n + r1)^l2 = sum_s C(l2, s)
     r1^(l2-s) n^s and xi^(i2 (n + r1)) = xi^(i2 r1) xi^(i2 n) the quasi parts
-    multiply term by term, as products mod Phi_k of integer vectors (:func:`_terms`)
-    that the shift weights scale to the lcm D of the pairs' D1 * D2. The gcd of
-    D and the sums is divided out once, and the result keeps the sums as its
-    vectors. On the union of the pairs' B supports the summed products of
+    multiply term by term, as products mod Phi_k of the factors' integer
+    vectors, which the shift weights scale to the lcm D of the pairs' D1 * D2.
+    The sums, with their gcd with D divided out, are the result's ``terms``. On
+    the union of the pairs' B supports the summed products of
     :func:`eigenvalues`, less the result's quasi part, give the B correction.
     """
     pairs = [(H1, H2), *more]
@@ -300,54 +316,40 @@ def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
             raise ContextMismatchError("cyclotomic order mismatch")
         if r1 + h2.r != t:
             raise PreconditionError("the pairs of one product must share their total order")
-        if h1.gamma and h2.gamma:
-            live.append((r1, _terms(h1), _terms(h2)))
+        if h1.terms and h2.terms:
+            live.append((r1, h1, h2))
         if h1.bpart or h2.bpart:
             support.update(j - 1 for j in h1.bpart)
             support.update(j - 1 - r1 for j in h2.bpart if j - 1 >= r1)
     vmul, xis = _ring(k)
-    den = math.lcm(*[d1 * d2 for _, (d1, _), (d2, _) in live])
+    den = math.lcm(*[h1.den * h2.den for _, h1, h2 in live])
     acc: dict[tuple[int, int], list[int]] = {}
-    for r1, (d1, terms1), (d2, terms2) in live:
-        scale, e1 = den // (d1 * d2), r1 % k
-        for l2, i2, v2 in terms2:
+    for r1, h1, h2 in live:
+        scale, e1 = den // (h1.den * h2.den), r1 % k
+        for l2, i2, v2 in h2.terms:
             if e1 and i2:
                 v2 = vmul(v2, xis[i2 * e1 % k])
             shift = _shift_weights(l2, r1)
             if scale != 1:
                 shift = [(s, scale * w) for s, w in shift]
-            for l1, i1, v1 in terms1:
+            for l1, i1, v1 in h1.terms:
                 p, i3 = vmul(v1, v2), (i1 + i2) % k
                 for s, w in shift:
                     a = acc.setdefault((l1 + s, i3), [0] * len(p))
                     for j, x in enumerate(p):
                         a[j] += w * x
-    terms = [(l, i, tuple(a)) for (l, i), a in sorted(acc.items()) if any(a)]
-    if den > 1 and (g := math.gcd(den, *[x for _, _, vec in terms for x in vec])) > 1:
-        den //= g
-        terms = [(l, i, tuple([x // g for x in vec])) for l, i, vec in terms]
-    gamma = {(l, i): _from_lanes(k, vec, den) for l, i, vec in terms}
+    den, terms = _canonical(den, tuple([(l, i, tuple(a)) for (l, i), a in sorted(acc.items())
+                                        if any(a)]))
     bpart = {}
     if support:
         ns = sorted(support)
         mus = [(eigenvalues(h1, ns), eigenvalues(h2, [n + h1.r for n in ns])) for h1, h2 in pairs]
-        quasi = _class_polys(k, gamma)
+        quasi = eigenvalues(_make_hcp(k, t, den, terms, {}), ns)
         for m, n in enumerate(ns):
-            v = sum((mu1[m] * mu2[m] for mu1, mu2 in mus), -_class_value(quasi, n))
+            v = sum((mu1[m] * mu2[m] for mu1, mu2 in mus), -quasi[m])
             if v:
                 bpart[n + 1] = v
-    out = _make_hcp(k, t, gamma, bpart)
-    _set_lanes(out, (den, terms))
-    return out
-
-
-def _terms(h: Hcp):
-    """``(D, [(l, i, vec)])``: vec holds D * f[l,i].coeffs, D the lcm of the
-    denominators; kept in a slot that ``==``, hash and ``to_dict`` ignore."""
-    if not hasattr(h, "_lane_cache"):
-        den, lanes = _lanes(h.k, h.gamma.values())
-        _set_lanes(h, (den, [(l, i, vec) for (l, i), vec in zip(h.gamma, zip(*lanes))]))
-    return h._lane_cache
+    return _make_hcp(k, t, den, terms, bpart)
 
 
 @lru_cache(maxsize=None)
@@ -418,12 +420,7 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
             raise NotAnHcpError(
                 f"component at order {r} is not an HCP within bounds "
                 f"dmax={dmax}, nbmax={nbmax} (verification failed at sample {n})")
-    return _make_hcp(k, r, quasi, bpart)
-
-
-def sdeg(H: Hcp):
-    """(Sdeg_A, Sdeg_B) with None standing for -infinity."""
-    return (H.sdeg_a(), H.sdeg_b())
+    return Hcp(k, r, quasi, bpart)
 
 
 @dataclass
@@ -457,7 +454,7 @@ class HcpSeries(Graded):
 
     def _set_components(self, k: int, components: dict[int, Hcp], floor, top):
         """Store checked components, without the zero ones, in a normalised window."""
-        comps = {t: h for t, h in components.items() if h.gamma or h.bpart}
+        comps = {t: h for t, h in components.items() if h.terms or h.bpart}
         if floor is not None:
             floor = max(floor, 0)
             if top is None:
@@ -486,13 +483,13 @@ class HcpSeries(Graded):
         return max(self.components)
 
     def component(self, t: int) -> Hcp:
-        return self.components.get(t, Hcp(self.k, max(t, 0)))
+        return self.components.get(t) or _make_hcp(self.k, max(t, 0), 1, (), {})
 
     def is_monic(self) -> bool:
         if not self.components:
             return False
         top = self.components[self.top_order()]
-        return top.bpart == {} and top.gamma == {(0, 0): CycloScalar.one(self.k)}
+        return not top.bpart and top.den == 1 and top.terms == ((0, 0, _ring(self.k)[1][0]),)
 
     def restrict_floor(self, floor: int) -> "HcpSeries":
         new_floor = floor if self.floor is None else max(floor, self.floor)
@@ -546,8 +543,7 @@ class HcpSeries(Graded):
             (other.k, other.floor, other.top, other.components)
 
     def __hash__(self):
-        return hash((self.k, self.floor, self.top, tuple(sorted(
-            (t, h) for t, h in self.components.items()))))
+        return hash((self.k, self.floor, self.top, tuple(sorted(self.components.items()))))
 
     def _agrees_at(self, other: "HcpSeries", t: int) -> bool:
         return self.component(t) == other.component(t)
@@ -617,7 +613,7 @@ def check_Aqk(P: HcpSeries, kk: int, enforce_growth: bool = True) -> AqkReport:
     p = P.top_order()
     for t in sorted(P.components, reverse=True):
         h = P.components[t]
-        if not h.is_totally_bfree():
+        if h.bpart:
             return AqkReport(False, clause=2, order=t,
                              detail=f"component at order {t} has B part {sorted(h.bpart)}")
         if t == p:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .gform import Hcp, HcpSeries, _make_hcp, _make_series, check_Aqk
+from .gform import HcpSeries, _canonical, _make_hcp, _make_series, check_Aqk
+from .scalars import _exact
 
 
 @dataclass(frozen=True)
@@ -29,13 +30,10 @@ class Weight:
     rho: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
-        object.__setattr__(self, "rho", Fraction(self.rho))
+        object.__setattr__(self, "sigma", _exact(self.sigma))
+        object.__setattr__(self, "rho", _exact(self.rho))
         if self.sigma < 0 or self.rho <= 0:
             raise PreconditionError("weight needs sigma >= 0 and rho > 0")
-
-    def normalized(self) -> "Weight":
-        return Weight(self.sigma / self.rho, Fraction(1))
 
     def value(self, l: int, j: int) -> Fraction:
         return self.sigma * l + self.rho * j
@@ -96,26 +94,30 @@ def weight_of(P: HcpSeries, w: Weight, assume_growth_bound: bool = False) -> Sup
     bound Sdeg_A(P_(p-i)) < i is used to certify finiteness where possible,
     otherwise a lower-bound marker is returned.
     """
-    nd = e_set(P)
-    vals = [w.value(pt.l, pt.j) for pt in nd.points]
-    sup = max(vals) if vals else None
+    den, (S, R) = _over_one_den(w.sigma, w.rho)
+    top = _top_weight(P, S, R)
+    sup = None if top is None else Fraction(top, den)
     if P.floor is None:
         return SupResult(sup, True)
-    if not assume_growth_bound:
+    if not assume_growth_bound or S > R or top is None:
         return SupResult(sup, False)
-    if not P.components:
-        return SupResult(None, False)
+    # den times the weight of the deepest unseen point the growth bound allows.
     p = P.top_order()
-    i0 = p - P.floor
-    if w.sigma > w.rho:
-        return SupResult(sup, False)
-    if w.sigma == w.rho:
-        unseen_bound = w.rho * p - w.sigma
-    else:
-        i = i0 + 1
-        unseen_bound = w.sigma * (i - 1) + w.rho * (p - i)
-    exact = sup is not None and sup >= unseen_bound
-    return SupResult(sup, exact)
+    i = p - P.floor + 1
+    unseen = R * p - S if S == R else S * (i - 1) + R * (p - i)
+    return SupResult(sup, top >= unseen)
+
+
+def _over_one_den(*values: Fraction) -> tuple[int, list[int]]:
+    """The lcm ``den`` of the values' denominators and each value times den."""
+    den = math.lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _top_weight(P: HcpSeries, S: int, R: int) -> int | None:
+    """max(S*l + R*j) over E(P) (None if empty): S >= 0, so each order's last l."""
+    return max((S * h.terms[-1][0] + R * j for j, h in P.components.items() if h.terms),
+               default=None)
 
 
 def top_term(P: HcpSeries, w: Weight) -> HcpSeries:
@@ -123,18 +125,13 @@ def top_term(P: HcpSeries, w: Weight) -> HcpSeries:
 
     For truncated input this is relative to the window; pair it with
     :func:`weight_of` to know whether the supremum itself is certified.
+    They are the points of weight >= the supremum, which :func:`_filtration` keeps.
     """
-    nd = e_set(P)
-    vals = {(pt.l, pt.j): w.value(pt.l, pt.j) for pt in nd.points}
-    if not vals:
+    den, (S, R) = _over_one_den(w.sigma, w.rho)
+    sup = _top_weight(P, S, R)
+    if sup is None:
         return HcpSeries.zero(P.k)
-    sup = max(vals.values())
-    comps: dict[int, Hcp] = {}
-    for j, h in P.components.items():
-        gamma = {(l, i): c for (l, i), c in h.gamma.items() if w.value(l, j) == sup}
-        if gamma:
-            comps[j] = _make_hcp(P.k, j, gamma, {})
-    return HcpSeries(P.k, comps)
+    return HcpSeries(P.k, _filtration(P, Fraction(sup, den), None, w).components)
 
 
 def up_edge(P: HcpSeries) -> list[tuple[int, int]]:
@@ -228,7 +225,7 @@ def filtration_H(L: HcpSeries, d: Fraction, w: Weight) -> HcpSeries:
 
     Following the definition literally, the retained sum has no B part.
     """
-    return _filtration(L, Fraction(d), None, w)
+    return _filtration(L, _exact(d), None, w)
 
 
 def filtration_HS(L: HcpSeries, d: Fraction, m: int, w: Weight) -> HcpSeries:
@@ -239,7 +236,7 @@ def filtration_HS(L: HcpSeries, d: Fraction, m: int, w: Weight) -> HcpSeries:
     filtration feeds the top-line machinery the retained points carry no
     A_i, so the two readings agree there).
     """
-    return _filtration(L, Fraction(d), m, w)
+    return _filtration(L, _exact(d), m, w)
 
 
 def _filtration(L: HcpSeries, d: Fraction, m: int | None, w: Weight) -> HcpSeries:
@@ -250,8 +247,7 @@ def _filtration(L: HcpSeries, d: Fraction, m: int | None, w: Weight) -> HcpSerie
     then one integer threshold on l: l >= ceil((D - R*j) / S) when S > 0,
     and all or nothing (R*j >= D) when S = 0.
     """
-    den = math.lcm(w.sigma.denominator, w.rho.denominator, d.denominator)
-    S, R, D = (v.numerator * (den // v.denominator) for v in (w.sigma, w.rho, d))
+    _, (S, R, D) = _over_one_den(w.sigma, w.rho, d)
     hi = math.inf if m is None else m
     comps = {}
     for j, h in L.components.items():
@@ -261,9 +257,10 @@ def _filtration(L: HcpSeries, d: Fraction, m: int | None, w: Weight) -> HcpSerie
             lo = 0
         else:
             continue
-        gamma = {key: c for key, c in h.gamma.items() if lo <= key[0] <= hi}
-        if gamma:
-            comps[j] = _make_hcp(L.k, j, gamma, {})
+        terms = tuple([t for t in h.terms if lo <= t[0] <= hi])
+        if terms:  # h itself when it keeps every term and has no B part
+            comps[j] = h if len(terms) == len(h.terms) and not h.bpart else _make_hcp(
+                L.k, j, *_canonical(h.den, terms), {})
     return _make_series(L.k, comps, L.floor, L.top)
 
 

@@ -23,7 +23,9 @@ one common denominator D > 0 are exactly ``deg Phi_k`` lanes of ``int``,
 lane i holding D * v.coeffs[i] (:func:`_lanes`, :func:`_from_lanes`), and
 products fold each xi^e, e >= deg Phi_k, through the monic Phi_k, so they
 stay in integers (:func:`_lane_mul` on lanes, :func:`_ring` on single
-vectors). :func:`_xi_powers` keeps xi^0 .. xi^(k-1) once per k.
+vectors). ``gform.Hcp`` keeps its coefficients in this form as its value,
+one vector per term, and builds scalars from it only for I/O and
+eigenvalues. :func:`_xi_powers` keeps xi^0 .. xi^(k-1) once per k.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from functools import lru_cache, reduce
 from operator import add, mul, sub
 
 from .errors import ContextMismatchError, DivisionByZeroError, PreconditionError
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 
@@ -85,7 +85,7 @@ class CycloScalar:
 
     def __init__(self, k: int, coeffs):
         d = len(cyclotomic_poly(k)) - 1
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) != d:
             coeffs = _reduce_mod_phi(k, coeffs)
         _set_k(self, k)
@@ -99,7 +99,7 @@ class CycloScalar:
     @classmethod
     def from_rational(cls, k: int, value) -> "CycloScalar":
         if type(value) is not Fraction:
-            value = Fraction(value)
+            value = _exact(value)
         return _make(k, (value,) + _rational_tail(k))
 
     @classmethod
@@ -247,6 +247,15 @@ class CycloScalar:
         return f"CycloScalar(k={self.k}, {self})"
 
 
+def _exact(value) -> Fraction:
+    """``value`` as a Fraction, refusing a binary float as the grammar refuses ``0.5``."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise PreconditionError(f"exact values only: got the float {value!r}")
+    return Fraction(value)
+
+
 _set_k = CycloScalar.k.__set__
 _set_coeffs = CycloScalar.coeffs.__set__
 
@@ -301,10 +310,6 @@ def xi_pow(k: int, e: int) -> CycloScalar:
     """xi^e reduced to canonical form; e may be negative."""
     cyclotomic_poly(k)  # rejects k < 1 before e % k divides by it
     return CycloScalar(k, [0] * (e % k) + [1])
-
-
-def inv(a: CycloScalar) -> CycloScalar:
-    return a.inv()
 
 
 # -- integer forms ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from weylnf import gform, suites
+from weylnf import gform, scalars, suites
 from weylnf.errors import (
     ContextMismatchError,
     NotAnHcpError,
@@ -24,11 +24,11 @@ from weylnf.gform import (
     eigenvalues,
     fit_hcp,
     hcp_mul,
-    sdeg,
 )
 from weylnf.linalg import solve_square
+from weylnf.newton import Weight, filtration_H, filtration_HS
 from weylnf.operators import GradedOp, _comp_nu, _nu_to_comp, poly_from_pairs, product_floor
-from weylnf.scalars import CycloScalar, xi_pow
+from weylnf.scalars import CycloScalar, _ring, cyclotomic_poly, xi_pow
 
 
 def S(k, v):
@@ -343,25 +343,58 @@ def test_series_product_matches_the_per_pair_reference():
                     assert A1 * B1 == _reference_series_mul(A1, B1)
 
 
-def test_cached_lanes_are_no_part_of_the_value():
+def _assert_canonical(h):
+    """The stored form of an Hcp: sorted (l, i, vec) with deg Phi_k ints, no zero
+    vector, over den > 0 sharing no factor with every entry."""
+    d = len(cyclotomic_poly(h.k)) - 1
+    assert type(h.den) is int and h.den > 0 and type(h.terms) is tuple
+    assert [t[:2] for t in h.terms] == sorted({t[:2] for t in h.terms})
+    assert all(type(vec) is tuple and len(vec) == d and any(vec)
+               and all(type(x) is int for x in vec) for _, _, vec in h.terms)
+    assert math.gcd(h.den, *[x for _, _, vec in h.terms for x in vec]) == 1
+
+
+def test_every_route_gives_the_canonical_form():
     k = 5
     xi = xi_pow(k, 1)
-    H = Hcp(k, 2, {(1, 3): xi / 3, (0, 0): Fraction(1, 2)}, {2: xi})
-    fresh = Hcp.from_dict(k, H.to_dict())
-    data, key = H.to_dict(), hash(H)
-    P = hcp_mul(H, H)
-    # (D, [(l, i, D * f[l,i].coeffs)]), one int per coefficient of Q(xi_5).
-    assert H._lane_cache == (6, [(1, 3, (0, 2, 0, 0)), (0, 0, (3, 0, 0, 0))])
-    assert not hasattr(fresh, "_lane_cache")
-    assert H == fresh and fresh == H and hash(H) == hash(fresh) == key
-    assert H.to_dict() == data
-    # A product carries its lanes, and they are no part of its value either.
-    assert P._lane_cache[0] == 36 and P == Hcp.from_dict(k, P.to_dict())
-    assert hash(P) == hash(Hcp.from_dict(k, P.to_dict()))
-    with pytest.raises(AttributeError):
-        H._lane_cache = None
-    with pytest.raises(AttributeError):
-        P._lane_cache = None
+    H = Hcp(k, 2, {(2, 3): xi / 4, (0, 0): Fraction(1, 6), (1, 1): Fraction(-1, 2)})
+    # 1/6, -1/2 and xi/4 over den 12, one int per coefficient of Q(xi_5).
+    assert (H.den, H.terms) == (12, ((0, 0, (2, 0, 0, 0)), (1, 1, (-6, 0, 0, 0)),
+                                     (2, 3, (0, 3, 0, 0))))
+    half = Hcp(k, 2, {(2, 3): xi / 4, (1, 1): Fraction(-1, 2)})
+    one, unit = Hcp(k, 0, {(0, 0): 1}), HcpSeries.from_hcp(H)
+    w = Weight(1, 1)
+    routes = [
+        (Hcp.from_dict(k, H.to_dict()), H),
+        (Hcp(k, 2, {(0, 0): Fraction(1, 12), (5, 1): 1, (1, 1): Fraction(-1, 2),
+                    (2, 8): xi / 4, (0, 5): Fraction(1, 12), (5, 6): -1}), H),
+        (hcp_mul(one, H), H),
+        (hcp_mul(H, one, [(H, one.scalar_mul(-1)), (H, one)]), H),
+        (hcp_mul(Hcp(k, 1, {(0, 0): 2}), Hcp(k, 1, {(0, 0): Fraction(1, 12)})),
+         Hcp(k, 2, {(0, 0): Fraction(1, 6)})),
+        # A sum over den 60 that cancels back to den 12.
+        (H + Hcp(k, 2, {(0, 0): Fraction(2, 5), (3, 4): xi / 5}) - Hcp(
+            k, 2, {(0, 0): Fraction(2, 5), (3, 4): xi / 5}), H),
+        (H.scalar_mul(6).scalar_mul(Fraction(1, 6)), H),
+        (H.scalar_mul(xi).scalar_mul(xi ** -1), H),
+        (-(-H), H),
+        # Filtrations drop the Gamma_0 term, and the gcd with it: den 12 -> 4.
+        (filtration_H(unit, Fraction(3), w).component(2), half),
+        (filtration_HS(unit, Fraction(2), 2, w).component(2), H),
+        (filtration_HS(unit, Fraction(3), 1, w).component(2), Hcp(k, 2, {(1, 1): Fraction(-1, 2)})),
+    ]
+    assert half.den == 4
+    for got, want in routes:
+        _assert_canonical(got)
+        assert (got.den, got.terms) == (want.den, want.terms)
+        assert got == want and hash(got) == hash(want) and got.to_dict() == want.to_dict()
+    P = hcp_mul(H, Hcp(k, 1, {(1, 2): xi}, {2: Fraction(1, 3)}))
+    assert P == Hcp.from_dict(k, P.to_dict()) and hash(P) == hash(Hcp.from_dict(k, P.to_dict()))
+    for name in (*Hcp.__slots__, "gamma", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(H, name, None)
+        with pytest.raises(AttributeError):
+            setattr(P, name, None)
 
 
 def _scalars(k):
@@ -401,9 +434,93 @@ def test_hcp_mul_on_term_vectors_matches_the_reference(case):
     k, pairs = case
     got = hcp_mul(*pairs[0], pairs[1:])
     assert got == _pairs_sum(pairs)
-    # The lanes a product carries are the ones a fresh Hcp of its value builds.
+    # The ints a product stores are the ones a fresh Hcp of its value builds.
     fresh = Hcp.from_dict(k, got.to_dict())
-    assert got._lane_cache == gform._terms(fresh)
+    assert (got.den, got.terms) == (fresh.den, fresh.terms)
+    _assert_canonical(got)
+
+
+def _add_dicts(a: dict, b: dict) -> dict:
+    """Keywise a + b, adding only on a repeated key and dropping zero sums: the
+    ``CycloScalar`` body of ``Hcp.__add__`` before the integer terms."""
+    out = dict(a)
+    for key, c in b.items():
+        prev = out.get(key)
+        if prev is None:
+            out[key] = c
+        else:
+            c = prev + c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
+
+
+def _reference_scale(H, c):
+    return Hcp(H.k, H.r, {key: v * c for key, v in H.gamma.items()},
+               {j: v * c for j, v in H.bpart.items()})
+
+
+@st.composite
+def _sum_cases(draw):
+    """Two Hcps of one order, the second sometimes cancelling some of the first,
+    and a factor: an int, a Fraction, a CycloScalar or zero."""
+    k = draw(st.integers(1, 12))
+    values = _scalars(k)
+    keys = st.tuples(st.integers(0, 3), st.integers(0, k - 1))
+    gammas = [draw(st.dictionaries(keys, values, max_size=3)) for _ in range(2)]
+    bparts = [draw(st.dictionaries(st.integers(1, 4), values, max_size=2)) for _ in range(2)]
+    if draw(st.booleans()):
+        for part, other in ((gammas[1], gammas[0]), (bparts[1], bparts[0])):
+            part.update({key: -c for key, c in other.items() if draw(st.booleans())})
+    r = draw(st.integers(0, 3))
+    A, B = (Hcp(k, r, g, b) for g, b in zip(gammas, bparts))
+    c = draw(st.one_of(st.integers(-3, 3), st.just(0), values,
+                       st.fractions(min_value=-3, max_value=3, max_denominator=6)))
+    return A, B, c
+
+
+@given(_sum_cases())
+@settings(max_examples=150, deadline=None)
+def test_integer_add_and_scale_match_the_scalar_reference(case):
+    # k in 1..12 takes every branch of scalars._ring (deg Phi_k 1, 2, 4, 6).
+    A, B, c = case
+    minus_b = _reference_scale(B, -1)
+    for got, want in ((A + B, Hcp(A.k, A.r, _add_dicts(A.gamma, B.gamma),
+                                  _add_dicts(A.bpart, B.bpart))),
+                      (A - B, Hcp(A.k, A.r, _add_dicts(A.gamma, minus_b.gamma),
+                                  _add_dicts(A.bpart, minus_b.bpart))),
+                      (-A, _reference_scale(A, -1)),
+                      (A.scalar_mul(c), _reference_scale(A, c))):
+        _assert_canonical(got)
+        assert got == want and hash(got) == hash(want)
+        assert got.gamma == want.gamma and got.bpart == want.bpart
+    assert (A - A).is_zero() and (A - A).den == 1
+
+
+def test_bfree_products_and_filtrations_build_no_scalar(monkeypatch):
+    # Products of B-free factors and their filtrations stay in the integer
+    # terms: neither may build a CycloScalar, checked or unchecked.
+    rng = random.Random(61)
+    k = 3
+    P, Q = (suites.rand_bfree_series(rng, k, 4) for _ in range(2))
+    H1, H2 = P.components[4], Q.components[4]
+    pairs = [(h1, h2) for t1, h1 in P.components.items() for t2, h2 in Q.components.items()
+             if t1 + t2 == 7]
+    _ring(k)  # the xi powers are built once per k
+    built = []
+    real_make, real_init = scalars._make, CycloScalar.__init__
+    monkeypatch.setattr(scalars, "_make", lambda *a: built.append(a) or real_make(*a))
+    monkeypatch.setattr(CycloScalar, "__init__",
+                        lambda self, *a: built.append(a) or real_init(self, *a))
+    w = Weight(Fraction(1, 2), 1)
+    got = [hcp_mul(H1, H2), hcp_mul(*pairs[0], pairs[1:]), P * Q,
+           filtration_H(P * Q, Fraction(7), w), filtration_HS(P * Q, Fraction(6), 2, w)]
+    assert built == []
+    monkeypatch.undo()
+    assert got[0] == _reference_hcp_mul(H1, H2) and got[1] == _pairs_sum(pairs)
+    assert got[2] == _reference_series_mul(P, Q) and not got[3].is_zero_in_window()
 
 
 def test_series_product_reaches_the_traced_hcp_mul(layertrace):

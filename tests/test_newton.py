@@ -64,6 +64,59 @@ def test_weight_and_top_term():
         assert res.value == 5 * rho and res.exact
 
 
+def test_weight_refuses_floats():
+    for sigma, rho in ((0.1, 1), (Fraction(1, 2), 0.5), (1.0, 1)):
+        with pytest.raises(PreconditionError, match="float"):
+            Weight(sigma, rho)
+    assert Weight("1/10", 2) == Weight(Fraction(1, 10), Fraction(2))
+
+
+def test_filtration_thresholds_refuse_floats():
+    # 2.1 is stored as a dyadic just above 21/10, the weight of Gamma_1 D^2.
+    P, w = series(1, G(1, 2, {(1, 0): 1})), Weight("1/10")
+    assert not filtration_H(P, Fraction(21, 10), w).is_zero_in_window()
+    for filtered in (lambda: filtration_H(P, 2.1, w), lambda: filtration_HS(P, 2.1, 1, w)):
+        with pytest.raises(PreconditionError, match="float"):
+            filtered()
+
+
+def _reference_exact(P, w, sup, growth):
+    """The certification rule of ``weight_of`` in Fractions."""
+    if P.floor is None:
+        return True
+    if not growth or not P.components or w.sigma > w.rho:
+        return False
+    p = P.top_order()
+    i = p - P.floor + 1
+    bound = w.rho * p - w.sigma if w.sigma == w.rho else w.sigma * (i - 1) + w.rho * (p - i)
+    return sup is not None and sup >= bound
+
+
+def test_weight_of_and_top_term_match_the_fraction_definition():
+    # weight_of and top_term scale sigma and rho to integers once per call;
+    # the literal definition evaluates w.value(l, j) in Fractions.
+    rng = random.Random(59)
+    for case in range(30):
+        k = rng.choice((1, 2, 3))
+        P = rand_bfree_series(rng, k, rng.randint(2, 6))
+        if case % 3 == 0:
+            P = P.restrict_floor(max(P.components) - rng.randint(0, 3))
+        w = Weight(rng.choice(SIGMAS + (Fraction(2, 3), Fraction(5, 4))),
+                   rng.choice((Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 3))))
+        vals = {(pt.l, pt.j): w.value(pt.l, pt.j) for pt in e_set(P).points}
+        sup = max(vals.values(), default=None)
+        for growth in (False, True):
+            res = weight_of(P, w, assume_growth_bound=growth)
+            assert res.value == sup and type(res.value) is type(sup)
+            assert res.exact == _reference_exact(P, w, sup, growth)
+        comps = {}
+        for j, h in P.components.items():
+            gamma = {(l, i): c for (l, i), c in h.gamma.items() if w.value(l, j) == sup}
+            if gamma:
+                comps[j] = Hcp(k, j, gamma)
+        assert top_term(P, w) == HcpSeries(k, comps)
+
+
 def test_weight_growth_bound_certifies_11():
     # Truncated window under the shape condition: (1,1) weight equals p.
     P = series(2, G(2, 5, {(0, 0): 1}), G(2, 3, {(1, 0): 1}), floor=3)

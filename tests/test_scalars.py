@@ -240,6 +240,22 @@ def test_public_constructor_still_coerces_and_reduces():
     assert CycloScalar(6, [3]).coeffs == (Fraction(3), Fraction(0))
 
 
+def test_public_constructor_refuses_floats():
+    # 0.1 would be stored as the dyadic 3602879701896397/36028797018963968.
+    for coeffs in ([0.1], [1, 0.5], (Fraction(1, 3), 2.0)):
+        with pytest.raises(PreconditionError, match="float"):
+            CycloScalar(2 if len(coeffs) == 1 else 3, coeffs)
+    assert CycloScalar(3, ["1/10", Fraction(1, 2)]).coeffs == (Fraction(1, 10), Fraction(1, 2))
+
+
+def test_from_rational_refuses_floats():
+    for value in (0.1, 0.5, -2.0, float("inf")):
+        with pytest.raises(PreconditionError, match="float"):
+            CycloScalar.from_rational(3, value)
+    assert CycloScalar.from_rational(3, "1/10").coeffs == (Fraction(1, 10), Fraction(0))
+    assert CycloScalar.from_rational(1, True) == 1
+
+
 # -- Phi_k, the Galois-conjugate inverse and the integer product ------------------------
 
 
