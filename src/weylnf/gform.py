@@ -10,19 +10,21 @@ on monomials: Gamma_l scales x^n by n^l, A_i by xi^(i n), B_j picks out
 n = j - 1. That diagonal action is the backbone here: the eigenvalue
 mu(n) = sum f_{l,i} n^l xi^(i n) + g_(n+1) determines the HCP uniquely, and on
 each residue class n = rho (mod k) its quasi part is an ordinary polynomial
-in n. :func:`eigenvalues` is the one evaluator: a forward discrete Fourier
-transform gives the class polynomials, and :func:`_class_value` evaluates
-them by Horner. Products are pointwise products of eigenvalues with the
-argument of the right factor shifted by the left order. :func:`fit_hcp`
-solves one small rational Vandermonde system per class, returns to the
-G-form by the inverse transform over Q(xi), and checks every remaining
-sample exactly against its class polynomial.
+in n. :func:`eigenvalues` is the one evaluator: the forward discrete Fourier
+transform :func:`_dft` gives the class polynomials, and :func:`_class_value`
+evaluates them by Horner. Products are pointwise products of eigenvalues with
+the argument of the right factor shifted by the left order. :func:`fit_hcp`
+solves one small rational Vandermonde system per class, brings the class
+polynomials to one denominator D, returns to the G-form by the inverse
+transform over k * D, and checks every remaining sample exactly against its
+class polynomial, all on integer vectors.
 
 An :class:`Hcp` is integer vectors (``scalars``' lane form) over one reduced
 denominator, as FLINT's ``fmpq_poly`` holds a polynomial. Sums, rational
-multiples, ``newton``'s filtrations and :func:`hcp_mul`, which forms one
-result order from all of its pairs as ``operators.order_product`` does, run
-on these ints (``scalars._ring`` products); ``Hcp.gamma`` is built for I/O.
+multiples, ``newton``'s filtrations, the transforms and :func:`hcp_mul`, which
+forms one result order from all of its pairs as ``operators.order_product``
+does, run on these ints (``scalars._ring`` products); ``Hcp.gamma`` is built
+for I/O.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from .errors import (
     TruncationError,
 )
 from .linalg import solve_square
-from .operators import INF, Graded, GradedOp, _comp_nu, _nu_to_comp, product_floor
-from .scalars import CycloScalar, _from_lanes, _lanes, _ring, _xi_powers, as_scalar
+from .operators import INF, Factor, Graded, GradedOp, _nu_to_comp, product_floor
+from .scalars import CycloScalar, _from_lanes, _lanes, _ring, as_scalar
 
 
 EXPANSION_XCAP = 16  # the x-window of an infinite expansion when none is given
@@ -258,39 +260,40 @@ def _is_hcp_dict(h) -> bool:
             and rows_ok(h.get("f", []), 3) and rows_ok(h.get("g", []), 2))
 
 
-def _class_polys(k: int, gamma: dict) -> list[list[CycloScalar]]:
-    """The forward DFT c[rho][l] = sum_i f[l,i] xi^(i rho), rho = 0 .. k-1.
+def _dft(k: int, entries, sign: int) -> list[list[list[int]]]:
+    """out[t][l] = sum vec * xi^(sign * s * t) over the ``(l, s, vec)`` of ``entries``,
+    t < k, on integer vectors. With sign 1 on an ``Hcp``'s terms, out[rho] is the
+    class polynomial c[rho][l] = sum_i f[l,i] xi^(i rho): on n = rho (mod k) the
+    quasi part sum f[l,i] n^l xi^(i n) is sum_l c[rho][l] n^l."""
+    vmul, xis = _ring(k)
+    lmax = max((l for l, _, _ in entries), default=0)
+    out = [[[0] * len(xis[0]) for _ in range(lmax + 1)] for _ in range(k)]
+    for l, s, vec in entries:
+        for t, poly in enumerate(out):
+            e = sign * s * t % k
+            for j, x in enumerate(vmul(vec, xis[e]) if e else vec):
+                poly[l][j] += x
+    return out
 
-    On n = rho (mod k) the quasi part sum f[l,i] n^l xi^(i n) is the
-    polynomial sum_l c[rho][l] n^l; every list has max(l) + 1 entries.
-    """
-    zero = CycloScalar.zero(k)
-    polys = [[zero] * (max((l for l, _ in gamma), default=0) + 1) for _ in range(k)]
-    xis = _xi_powers(k)
-    for (l, i), c in gamma.items():
-        for rho, c_rho in enumerate(polys):
-            c_rho[l] = c_rho[l] + (c * xis[i * rho % k] if i else c)
-    return polys
 
-
-def _class_value(polys: list[list[CycloScalar]], n: int) -> CycloScalar:
-    """p_(n mod k)(n) by Horner: rational times scalar only."""
+def _class_value(polys, n: int) -> list[int]:
+    """p_(n mod k)(n) by Horner on the integer vectors, over their denominator."""
     c = polys[n % len(polys)]
     acc = c[-1]
     for l in range(len(c) - 2, -1, -1):
-        acc = acc * n + c[l]
+        acc = [x * n + y for x, y in zip(acc, c[l])]
     return acc
 
 
 def eigenvalues(H: Hcp, ns) -> list[CycloScalar]:
     """mu(n) = sum f[l,i] n^l xi^(i n) + g[n+1]: the action of H's order-zero
     factor on x^n, for each n in ``ns``."""
-    polys = _class_polys(H.k, H.gamma)
+    polys = _dft(H.k, H.terms, 1)
     out = []
     for n in ns:
         if n < 0:
             raise PreconditionError("eigenvalues are defined for n >= 0")
-        v = _class_value(polys, n)
+        v = _from_lanes(H.k, _class_value(polys, n), H.den)
         g = H.bpart.get(n + 1)
         out.append(v if g is None else v + g)
     return out
@@ -393,34 +396,34 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
                               {"order": r, "needed_xcap": need,
                                "xcap": None if cap == INF else cap})
     upto = need if cap == INF else int(cap)
-    # The order-zero factor of x^n d^(n+r) = x^n d^n d^r acts on x^m by perm(m, n).
-    mu = _comp_nu(C.components.get(r, {}), 0, upto, k)
-    # polys[rho] lists c[0,rho] .. c[dmax,rho], solved on the class's nodes.
-    polys = [None] * k
+    # The order-zero factor of x^n d^(n+r) acts on x^m by perm(m, n); mu(n) = mu[n] / mden.
+    mden, lanes = Factor(k, {0: C.components.get(r, {})}, {}).nu(0, upto)
+    mu = list(zip(*lanes))
+    # c[l * k + rho] = c[l,rho] is solved on its class's nodes; D * c[l,rho] is
+    # vecs[l * k + rho], over the classes' one denominator D.
+    c = [None] * ncols
     for n0 in range(nbmax, nbmax + k):
         nodes = range(n0, n0 + ncols, k)
         vander = [[CycloScalar.from_rational(k, n ** l) for l in range(dmax + 1)] for n in nodes]
-        polys[n0 % k] = solve_square(vander, [mu[n] for n in nodes])
-
-    # The inverse DFT, f[l,i] = (1/k) sum_rho c[l,rho] xi^(-i rho).
-    xis = _xi_powers(k)
-    quasi = {}
-    for l in range(dmax + 1):
-        for i in range(k):
-            v = sum((polys[rho][l] * xis[-i * rho % k] for rho in range(1, k)), polys[0][l])
-            if v:
-                quasi[(l, i)] = v / k
+        c[n0 % k::k] = solve_square(vander, [_from_lanes(k, mu[n], mden) for n in nodes])
+    den, lanes = _lanes(k, c)
+    vecs = list(zip(*lanes))
+    # The inverse DFT, f[l,i] = (1/k) sum_rho c[l,rho] xi^(-i rho), over k * D.
+    f = _dft(k, [(m // k, m % k, v) for m, v in enumerate(vecs)], -1)
+    terms = tuple([(l, i, tuple(f[i][l])) for l in range(dmax + 1) for i in range(k)
+                   if any(f[i][l])])
+    polys = [vecs[rho::k] for rho in range(k)]
     bpart = {}
-    for n in range(nbmax):
-        v = mu[n] - _class_value(polys, n)
-        if v:
-            bpart[n + 1] = v
-    for n in range(nbmax + ncols, upto + 1):
-        if mu[n] != _class_value(polys, n):
+    for n in [*range(nbmax), *range(nbmax + ncols, upto + 1)]:
+        v = [x * den - y * mden for x, y in zip(mu[n], _class_value(polys, n))]
+        if not any(v):
+            continue
+        if n >= nbmax:
             raise NotAnHcpError(
                 f"component at order {r} is not an HCP within bounds "
                 f"dmax={dmax}, nbmax={nbmax} (verification failed at sample {n})")
-    return Hcp(k, r, quasi, bpart)
+        bpart[n + 1] = _from_lanes(k, v, mden * den)
+    return _make_hcp(k, r, *_canonical(k * den, terms), bpart)
 
 
 @dataclass

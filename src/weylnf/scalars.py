@@ -25,7 +25,8 @@ products fold each xi^e, e >= deg Phi_k, through the monic Phi_k, so they
 stay in integers (:func:`_lane_mul` on lanes, :func:`_ring` on single
 vectors). ``gform.Hcp`` keeps its coefficients in this form as its value,
 one vector per term, and builds scalars from it only for I/O and
-eigenvalues. :func:`_xi_powers` keeps xi^0 .. xi^(k-1) once per k.
+eigenvalue results; the G-form fit and ``linalg``'s elimination run on these
+vectors too.
 """
 
 from __future__ import annotations
@@ -315,12 +316,6 @@ def xi_pow(k: int, e: int) -> CycloScalar:
 # -- integer forms ------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _xi_powers(k: int) -> tuple[CycloScalar, ...]:
-    """xi^0 .. xi^(k-1), built once per k."""
-    return tuple(xi_pow(k, e) for e in range(k))
-
-
 def _lanes(k: int, values) -> tuple[int, list[list[int]]]:
     """The lcm D of the coefficient denominators of ``values``, and per
     coefficient index i the lane of integers D * v.coeffs[i] over ``values``."""
@@ -344,7 +339,7 @@ def _ring(k: int):
     vector of xi^e, e < k."""
     phi = cyclotomic_poly(k)
     d = len(phi) - 1
-    xis = tuple(tuple([int(c) for c in x.coeffs]) for x in _xi_powers(k))
+    xis = tuple(tuple([int(c) for c in xi_pow(k, e).coeffs]) for e in range(k))
     if d == 1:
         return (lambda a, b: (a[0] * b[0],)), xis
     if d == 2:

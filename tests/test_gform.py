@@ -725,6 +725,37 @@ def test_fit_reaches_the_traced_solver(layertrace):
     assert metrics["gform.fit_calls"] == 1 and metrics["scalars.inv_calls"] > 0
 
 
+def test_fit_gives_the_canonical_form_and_checks_samples_without_scalars(monkeypatch):
+    # fit_hcp builds its result from integer vectors, not through the public
+    # constructor; both must give the same (den, terms). Its sample check runs
+    # on integers: a window twice as long builds no more scalars.
+    rng = random.Random(59)
+    real_make, real_init = scalars._make, CycloScalar.__init__
+    for k in (1, 2, 3, 4, 5, 6, 8):
+        dmax, nbmax = rng.randint(0, 2), rng.randint(0, 2)
+        gamma = {(rng.randint(0, dmax), rng.randint(0, k - 1)): _rand_scalar(rng, k)
+                 for _ in range(3)}
+        bpart = {j: _rand_scalar(rng, k) for j in range(1, nbmax + 1)}
+        H = Hcp(k, rng.randint(0, 2), gamma, bpart)
+        need = nbmax + k * (dmax + 1)
+        # margin and cap agree, so a finite expansion and a capped one check
+        # the same samples.
+        windows = [(H.expand(xcap=need + extra), extra) for extra in (0, need)]
+        built, counts = [], []
+        with monkeypatch.context() as mp:
+            mp.setattr(scalars, "_make", lambda *a: built.append(a) or real_make(*a))
+            mp.setattr(CycloScalar, "__init__",
+                       lambda self, *a: built.append(a) or real_init(self, *a))
+            for C, margin in windows:
+                got = fit_hcp(C, dmax=dmax, nbmax=nbmax, margin=margin, r=H.r)
+                counts.append(len(built))
+        assert counts[1] == 2 * counts[0]
+        rebuilt = Hcp(k, H.r, dict(got.gamma), dict(got.bpart))
+        for ref in (H, rebuilt):
+            assert (got.den, got.terms, got.bpart) == (ref.den, ref.terms, ref.bpart)
+            assert got == ref and hash(got) == hash(ref)
+
+
 # -- condition A_q(k) -----------------------------------------------------------------
 
 

@@ -3,10 +3,12 @@
 from fractions import Fraction
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from weylnf.errors import PreconditionError
-from weylnf.linalg import nullspace, solve_square
+from weylnf.errors import ContextMismatchError, PreconditionError
+from weylnf.linalg import _rref, nullspace, solve_square
 from weylnf.scalars import CycloScalar, xi_pow
 
 KS = (1, 3, 5)
@@ -134,3 +136,94 @@ def test_nullspace_rejects_ragged_rows():
         nullspace([[zero, zero], [zero]], 2, 3)
     with pytest.raises(PreconditionError, match="ragged"):
         nullspace([[zero, zero]], 3, 3)
+
+
+def test_entries_of_another_order_are_refused():
+    one1, zero1 = CycloScalar.one(1), CycloScalar.zero(1)
+    one3, xi5 = CycloScalar.one(3), xi_pow(5, 1)
+    for bad in ([[one1, zero1]], [[zero1, zero1]], [[one3, zero1]]):
+        with pytest.raises(ContextMismatchError, match="order mismatch: 3 vs 1"):
+            nullspace(bad, 2, 3)
+    # solve_square holds every entry, the right-hand side too, to the first one's order.
+    with pytest.raises(ContextMismatchError, match="order mismatch: 3 vs 5"):
+        solve_square([[one3, one3], [one3, xi5]], [one3, one3])
+    with pytest.raises(ContextMismatchError, match="order mismatch: 3 vs 1"):
+        solve_square([[one3]], [one1])
+
+
+def test_entries_that_are_not_scalars_are_refused():
+    one = CycloScalar.one(2)
+    for matrix, rhs in (([[1]], [one]), ([[one]], [Fraction(1)]),
+                        ([[one, 0], [0, one]], [one, one])):
+        with pytest.raises(PreconditionError, match="must be CycloScalars, got"):
+            solve_square(matrix, rhs)
+    with pytest.raises(PreconditionError, match="must be CycloScalars, got int"):
+        nullspace([[one, 0]], 2, 2)
+
+
+def _reference_rref(rows, ncols):
+    """Gauss-Jordan with one CycloScalar per entry: the elimination that the
+    lane rows of ``linalg._rref`` replace, kept as their reference."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv_p = rows[r][col].inv()
+        rows[r] = [v * inv_p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+def _scalars(k):
+    """Q(xi_k) values from k coefficients (so reduced mod Phi_k when k > deg
+    Phi_k), many of them zero, with denominators up to 10^6."""
+    coeff = st.one_of(st.just(0), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 10**6)))
+    return st.lists(coeff, min_size=k, max_size=k).map(lambda c: CycloScalar(k, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rref_matches_the_reference(data):
+    # Rows of planted rank on the first ncols columns, as _planted_rank plants
+    # them, with trailing columns that are never pivots (a right-hand side).
+    k = data.draw(st.integers(1, 12), label="k")
+    ncols = data.draw(st.integers(1, 5), label="ncols")
+    width = ncols + data.draw(st.integers(0, 2), label="trailing")
+    rank = data.draw(st.integers(0, ncols), label="rank")
+    zero = CycloScalar.zero(k)
+    units = data.draw(st.permutations(range(ncols)))[:rank]
+    base = []
+    for u in units:
+        row = data.draw(st.lists(_scalars(k), min_size=width, max_size=width))
+        row = [zero if col in units else v for col, v in enumerate(row)]
+        row[u] = data.draw(_scalars(k).filter(bool))
+        base.append(row)
+    rows = list(base)
+    for cs in data.draw(st.lists(st.lists(_scalars(k), min_size=rank, max_size=rank),
+                                 max_size=2)):
+        rows.append([sum((c * row[col] for c, row in zip(cs, base)), zero)
+                     for col in range(width)])
+    rows += [[zero] * width] * data.draw(st.integers(0 if rows else 1, 2))
+    rows = data.draw(st.permutations(rows))
+    expect = [list(row) for row in rows]
+    expect_pivots = _reference_rref(expect, ncols)
+    got = [list(row) for row in rows]
+    inverted = []
+    real_inv = CycloScalar.inv
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CycloScalar, "inv", lambda self: inverted.append(self) or real_inv(self))
+        pivots = _rref(got, ncols, k)
+    assert pivots == expect_pivots and len(pivots) == rank
+    assert got == expect
+    assert all(type(v) is CycloScalar and v.k == k for row in got for v in row)
+    # One inverse per pivot: nf-k3's scalars.inv_calls reached-check counts them.
+    assert len(inverted) == len(pivots)
