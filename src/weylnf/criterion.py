@@ -181,7 +181,9 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
                    key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
     p_pows = {0: GradedOp.one(k)}
     q_pows = {0: GradedOp.one(k)}
-    evals = {(u, v): _power(p_pows, P, u) * _power(q_pows, Q, v) for u, v in monos}
+    # A pure power is its cached value: a product by GradedOp.one would equal it.
+    evals = {(u, v): _power(q_pows, Q, v) if u == 0 else _power(p_pows, P, u) if v == 0
+             else _power(p_pows, P, u) * _power(q_pows, Q, v) for u, v in monos}
     common_floor = max(e.floor_eff() for e in evals.values())
     lowest = max(common_floor, min(min(e.components, default=0) for e in evals.values()))
 

@@ -453,10 +453,6 @@ class HcpSeries(Graded):
                 raise ContextMismatchError("component context mismatch")
             if h.r != t:
                 raise PreconditionError(f"component at order {t} has r={h.r}")
-        self._set_components(k, components, floor, top)
-
-    def _set_components(self, k: int, components: dict[int, Hcp], floor, top):
-        """Store checked components, without the zero ones, in a normalised window."""
         comps = {t: h for t, h in components.items() if h.terms or h.bpart}
         if floor is not None:
             floor = max(floor, 0)
@@ -528,7 +524,9 @@ class HcpSeries(Graded):
         if not isinstance(other, HcpSeries):
             return NotImplemented
         self._check_ctx(other)
-        floor = product_floor(self, other)  # clamped at 0 by _set_components
+        floor = product_floor(self, other)
+        if floor is not None:
+            floor = max(floor, 0)
         top = self.top + other.top
         pairs: dict[int, list[tuple[Hcp, Hcp]]] = {}
         for t1, h1 in self.components.items():
@@ -537,7 +535,8 @@ class HcpSeries(Graded):
                 if floor is None or t >= floor:
                     pairs.setdefault(t, []).append((h1, h2))
         comps = {t: hcp_mul(*plist[0], plist[1:]) for t, plist in pairs.items()}
-        return _make_series(self.k, comps, floor, top)
+        return _make_series(self.k, {t: h for t, h in comps.items() if h.terms or h.bpart},
+                            floor, top)
 
     def __eq__(self, other):
         if not isinstance(other, HcpSeries):
@@ -597,10 +596,14 @@ class HcpSeries(Graded):
         return f"HcpSeries(k={self.k}, orders={sorted(self.components, reverse=True)})"
 
 
-def _make_series(k: int, components: dict[int, Hcp], floor=None, top=None) -> HcpSeries:
-    """Unchecked ``HcpSeries``: each component has context k and r equal to its order."""
+def _make_series(k: int, components: dict[int, Hcp], floor, top) -> HcpSeries:
+    """Unchecked ``HcpSeries``: each component is nonzero, has context k and r
+    equal to its order, and lies in the window floor..top, with floor >= 0."""
     out = object.__new__(HcpSeries)
-    out._set_components(k, components, floor, top)
+    if floor is None:
+        top = max(components, default=0)
+    for slot, value in (("k", k), ("components", components), ("floor", floor), ("top", top)):
+        object.__setattr__(out, slot, value)
     return out
 
 

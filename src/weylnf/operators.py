@@ -31,9 +31,16 @@ and subtractions only (:meth:`Factor.nu`, :func:`_comp_of_lanes`). A
 component's denominators, and :func:`order_product` multiplies and sums the
 lanes in integers mod Phi_k (``scalars._lane_mul``), so no ``CycloScalar``
 is built between the two transforms. Each nonzero coefficient of a result
-is divided back once by ``scalars._from_lanes``. :func:`_comp_nu` and
-:func:`_nu_to_comp` are the same transforms on ``CycloScalar`` lists, for
-the G-form fit and expansion.
+is divided back once by ``scalars._from_lanes``. :func:`_nu_to_comp` is the
+inverse transform of a ``CycloScalar`` list, for the G-form expansion; the
+G-form fit reads :meth:`Factor.nu`'s lanes.
+
+Sums, negations, scalar multiples, products and component views are built
+by the unchecked :func:`_make_op`, as they hold the invariant that the public
+constructor checks: each component is nonempty with no zero coefficient, each
+x-degree n of order t has n >= max(0, -t), and caps are ints. No component
+dict is written once built, so a sum shares an order that one summand alone
+has, and at an order both have it copies one dict and adds the other into it.
 
 Each operator keeps one factor, made on its first product. Its component
 views share it, and so do the operators that the Schur solves build over
@@ -187,11 +194,15 @@ class GradedOp(Graded):
                     raise PreconditionError(f"monomial x^{n} d^{n + t} has negative d-power")
             if clean:
                 comps[t] = clean
-        xcaps = {t: int(c) for t, c in (xcaps or {}).items() if c != INF}
-        if floor is not None:
-            xcaps = {t: c for t, c in xcaps.items() if floor <= t <= top}
-        self._set_window(k, comps, floor, top, xcaps)
-        object.__setattr__(self, "xcaps", xcaps)
+        self._set_op(k, comps, floor, top,
+                     {t: int(c) for t, c in (xcaps or {}).items() if c != INF})
+
+    def _set_op(self, k, comps, floor, top, caps):
+        """Store the slots, without caps outside a floor's window."""
+        if floor is not None and caps:
+            caps = {t: c for t, c in caps.items() if floor <= t <= top}
+        self._set_window(k, comps, floor, top, caps)
+        object.__setattr__(self, "xcaps", caps)
 
     # -- constructors --------------------------------------------------------
 
@@ -272,15 +283,13 @@ class GradedOp(Graded):
     def component_as_op(self, t: int) -> "GradedOp":
         """The order-t component alone, keeping its exactness cap and sharing
         this operator's factor."""
-        comp = {t: dict(self.components.get(t, {}))}
-        caps = {}
         cap = self.xcap(t)
         if cap == -1:
             raise TruncationError(f"component at order {t} is below the window floor",
                                   {"floor": self.floor, "order": t})
-        if cap != INF:
-            caps[t] = cap
-        return Factor.of(self).share(GradedOp(self.k, comp, None, t, caps))
+        comp = self.components.get(t)
+        return Factor.of(self).share(_make_op(self.k, {t: comp} if comp else {}, None, t,
+                                              {} if cap == INF else {t: cap}))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -344,35 +353,44 @@ class GradedOp(Graded):
             return NotImplemented
         self._check_ctx(other)
         floor, top = self._sum_window(other)
-        comps: dict[int, dict[int, CycloScalar]] = {}
-        for src in (self, other):
-            for t, comp in src.components.items():
-                tgt = comps.setdefault(t, {})
-                for n, c in comp.items():
-                    tgt[n] = tgt.get(n, CycloScalar.zero(self.k)) + c
+        comps = dict(self.components)
+        for t, b in other.components.items():
+            a = comps.get(t)
+            comps[t] = b
+            if a is not None:
+                if len(a) < len(b):
+                    a, b = b, a
+                a = comps[t] = dict(a)
+                for n, c in b.items():
+                    if n in a:
+                        c = a[n] + c
+                        if c.is_zero():
+                            del a[n]
+                            continue
+                    a[n] = c
         caps = {}
         for t in set(self.xcaps) | set(other.xcaps):
             cap = min(self.xcap(t), other.xcap(t))
             if cap != INF:
                 caps[t] = cap
-                if t in comps:
+                if max(comps.get(t, ()), default=-1) > cap:
                     comps[t] = {n: c for n, c in comps[t].items() if n <= cap}
-        return GradedOp(self.k, comps, floor, top, caps)
+        return _make_op(self.k, {t: c for t, c in comps.items() if c}, floor, top, caps)
 
     __radd__ = __add__
 
     def __neg__(self):
         comps = {t: {n: -c for n, c in comp.items()} for t, comp in self.components.items()}
-        return GradedOp(self.k, comps, self.floor, self.top, self.xcaps)
+        return _make_op(self.k, comps, self.floor, self.top, self.xcaps)
 
     def scalar_mul(self, value) -> "GradedOp":
         value = as_scalar(self.k, value)
         if value.is_zero():
             # Zero content, but the window stays what it was.
-            return GradedOp(self.k, {}, self.floor, self.top, self.xcaps)
+            return _make_op(self.k, {}, self.floor, self.top, self.xcaps)
         comps = {t: {n: c * value for n, c in comp.items()}
                  for t, comp in self.components.items()}
-        return GradedOp(self.k, comps, self.floor, self.top, self.xcaps)
+        return _make_op(self.k, comps, self.floor, self.top, self.xcaps)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
@@ -498,6 +516,15 @@ class GradedOp(Graded):
         return f"GradedOp(k={self.k}, {self})"
 
 
+def _make_op(k: int, comps: dict, floor, top, caps: dict) -> GradedOp:
+    """Unchecked ``GradedOp``: each component nonempty with no zero coefficient,
+    each x-degree n of order t at least max(0, -t), caps ints. The window is
+    normalised as in the public constructor."""
+    out = object.__new__(GradedOp)
+    out._set_op(k, comps, floor, top, caps)
+    return out
+
+
 def _monomial_str(coeff: CycloScalar, xdeg: int, ddeg: int) -> tuple[str, bool]:
     """``(body, negative)`` of one monomial, as :func:`scalars._join_signed` takes it."""
     powers = [("x", xdeg), ("d", ddeg)]
@@ -545,25 +572,18 @@ def _comp_of_lanes(k: int, lanes, den: int, t: int) -> dict[int, CycloScalar]:
     return out
 
 
-def _comp_nu(comp: dict[int, CycloScalar], t: int, jmax: int, k: int) -> list[CycloScalar]:
-    """Diagonal action values nu(j) = sum_n a_n * perm(j, n+t), j = 0..jmax."""
-    den, lanes = Factor(k, {t: comp}, {}).nu(t, jmax)
-    zero = CycloScalar.zero(k)
-    return [_from_lanes(k, vals, den) if any(vals) else zero for vals in zip(*lanes)]
-
-
 def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]:
     """Invert the triangular map nu(j) = sum a_n perm(j, n+t).
 
-    The inverse of :func:`_comp_nu`; nu(j) is taken as zero for j < max(0, t).
+    The inverse of :meth:`Factor.nu`; nu(j) is taken as zero for j < max(0, t).
     """
     den, lanes = _lanes(k, nu[max(0, t):])
     return _comp_of_lanes(k, lanes, den, t)
 
 
 def _difference_rows(comp: dict[int, CycloScalar], t: int, k: int):
-    """D and, per lane, the difference-table row of D * nu at j = 0, for nu as
-    in :func:`_comp_nu`.
+    """D and, per lane, the difference-table row of D * nu at j = 0, for the
+    diagonal action nu(j) = sum_n a_n * perm(j, n+t) of ``comp``.
 
     As perm(j, m) = comb(j, m) * m!, nu is a polynomial in j whose forward
     differences at j = 0 are c_m = m! * a_(m-t). A row holds Delta^m nu(j) up
@@ -710,7 +730,7 @@ def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
             comps[t] = comp
         if cap != INF:
             caps[t] = int(cap)
-    return GradedOp(A.k, comps, floor, top, caps)
+    return _make_op(A.k, comps, floor, top, caps)
 
 
 # -- named operations -------------------------------------------------------------

@@ -35,7 +35,7 @@ from .errors import (
     TruncationError,
 )
 from .gform import AqkReport, Hcp, HcpSeries, check_Aqk, fit_hcp
-from .operators import INF, Factor, GradedOp, order_product
+from .operators import INF, Factor, GradedOp, _make_op, order_product
 from .scalars import CycloScalar
 
 
@@ -147,7 +147,7 @@ def invert_unit(S: GradedOp) -> GradedOp:
     t_caps: dict[int, int] = {}
     tf = Factor(k, t_comps, t_caps)
     ops1 = {t1: S.component_as_op(t1) for t1 in S.active_orders() if t1 < 0}
-    ops2 = {0: tf.share(GradedOp(k, {0: t_comps[0]}, None, 0))}
+    ops2 = {0: tf.share(_make_op(k, {0: t_comps[0]}, None, 0, {}))}
     for t in range(-1, lo - 1, -1):
         acc = GradedOp.zero(k)
         for t1 in range(max(lo, t), 0):
@@ -160,7 +160,7 @@ def invert_unit(S: GradedOp) -> GradedOp:
         caps2 = {}
         if cap != INF:
             t_caps[t] = caps2[t] = int(cap)
-        ops2[t] = tf.share(GradedOp(k, {t: t_comps.get(t, {})}, None, 0, caps2))
+        ops2[t] = tf.share(_make_op(k, {t: t_comps[t]} if comp else {}, None, 0, caps2))
     T = tf.share(GradedOp(k, t_comps, floor, 0, t_caps))
     _assert_is_identity(S * T)
     _assert_is_identity(T * S)

@@ -17,7 +17,8 @@ from weylnf.criterion import (
     weighted_decompose,
 )
 from weylnf.errors import PreconditionError
-from weylnf.fixtures import airy_like_pair, generic_pair, kdv_pair, power_pair
+from weylnf import operators
+from weylnf.fixtures import airy_like_pair, generic_pair, kdv_pair, named_pair, power_pair
 from weylnf.gform import Hcp, HcpSeries
 from weylnf.linalg import nullspace
 from weylnf.operators import GradedOp, commutator
@@ -283,3 +284,16 @@ def test_evaluate_poly_series_matches_graded():
     P_graded = Pp.expand(xcap=20)
     want = evaluate_poly(Fpoly, P_graded, GradedOp.d_op(k, 2))
     assert got.agrees_with(want)
+
+
+@pytest.mark.parametrize("name, depth", [("powers", 10), ("kdv24", 8)])
+def test_bc_certificate_takes_pure_powers_from_the_cache(monkeypatch, name, depth):
+    # At wmax 6 the products are the power chains from one (P, P^2 and Q, Q^2,
+    # Q^3) and the one mixed monomial P*Q: no pure power is multiplied by one.
+    P, Q = named_pair(name)
+    real = operators._op_mul
+    calls = []
+    monkeypatch.setattr(operators, "_op_mul", lambda A, B: calls.append((A, B)) or real(A, B))
+    res = bc_certificate(P, Q, wmax=6, depth=depth)
+    assert res is not None and res.reverified
+    assert len(calls) == 6

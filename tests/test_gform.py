@@ -27,8 +27,10 @@ from weylnf.gform import (
 )
 from weylnf.linalg import solve_square
 from weylnf.newton import Weight, filtration_H, filtration_HS
-from weylnf.operators import GradedOp, _comp_nu, _nu_to_comp, poly_from_pairs, product_floor
+from weylnf.operators import GradedOp, _nu_to_comp, poly_from_pairs, product_floor
 from weylnf.scalars import CycloScalar, _ring, cyclotomic_poly, xi_pow
+
+from test_operators import _reference_comp_nu
 
 
 def S(k, v):
@@ -523,6 +525,56 @@ def test_bfree_products_and_filtrations_build_no_scalar(monkeypatch):
     assert got[2] == _reference_series_mul(P, Q) and not got[3].is_zero_in_window()
 
 
+def _assert_series_rebuilds(P):
+    """P, built unchecked, is what the checked constructor builds from its parts."""
+    assert all(h.terms or h.bpart for h in P.components.values())
+    rebuilt = HcpSeries(P.k, P.components, P.floor, P.top)
+    assert (rebuilt, rebuilt.floor, rebuilt.top) == (P, P.floor, P.top)
+
+
+@st.composite
+def _series_cases(draw):
+    """Two series of one context, with or without a floor, and a filtration:
+    weight, threshold and Gamma bound."""
+    k = draw(st.integers(1, 6))
+    values = _scalars(k)
+    keys = st.tuples(st.integers(0, 3), st.integers(0, k - 1))
+
+    def series():
+        comps = {t: Hcp(k, t, draw(st.dictionaries(keys, values, max_size=3)),
+                        draw(st.dictionaries(st.integers(1, 4), values, max_size=1)))
+                 for t in draw(st.sets(st.integers(0, 4), max_size=3))}
+        return HcpSeries(k, comps, draw(st.one_of(st.none(), st.integers(0, 4))))
+
+    A, B = series(), series()
+    small = st.fractions(min_value=0, max_value=2, max_denominator=3)
+    w = Weight(draw(small), draw(small.filter(bool)))
+    d = draw(st.fractions(min_value=-2, max_value=8, max_denominator=3))
+    return A, B, w, d, draw(st.integers(0, 3))
+
+
+@given(_series_cases())
+@settings(max_examples=100, deadline=None)
+def test_unchecked_series_equal_their_checked_rebuild(case):
+    A, B, w, d, m = case
+    AB = A * B
+    assert AB == _reference_series_mul(A, B)
+    for P in (AB, filtration_H(A, d, w), filtration_HS(AB, d, m, w)):
+        _assert_series_rebuilds(P)
+
+
+def test_series_product_drops_an_order_that_cancels():
+    # (1 + d)(d - 1) = d^2 - 1: the two pairs of order 1 cancel.
+    one, d = Hcp(1, 0, {(0, 0): 1}), Hcp(1, 1, {(0, 0): 1})
+    A = HcpSeries(1, {0: one, 1: d})
+    for B, orders in ((HcpSeries(1, {0: -one, 1: d}), [0, 2]),
+                      (HcpSeries(1, {0: -one, 1: d}, floor=0), [2])):
+        AB = A * B
+        assert sorted(AB.components) == orders
+        assert AB == _reference_series_mul(A, B)
+        _assert_series_rebuilds(AB)
+
+
 def test_series_product_reaches_the_traced_hcp_mul(layertrace):
     # perfbench's reached-check on filtration-suite needs gform.hcp_mul spans
     # from series products.
@@ -672,7 +724,7 @@ def _dense_fit(C, dmax, nbmax, r):
     k = C.k
     cols = [(l, i) for l in range(dmax + 1) for i in range(k)]
     samples = range(nbmax, nbmax + len(cols))
-    mu = _comp_nu(C.components.get(r, {}), 0, samples[-1], k)
+    mu = _reference_comp_nu(C.components.get(r, {}), 0, samples[-1], k)
     matrix = [[xi_pow(k, i * n) * n ** l for l, i in cols] for n in samples]
     sol = solve_square(matrix, [mu[n] for n in samples])
     gamma = dict(zip(cols, sol))
@@ -701,7 +753,7 @@ def test_fit_matches_dense_system():
                            for c in [*got.gamma.values(), *got.bpart.values()])
                 # One sample past the fit window, changed: the check names it.
                 n_bad = rng.randint(nbmax + k * (dmax + 1), need)
-                mu = _comp_nu(C.components.get(r, {}), 0, need, k)
+                mu = _reference_comp_nu(C.components.get(r, {}), 0, need, k)
                 mu[n_bad] = mu[n_bad] + xi_pow(k, rng.randint(0, k - 1))
                 bad = GradedOp(k, {r: _nu_to_comp(mu, 0, k)}, None, r, {r: need})
                 with pytest.raises(NotAnHcpError, match=f"failed at sample {n_bad}\\)"):

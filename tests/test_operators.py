@@ -18,7 +18,6 @@ from weylnf.operators import (
     Factor,
     GradedOp,
     XdMonomial,
-    _comp_nu,
     _nu_to_comp,
     ad_pow,
     commutator,
@@ -218,15 +217,24 @@ ORDERS = st.integers(min_value=1, max_value=12)
 SHIFTS = st.integers(min_value=-6, max_value=6)
 
 
+def _lane_values(k, den, lanes, count):
+    """The scalars (lanes[i][j] / den)_i, j < count, by the checked constructor."""
+    return [CycloScalar(k, [Fraction(lane[j], den) for lane in lanes]) for j in range(count)]
+
+
+def _factor_nu(comp, t, jmax, k):
+    """nu(0..jmax) of the order-t component ``comp``, read from Factor.nu's lanes."""
+    den, lanes = Factor(k, {t: comp}, {}).nu(t, jmax)
+    assert all(len(lane) == jmax + 1 and all(type(x) is int for x in lane) for lane in lanes)
+    return _lane_values(k, den, lanes, jmax + 1)
+
+
 @given(ORDERS, SHIFTS, st.data())
 @settings(max_examples=200, deadline=None)
 def test_comp_nu_matches_reference(k, t, data):
     comp = _component(data, k, t)
     jmax = data.draw(st.integers(-1, 16))
-    got = _comp_nu(comp, t, jmax, k)
-    assert got == _reference_comp_nu(comp, t, jmax, k)
-    for v in got:
-        _assert_scalar_invariant(v, k)
+    assert _factor_nu(comp, t, jmax, k) == _reference_comp_nu(comp, t, jmax, k)
 
 
 @given(ORDERS, SHIFTS, st.data())
@@ -247,12 +255,7 @@ def test_nu_to_comp_matches_reference(k, t, data):
 def test_nu_transforms_round_trip(k, t, data):
     comp = _component(data, k, t)
     jmax = max((n + t for n in comp), default=0) + data.draw(st.integers(0, 3))
-    assert _nu_to_comp(_comp_nu(comp, t, jmax, k), t, k) == comp
-
-
-def _lane_values(k, den, lanes, count):
-    """The scalars (lanes[i][j] / den)_i, j < count, by the checked constructor."""
-    return [CycloScalar(k, [Fraction(lane[j], den) for lane in lanes]) for j in range(count)]
+    assert _nu_to_comp(_reference_comp_nu(comp, t, jmax, k), t, k) == comp
 
 
 @given(ORDERS, SHIFTS, st.data())
@@ -272,8 +275,8 @@ def test_factor_nu_extends_in_steps(k, t, data):
 
 def test_nu_transforms_of_empty_input():
     for k in (1, 3, 5):
-        assert _comp_nu({}, -2, 4, k) == [CycloScalar.zero(k)] * 5
-        assert _comp_nu({0: CycloScalar.one(k)}, 0, -1, k) == []
+        assert _factor_nu({}, -2, 4, k) == [CycloScalar.zero(k)] * 5
+        assert _factor_nu({0: CycloScalar.one(k)}, 0, -1, k) == []
         assert _nu_to_comp([], 2, k) == {}
         assert _nu_to_comp([CycloScalar.zero(k)] * 5, -1, k) == {}
 
@@ -651,3 +654,121 @@ def test_traced_span_targets_exist(layertrace):
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _, _ in layertrace.SPAN_TARGETS if attr not in vars(owner)]
     assert not missing, missing
+
+
+# -- results built without the constructor's checks ----------------------------------
+
+
+def _assert_rebuilds(r):
+    """r holds the GradedOp invariant, so the checked constructor rebuilds it as it is."""
+    for t, comp in r.components.items():
+        assert comp and all(n >= max(0, -t) and not c.is_zero() for n, c in comp.items())
+    assert all(type(c) is int for c in r.xcaps.values())
+    rebuilt = GradedOp(r.k, r.components, r.floor, r.top, r.xcaps)
+    assert rebuilt == r
+    assert (rebuilt.floor, rebuilt.top, rebuilt.xcaps) == (r.floor, r.top, r.xcaps)
+
+
+def _drawn_op(data, k, cancel=None):
+    """An operator on orders -3..3, with or without a floor, with finite caps at
+    the x-degree of a stored coefficient or elsewhere, and no coefficient above
+    a cap; with ``cancel``, it holds minus some of that operator's components."""
+    comps = {t: _component(data, k, t) for t in data.draw(st.sets(st.integers(-3, 3), max_size=4))}
+    for t, comp in (cancel.components.items() if cancel is not None else ()):
+        if data.draw(st.booleans()):
+            comps[t] = {n: -c for n, c in comp.items()}
+    caps = {}
+    for t in data.draw(st.sets(st.integers(-3, 3), max_size=3)):
+        at = sorted(comps.get(t, ()))
+        caps[t] = data.draw(st.sampled_from(at) if at and data.draw(st.booleans())
+                            else st.integers(0, 8))
+        comps[t] = {n: c for n, c in comps.get(t, {}).items() if n <= caps[t]}
+    floor = data.draw(st.one_of(st.none(), st.integers(-4, 2)))
+    top = data.draw(st.integers(-3 if floor is None else floor, 4))
+    return GradedOp(k, comps, floor, top, caps)
+
+
+def _reference_add(A, B):
+    """The body of ``GradedOp.__add__`` before sums merged their summands."""
+    floor, top = A._sum_window(B)
+    comps = {}
+    for src in (A, B):
+        for t, comp in src.components.items():
+            tgt = comps.setdefault(t, {})
+            for n, c in comp.items():
+                tgt[n] = tgt.get(n, CycloScalar.zero(A.k)) + c
+    caps = {}
+    for t in set(A.xcaps) | set(B.xcaps):
+        cap = min(A.xcap(t), B.xcap(t))
+        if cap != math.inf:
+            caps[t] = cap
+            if t in comps:
+                comps[t] = {n: c for n, c in comps[t].items() if n <= cap}
+    return GradedOp(A.k, comps, floor, top, caps)
+
+
+def _snapshot(A):
+    """A deep copy of A: new component and cap dicts (the scalars are immutable)."""
+    return GradedOp(A.k, {t: dict(c) for t, c in A.components.items()}, A.floor, A.top,
+                    dict(A.xcaps))
+
+
+K_SMALL = st.integers(min_value=1, max_value=6)
+
+
+@given(K_SMALL, st.data())
+@settings(max_examples=150, deadline=None)
+def test_unchecked_results_equal_their_checked_rebuild(k, data):
+    A = _drawn_op(data, k)
+    B = _drawn_op(data, k, cancel=A)
+    c = data.draw(st.sampled_from([0, 3, Fraction(-2, 5), xi_pow(k, 1)]))
+    results = [A + B, A - B, 3 + A, A + c, -A, A.scalar_mul(c)]
+    assert results[0] == _reference_add(A, B)
+    assert results[1] == _reference_add(A, _snapshot(-B))
+    assert results[2] == _reference_add(A, GradedOp.from_scalar(k, 3))
+    try:
+        results.append(A * B)
+    except TruncationError:
+        pass
+    results += [A.component_as_op(t) for t in A.active_orders() if A.xcap(t) != -1]
+    for r in results:
+        _assert_rebuilds(r)
+
+
+@given(K_SMALL, st.data())
+@settings(max_examples=100, deadline=None)
+def test_sums_and_negations_leave_their_operands_unchanged(k, data):
+    # Sums share the component dicts of their summands; none may be written.
+    A = _drawn_op(data, k)
+    B = _drawn_op(data, k, cancel=A)
+    before = [_snapshot(A), _snapshot(B)]
+    C = A + B
+    before.append(_snapshot(C))
+    D = C + A
+    E = -C
+    assert [A, B, C] == before
+    assert D == _reference_add(before[2], before[0])
+    assert E + C == C.scalar_mul(0)
+
+
+@pytest.mark.parametrize("workload", ["nf-k3", "classify-fixtures"])
+def test_unchecked_results_keep_the_invariant(monkeypatch, workloads, workload):
+    # Every operator one pass of a benchmark workload builds without the checks.
+    from weylnf import operators, schur
+    made = []
+    real = operators._make_op
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    for module in (operators, schur):
+        monkeypatch.setattr(module, "_make_op", recording)
+    setup, check = workloads.WORKLOADS[workload]
+    ops = setup(3)
+    outputs = [call() for _, call in ops]
+    monkeypatch.undo()
+    assert [check(label, out)[1] for (label, _), out in zip(ops, outputs)] == [[]] * len(ops)
+    assert made
+    for r in made:
+        _assert_rebuilds(r)
