@@ -71,13 +71,11 @@ def _emit_op(A: GradedOp, fmt: str):
 
 
 def _pair_from_args(args):
-    if getattr(args, "fixture", None):
+    if args.fixture:
         return named_pair(args.fixture)
     if not args.p or not args.q:
         raise PreconditionError("either --fixture or both --p and --q are required")
-    P = _parse(args.p, args)
-    Q = _parse(args.q, args)
-    return P, Q
+    return _parse(args.p, args), _parse(args.q, args)
 
 
 def cmd_eval(args) -> int:
@@ -85,17 +83,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_mul(args) -> int:
-    A = _parse(args.a, args)
-    B = _parse(args.b, args)
-    _emit_op(A * B, args.format)
-    return 0
-
-
-def cmd_commutator(args) -> int:
-    A = _parse(args.a, args)
-    B = _parse(args.b, args)
-    _emit_op(commutator(A, B), args.format)
+def cmd_product(args) -> int:
+    A, B = _parse(args.a, args), _parse(args.b, args)
+    _emit_op(A * B if args.command == "mul" else commutator(A, B), args.format)
     return 0
 
 
@@ -191,10 +181,7 @@ def cmd_bc_find(args) -> int:
             print(_dump({"certificate": None,
                          "note": "no certificate within bounds (bounded evidence only)"}))
         else:
-            print(_dump({"certificate": {"poly": res.poly.to_list(),
-                                         "text": str(res.poly),
-                                         "weight": res.weight,
-                                         "reverified": res.reverified}}))
+            print(_dump({"certificate": res.to_dict()}))
     else:
         print("none" if res is None else str(res.poly))
     return 0
@@ -243,6 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = _ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     both = [window, fmt]
+    pair = _ArgumentParser(add_help=False)
+    pair.add_argument("--p")
+    pair.add_argument("--q")
+    pair.add_argument("--fixture")
+    pair.add_argument("--depth", type=int, required=True)
 
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -250,27 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("mul", parents=both, help="product of two operators")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_mul)
-
-    p = sub.add_parser("commutator", parents=both, help="[A, B]")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_commutator)
+    for name, text in (("mul", "product of two operators"), ("commutator", "[A, B]")):
+        p = sub.add_parser(name, parents=both, help=text)
+        p.add_argument("a")
+        p.add_argument("b")
+        p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("schur", parents=both, help="Schur operator for Q")
     p.add_argument("--q", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.set_defaults(func=cmd_schur)
 
-    p = sub.add_parser("normal-form", parents=[window],
+    p = sub.add_parser("normal-form", parents=[window, pair],
                        help="normal form of P with respect to Q")
-    p.add_argument("--p")
-    p.add_argument("--q")
-    p.add_argument("--fixture")
-    p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", help="write the JSON result to a file")
     p.set_defaults(func=cmd_normal_form)
 
@@ -281,22 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_out")
     p.set_defaults(func=cmd_newton)
 
-    p = sub.add_parser("classify", parents=both, help="full pipeline on a pair")
-    p.add_argument("--p")
-    p.add_argument("--q")
-    p.add_argument("--fixture")
-    p.add_argument("--depth", type=int, required=True)
+    p = sub.add_parser("classify", parents=both + [pair], help="full pipeline on a pair")
     p.add_argument("--wmax", type=int, default=None)
     p.add_argument("--candidate", help="JSON [[u,v,coeff],...] to tabulate identities")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("bc-find", parents=both,
+    p = sub.add_parser("bc-find", parents=both + [pair],
                        help="search for a Burchnall-Chaundy certificate")
-    p.add_argument("--p")
-    p.add_argument("--q")
-    p.add_argument("--fixture")
     p.add_argument("--wmax", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
     p.set_defaults(func=cmd_bc_find)
 
     p = sub.add_parser("expand-power", help="standard form of (D+L)^k")

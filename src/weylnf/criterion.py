@@ -4,7 +4,7 @@ Given bivariate F and a monic pair (P, Q), this module evaluates F(P, Q)
 with P-powers left of Q-powers, decomposes F into (p, q)-weighted
 homogeneous pieces, computes the type-i linear identities on a piece,
 searches for an exact annihilating polynomial (the Burchnall-Chaundy
-certificate) by a nullspace computation over the coefficient field, and
+certificate) by a nullspace computation over the rationals, and
 extracts the leading filtration coefficients of F(P', d^q) along a
 restriction top line. The end-to-end pipeline conjugates the pair to a
 normal form, classifies its top line, and reports the verdict with every
@@ -125,13 +125,17 @@ def type_identity(piece: HomogPiece, i: int) -> Fraction:
     return sum((math.comb(u, i) * c for c, u, _ in piece.terms), Fraction(0))
 
 
-def _power(cache: dict, base, e: int):
-    """base^e from ``cache`` (exponent -> power, holding at least base^0),
-    extending it one factor at a time."""
-    while e not in cache:
-        top = max(cache)
-        cache[top + 1] = cache[top] * base
-    return cache[e]
+def _monomial(pows: tuple[dict, dict], u: int, v: int):
+    """P^u Q^v from ``pows``, the power caches of P and Q (exponent -> power,
+    seeded with base^0 and base^1), each extended one factor at a time. A
+    pure power is its cached value, so nothing is multiplied by one."""
+    for cache, e in zip(pows, (u, v)):
+        while e not in cache:
+            top = max(cache)
+            cache[top + 1] = cache[top] * cache[1]
+    if u and v:
+        return pows[0][u] * pows[1][v]
+    return pows[1][v] if v else pows[0][u]
 
 
 def evaluate_poly(F: BivarPoly, P: Graded, Q: Graded) -> Graded:
@@ -141,12 +145,10 @@ def evaluate_poly(F: BivarPoly, P: Graded, Q: Graded) -> Graded:
     F(P', d^q) in the conjugated setting.
     """
     k, ring = P.k, type(P)
+    pows = {0: ring.one(k), 1: P}, {0: ring.one(k), 1: Q}
     total = ring.zero(k)
-    p_pows = {0: ring.one(k)}
-    q_pows = {0: ring.one(k)}
     for (u, v) in sorted(F.terms):
-        term = _power(p_pows, P, u) * _power(q_pows, Q, v)
-        total = total + term.scalar_mul(F.terms[(u, v)])
+        total = total + _monomial(pows, u, v).scalar_mul(F.terms[(u, v)])
     return total
 
 
@@ -155,6 +157,10 @@ class BCResult:
     poly: BivarPoly
     weight: int
     reverified: bool
+
+    def to_dict(self) -> dict:
+        return {"poly": self.poly.to_list(), "text": str(self.poly),
+                "weight": self.weight, "reverified": self.reverified}
 
 
 def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult | None:
@@ -179,11 +185,8 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
     monos = sorted(((u, v) for u in range(wmax // p + 1) for v in range(wmax // q + 1)
                     if p * u + q * v <= wmax),
                    key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
-    p_pows = {0: GradedOp.one(k)}
-    q_pows = {0: GradedOp.one(k)}
-    # A pure power is its cached value: a product by GradedOp.one would equal it.
-    evals = {(u, v): _power(q_pows, Q, v) if u == 0 else _power(p_pows, P, u) if v == 0
-             else _power(p_pows, P, u) * _power(q_pows, Q, v) for u, v in monos}
+    pows = {0: GradedOp.one(k), 1: P}, {0: GradedOp.one(k), 1: Q}
+    evals = {(u, v): _monomial(pows, u, v) for u, v in monos}
     common_floor = max(e.floor_eff() for e in evals.values())
     lowest = max(common_floor, min(min(e.components, default=0) for e in evals.values()))
 
@@ -194,15 +197,17 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
             cap = min(e.xcap(t) for e in evals.values())
             ns = sorted({n for e in evals.values() for n in e.components.get(t, {}) if n <= cap})
             zero = CycloScalar.zero(k)
-            blocks[t] = [[evals[m].components.get(t, {}).get(n, zero) for m in monos]
-                         for n in ns]
+            entries = [[evals[m].components.get(t, {}).get(n, zero) for m in monos] for n in ns]
+            # One row per rational coordinate: the relation is sought over Q.
+            blocks[t] = [[CycloScalar.from_rational(1, e.coeffs[i]) for e in row]
+                         for row in entries for i in range(len(zero.coeffs))]
         return blocks[t]
 
     for wcap in sorted({p * u + q * v for u, v in monos}):
         cols = [i for i, (u, v) in enumerate(monos) if p * u + q * v <= wcap]
         lo = max(wcap - depth, common_floor)
         sub = _on_columns([row for t in range(lo, wcap + 1) for row in rows_at(t)], cols)
-        basis = nullspace(sub, len(cols), k)
+        basis = nullspace(sub, len(cols), 1)
         while len(basis) > 1 and lo > lowest:
             lo -= 1
             more = _on_columns(rows_at(lo), cols)
@@ -301,7 +306,7 @@ def hs_coefficient_check(Pprime: HcpSeries, F: BivarPoly, s: int) -> HsCheck:
     lhs = filtration_HS(fpq, Fraction(nf_weight), s * a0, w)
     if nf_weight - s * p < 0:
         raise PreconditionError("level s is too large for the top piece weight")
-    coeff = sum((math.comb(u, s) * c for c, u, _ in top.terms), Fraction(0))
+    coeff = type_identity(top, s)
     rhs = ((L0 ** s) * HcpSeries.d_power(k, nf_weight - s * p)).scalar_mul(coeff)
     identities = [type_identity(top, i) for i in range(s)]
     applicable = all(v == 0 for v in identities)
@@ -326,21 +331,13 @@ class PairReport:
     normal_form: NormalFormResult = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            cert = {
-                "poly": self.certificate.poly.to_list(),
-                "text": str(self.certificate.poly),
-                "weight": self.certificate.weight,
-                "reverified": self.certificate.reverified,
-            }
         return {
             "p": self.p,
             "q": self.q,
             "commutes": self.commutes,
             "classification": self.classification.to_dict(),
             "stability": self.stability,
-            "certificate": cert,
+            "certificate": None if self.certificate is None else self.certificate.to_dict(),
             "typeIdentities": self.type_identities,
             "verdict": self.verdict,
             "tentative": self.tentative,

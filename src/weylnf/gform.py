@@ -464,7 +464,7 @@ class HcpSeries(Graded):
 
     @classmethod
     def one(cls, k: int) -> "HcpSeries":
-        return cls.from_hcp(Hcp(k, 0, {(0, 0): 1}))
+        return cls.d_power(k, 0)
 
     @classmethod
     def from_hcp(cls, h: Hcp) -> "HcpSeries":

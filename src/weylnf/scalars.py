@@ -23,8 +23,10 @@ one common denominator D > 0 are exactly ``deg Phi_k`` lanes of ``int``,
 lane i holding D * v.coeffs[i] (:func:`_lanes`, :func:`_from_lanes`), and
 products fold each xi^e, e >= deg Phi_k, through the monic Phi_k, so they
 stay in integers (:func:`_lane_mul` on lanes, :func:`_ring` on single
-vectors). ``gform.Hcp`` keeps its coefficients in this form as its value,
-one vector per term, and builds scalars from it only for I/O and
+vectors). :func:`_ring`'s product mod Phi_k is also the one that
+``CycloScalar.__mul__`` and ``inv`` apply to coefficient tuples, whether of
+ints or of Fractions. ``gform.Hcp`` keeps its coefficients in this form as
+its value, one vector per term, and builds scalars from it only for I/O and
 eigenvalue results; the G-form fit and ``linalg``'s elimination run on these
 vectors too.
 """
@@ -170,17 +172,7 @@ class CycloScalar:
             return _make(self.k, tuple([x * other if x else x for x in a]))
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        b = as_scalar(self.k, other).coeffs
-        d = len(a)
-        if d == 1:
-            return _make(self.k, (a[0] * b[0],))
-        conv = [_ZERO] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return _make(self.k, _reduce_mod_phi(self.k, conv))
+        return _make(self.k, _ring(self.k)[0](a, as_scalar(self.k, other).coeffs))
 
     __rmul__ = __mul__
 

@@ -305,6 +305,18 @@ def test_cli_mul_commutator(capsys):
     assert code == 0 and out.strip() == "2*d"
 
 
+@pytest.mark.parametrize("argv, last", [
+    (["bc-find", "--wmax", "3", "--depth", "2"], "none"),
+    (["bc-find", "--wmax", "6", "--depth", "2"], "X^2 - 2*X*Y + X + Y^2 - Y + 1"),
+    (["classify", "--depth", "4"],
+     "verdict: commuting pair; Burchnall-Chaundy certificate "
+     "X^2 - 2*X*Y + X + Y^2 - Y + 1 (window-verified)"),
+])
+def test_cli_certificate_over_q_xi_is_rational(argv, last, capsys):
+    code, out = run_cli(argv + ["--k", "3", "--p", "d^3 + xi", "--q", "d^3"], capsys)
+    assert code == 0 and out.splitlines()[-1] == last
+
+
 def test_cli_verify_small(capsys):
     code, out = run_cli(["verify", "--suite", "powerform", "--cases", "4", "--seed", "1"],
                         capsys)
@@ -480,7 +492,8 @@ def _out(flag, suffix):
 
 FUZZ_OPERATOR = st.one_of(
     st.sampled_from(["d^2 + x", "d^3 + x*d + x^2", "d^3 + x", "x*d", "d", "xi*d + x",
-                     "G{r=1; f[0,1]=1}", "G{r=0; g[2]=1}", "d^", "", "x - x"]),
+                     "d^3 + xi", "d^3", "G{r=1; f[0,1]=1}", "G{r=0; g[2]=1}", "d^", "",
+                     "x - x"]),
     st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=6).map("".join))
 FUZZ_OPERAND = FUZZ_OPERATOR.map(lambda a: [a])
 FUZZ_PAIR = st.one_of(

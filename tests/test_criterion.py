@@ -133,6 +133,17 @@ def test_bc_certificate_reaches_the_constant_column(depth):
     assert str(res.poly) == "X^2 - 4*X - Y^3 + 4"
 
 
+@pytest.mark.parametrize("wmax, text", [(3, None), (6, "X^2 - 2*X*Y + X + Y^2 - Y + 1")])
+def test_bc_certificate_over_q_xi_is_a_rational_relation(wmax, text):
+    # P - Q = xi, and xi^2 + xi + 1 = 0 is a relation over Q(xi_3) whose
+    # rational form has weight 6; the search once raised on the irrational one.
+    P, Q = parse_operator("d^3 + xi", 3), parse_operator("d^3", 3)
+    res = bc_certificate(P, Q, wmax=wmax, depth=2)
+    assert (None if res is None else str(res.poly)) == text
+    if res is not None:
+        assert evaluate_poly(res.poly, P, Q).is_zero_in_window()
+
+
 def test_bc_certificate_is_irreducible_for_a_lower_order_term():
     L = parse_operator("d^2 + x")
     res = bc_certificate(L ** 3 + L, L ** 2, wmax=24, depth=8)
@@ -288,12 +299,12 @@ def test_evaluate_poly_series_matches_graded():
 
 @pytest.mark.parametrize("name, depth", [("powers", 10), ("kdv24", 8)])
 def test_bc_certificate_takes_pure_powers_from_the_cache(monkeypatch, name, depth):
-    # At wmax 6 the products are the power chains from one (P, P^2 and Q, Q^2,
-    # Q^3) and the one mixed monomial P*Q: no pure power is multiplied by one.
+    # At wmax 6 the products are the power chains from base^1 (P^2 and Q^2,
+    # Q^3) and the one mixed monomial P*Q: nothing is multiplied by one.
     P, Q = named_pair(name)
     real = operators._op_mul
     calls = []
     monkeypatch.setattr(operators, "_op_mul", lambda A, B: calls.append((A, B)) or real(A, B))
     res = bc_certificate(P, Q, wmax=6, depth=depth)
     assert res is not None and res.reverified
-    assert len(calls) == 6
+    assert len(calls) == 4

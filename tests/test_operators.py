@@ -772,3 +772,25 @@ def test_unchecked_results_keep_the_invariant(monkeypatch, workloads, workload):
     assert made
     for r in made:
         _assert_rebuilds(r)
+
+
+@pytest.mark.parametrize("workload", ["nf-k3", "classify-fixtures"])
+def test_no_product_by_one(monkeypatch, workloads, workload):
+    # A product by one equals the other operand, which its caller already
+    # holds: one pass of a benchmark workload computes none.
+    from weylnf import operators
+    operands = []
+    real = operators._op_mul
+
+    def recording(A, B):
+        operands.extend((A, B))
+        return real(A, B)
+
+    monkeypatch.setattr(operators, "_op_mul", recording)
+    setup, check = workloads.WORKLOADS[workload]
+    ops = setup(3)
+    outputs = [call() for _, call in ops]
+    monkeypatch.undo()
+    assert [check(label, out)[1] for (label, _), out in zip(ops, outputs)] == [[]] * len(ops)
+    assert operands
+    assert [A for A in operands if A == GradedOp.one(A.k)] == []

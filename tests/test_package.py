@@ -1,5 +1,6 @@
 """The package as a whole: its runtime imports nothing outside the standard
-library, and importing it starts no machinery for other processes."""
+library, importing it starts no machinery for other processes, and it
+exports a fixed public surface."""
 
 import ast
 import os
@@ -39,3 +40,26 @@ def test_import_loads_no_process_pool(cli_env):
                           env=cli_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_surface_is_pinned():
+    # A public name leaves, or joins, only by an edit here.
+    assert sorted(weylnf.__all__) == [
+        "AqkReport", "BCResult", "BivarPoly", "ContextMismatchError", "CycloScalar",
+        "DivisionByZeroError", "GradedOp", "Hcp", "HcpSeries", "HomogPiece", "HsCheck",
+        "NewtonData", "NewtonPoint", "NormalFormResult", "NotAnHcpError", "PairReport",
+        "ParseError", "PreconditionError", "PropertyViolation", "SchurPair",
+        "StdFormExpansion", "StdWord", "SuiteResult", "SupResult", "TopLineClass",
+        "TruncationError", "UndefinedOrderError", "Weight", "WeylnfError", "XdMonomial",
+        "ad_pow", "bc_certificate", "check_Aqk", "classify_pair", "classify_top_line",
+        "commutator", "convex_hull", "criterion", "cyclotomic_poly", "e_set",
+        "eigenvalues", "errors", "evaluate", "evaluate_poly", "expand_power",
+        "expand_power_oracle", "filtration_H", "filtration_HS", "fit_hcp", "fixtures",
+        "g_value", "generic_pair", "gform", "hcp_mul", "hs_coefficient_check",
+        "invert_unit", "kdv_pair", "linalg", "mono_mul", "named_pair", "newton",
+        "newton_report", "normal_form", "normal_form_report", "operators", "parse",
+        "parse_operator", "parsing", "poly_from_pairs", "powerform", "render_svg",
+        "run_all", "run_suite", "scalars", "schur", "schur_operator", "specialize",
+        "suites", "t_block", "to_text", "top_term", "type_identity", "up_edge",
+        "weight_of", "weighted_decompose", "xi_pow",
+    ]
