@@ -86,4 +86,21 @@ from .schur import (
 )
 from .suites import SuiteResult, run_all, run_suite
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names: those imported above, and no submodule.
+__all__ = [
+    "AqkReport", "BCResult", "BivarPoly", "ContextMismatchError", "CycloScalar",
+    "DivisionByZeroError", "GradedOp", "Hcp", "HcpSeries", "HomogPiece", "HsCheck",
+    "NewtonData", "NewtonPoint", "NormalFormResult", "NotAnHcpError", "PairReport",
+    "ParseError", "PreconditionError", "PropertyViolation", "SchurPair",
+    "StdFormExpansion", "StdWord", "SuiteResult", "SupResult", "TopLineClass",
+    "TruncationError", "UndefinedOrderError", "Weight", "WeylnfError", "XdMonomial",
+    "ad_pow", "bc_certificate", "check_Aqk", "classify_pair", "classify_top_line",
+    "commutator", "convex_hull", "cyclotomic_poly", "e_set", "eigenvalues", "evaluate",
+    "evaluate_poly", "expand_power", "expand_power_oracle", "filtration_H",
+    "filtration_HS", "fit_hcp", "g_value", "generic_pair", "hcp_mul",
+    "hs_coefficient_check", "invert_unit", "kdv_pair", "mono_mul", "named_pair",
+    "newton_report", "normal_form", "normal_form_report", "parse", "parse_operator",
+    "poly_from_pairs", "render_svg", "run_all", "run_suite", "schur_operator",
+    "specialize", "t_block", "to_text", "top_term", "type_identity", "up_edge",
+    "weight_of", "weighted_decompose", "xi_pow",
+]

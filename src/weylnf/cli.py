@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 precondition error, 4 the
 window was too small, 5 a verified property failed. Failures print a
-machine-readable JSON error object.
+machine-readable JSON error object. A reader that closes the pipe early ends
+the command quietly with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .criterion import BivarPoly, bc_certificate, classify_pair
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_limits(args)
@@ -305,6 +307,19 @@ def main(argv=None) -> int:
             payload["error"]["required"] = exc.required
         print(json.dumps(payload, sort_keys=True))
         return exc.exit_code
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a short output is still buffered: write it inside the try
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``). Point stdout at devnull
+        # so the flush at exit cannot fail again, and stop without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

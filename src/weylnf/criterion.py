@@ -167,7 +167,8 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
     """Minimal-weight nonzero F with F(P, Q) = 0 on the whole window, if any.
 
     For each candidate weight w the nullspace search runs on coefficients
-    at orders w - depth .. w within the common window, and adds lower
+    at orders w - depth .. w within the common window of the monomials of
+    weight <= w, so a larger ``wmax`` leaves it as it is, and adds lower
     orders of it one at a time while the nullspace has more than one
     vector. A candidate is accepted only if its evaluation vanishes on the
     entire common window, and the result is flagged re-verified when that
@@ -187,24 +188,33 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
                    key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
     pows = {0: GradedOp.one(k), 1: P}, {0: GradedOp.one(k), 1: Q}
     evals = {(u, v): _monomial(pows, u, v) for u, v in monos}
-    common_floor = max(e.floor_eff() for e in evals.values())
-    lowest = max(common_floor, min(min(e.components, default=0) for e in evals.values()))
 
-    blocks: dict[int, list] = {}  # order -> its rows, one column per monomial
+    blocks: dict[tuple, list] = {}  # (order, x-cap) -> its rows, one column per monomial
 
     def rows_at(t: int) -> list:
-        if t not in blocks:
-            cap = min(e.xcap(t) for e in evals.values())
+        cap = caps.get(t, INF)
+        if (t, cap) not in blocks:
             ns = sorted({n for e in evals.values() for n in e.components.get(t, {}) if n <= cap})
             zero = CycloScalar.zero(k)
             entries = [[evals[m].components.get(t, {}).get(n, zero) for m in monos] for n in ns]
             # One row per rational coordinate: the relation is sought over Q.
-            blocks[t] = [[CycloScalar.from_rational(1, e.coeffs[i]) for e in row]
-                         for row in entries for i in range(len(zero.coeffs))]
-        return blocks[t]
+            blocks[(t, cap)] = [[CycloScalar.from_rational(1, e.coeffs[i]) for e in row]
+                                for row in entries for i in range(len(zero.coeffs))]
+        return blocks[(t, cap)]
 
+    # The search at weight wcap reads the window of the monomials of weight <= wcap,
+    # a prefix of monos: its floor, lowest order and x-cap per order, kept running.
+    common_floor, low, caps, ncols = -INF, INF, {}, 0
     for wcap in sorted({p * u + q * v for u, v in monos}):
-        cols = [i for i, (u, v) in enumerate(monos) if p * u + q * v <= wcap]
+        while ncols < len(monos) and p * monos[ncols][0] + q * monos[ncols][1] <= wcap:
+            e = evals[monos[ncols]]
+            common_floor = max(common_floor, e.floor_eff())
+            low = min(low, min(e.components, default=0))
+            for t, cap in e.xcaps.items():
+                caps[t] = min(caps.get(t, INF), cap)
+            ncols += 1
+        lowest = max(common_floor, low)
+        cols = list(range(ncols))
         lo = max(wcap - depth, common_floor)
         sub = _on_columns([row for t in range(lo, wcap + 1) for row in rows_at(t)], cols)
         basis = nullspace(sub, len(cols), 1)

@@ -23,8 +23,11 @@ An :class:`Hcp` is integer vectors (``scalars``' lane form) over one reduced
 denominator, as FLINT's ``fmpq_poly`` holds a polynomial. Sums, rational
 multiples, ``newton``'s filtrations, the transforms and :func:`hcp_mul`, which
 forms one result order from all of its pairs as ``operators.order_product``
-does, run on these ints (``scalars._ring`` products); ``Hcp.gamma`` is built
-for I/O.
+does, run on these ints (``scalars._ring`` products; :func:`hcp_mul` sums
+plain ints when deg Phi_k is 1 and two-int lists when it is 2); ``Hcp.gamma``
+is built for I/O. An :class:`HcpSeries` sum, scalar multiple, product or
+filtration is built by the unchecked :func:`_make_series`, with cancelled
+orders dropped and the components kept to the result's window.
 """
 
 from __future__ import annotations
@@ -325,24 +328,45 @@ def hcp_mul(H1: Hcp, H2: Hcp, more=()) -> Hcp:
             support.update(j - 1 for j in h1.bpart)
             support.update(j - 1 - r1 for j in h2.bpart if j - 1 >= r1)
     vmul, xis = _ring(k)
+    deg = len(xis[0])
     den = math.lcm(*[h1.den * h2.den for _, h1, h2 in live])
-    acc: dict[tuple[int, int], list[int]] = {}
+    # acc[(l, i)]: an int when deg Phi_k = 1, a two-int list when it is 2, else a list.
+    acc: dict = {}
     for r1, h1, h2 in live:
         scale, e1 = den // (h1.den * h2.den), r1 % k
         for l2, i2, v2 in h2.terms:
             if e1 and i2:
                 v2 = vmul(v2, xis[i2 * e1 % k])
             shift = _shift_weights(l2, r1)
-            if scale != 1:
+            if deg > 2 and scale != 1:
                 shift = [(s, scale * w) for s, w in shift]
             for l1, i1, v1 in h1.terms:
                 p, i3 = vmul(v1, v2), (i1 + i2) % k
-                for s, w in shift:
-                    a = acc.setdefault((l1 + s, i3), [0] * len(p))
-                    for j, x in enumerate(p):
-                        a[j] += w * x
-    den, terms = _canonical(den, tuple([(l, i, tuple(a)) for (l, i), a in sorted(acc.items())
-                                        if any(a)]))
+                if deg == 1:
+                    x = scale * p[0]
+                    for s, w in shift:
+                        key = (l1 + s, i3)
+                        acc[key] = acc.get(key, 0) + w * x
+                elif deg == 2:
+                    x, y = scale * p[0], scale * p[1]
+                    for s, w in shift:
+                        key = (l1 + s, i3)
+                        a = acc.get(key)
+                        if a is None:
+                            acc[key] = [w * x, w * y]
+                        else:
+                            a[0] += w * x
+                            a[1] += w * y
+                else:
+                    for s, w in shift:
+                        a = acc.setdefault((l1 + s, i3), [0] * deg)
+                        for j, x in enumerate(p):
+                            a[j] += w * x
+    if deg == 1:
+        terms = tuple([(l, i, (a,)) for (l, i), a in sorted(acc.items()) if a])
+    else:
+        terms = tuple([(l, i, tuple(a)) for (l, i), a in sorted(acc.items()) if any(a)])
+    den, terms = _canonical(den, terms)
     bpart = {}
     if support:
         ns = sorted(support)
@@ -507,14 +531,16 @@ class HcpSeries(Graded):
         comps = dict(self.components)
         for t, h in other.components.items():
             comps[t] = comps[t] + h if t in comps else h
-        return HcpSeries(self.k, comps, floor, top)
+        return _make_series(self.k, {t: h for t, h in comps.items() if (h.terms or h.bpart)
+                                     and (floor is None or t >= floor)}, floor, top)
 
     def __neg__(self):
         return self.scalar_mul(-1)
 
     def scalar_mul(self, value) -> "HcpSeries":
-        return HcpSeries(self.k, {t: h.scalar_mul(value) for t, h in self.components.items()},
-                         self.floor, self.top)
+        comps = {t: h.scalar_mul(value) for t, h in self.components.items()}
+        return _make_series(self.k, {t: h for t, h in comps.items() if h.terms or h.bpart},
+                            self.floor, self.top)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
@@ -602,9 +628,15 @@ def _make_series(k: int, components: dict[int, Hcp], floor, top) -> HcpSeries:
     out = object.__new__(HcpSeries)
     if floor is None:
         top = max(components, default=0)
-    for slot, value in (("k", k), ("components", components), ("floor", floor), ("top", top)):
-        object.__setattr__(out, slot, value)
+    _set_series_k(out, k)
+    _set_series_components(out, components)
+    _set_series_floor(out, floor)
+    _set_series_top(out, top)
     return out
+
+
+_set_series_k, _set_series_components, _set_series_floor, _set_series_top = (
+    getattr(Graded, name).__set__ for name in Graded.__slots__)
 
 
 def check_Aqk(P: HcpSeries, kk: int, enforce_growth: bool = True) -> AqkReport:

@@ -373,7 +373,7 @@ class GradedOp(Graded):
             cap = min(self.xcap(t), other.xcap(t))
             if cap != INF:
                 caps[t] = cap
-                if max(comps.get(t, ()), default=-1) > cap:
+                if comps.get(t) and max(comps[t]) > cap:
                     comps[t] = {n: c for n, c in comps[t].items() if n <= cap}
         return _make_op(self.k, {t: c for t, c in comps.items() if c}, floor, top, caps)
 

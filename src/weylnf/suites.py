@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .criterion import _monomial
 from .errors import PreconditionError
 from .gform import Hcp, HcpSeries
 from .newton import Weight, e_set, filtration_H, filtration_HS, top_term, weight_of
@@ -214,6 +215,17 @@ def appendix_case(idx: int, seed: int) -> list[str]:
 # -- filtration suite ------------------------------------------------------------------
 
 
+def _binomial_sum(M: HcpSeries, L: HcpSeries, d: int, level: Fraction,
+                  w: Weight) -> HcpSeries:
+    """sum_l C(d, l) H_level(M^(d-l) L^l), each power read from one cache per factor."""
+    pows = ({0: HcpSeries.one(M.k), 1: M}, {0: HcpSeries.one(L.k), 1: L})
+    total = HcpSeries.zero(M.k)
+    for l in range(d + 1):
+        term = _monomial(pows, d - l, l)
+        total = total + filtration_H(term, level, w).scalar_mul(math.comb(d, l))
+    return total
+
+
 def filtration_case(idx: int, seed: int) -> list[str]:
     rng = random.Random(f"{seed}:filtration:{idx}")
     fails: list[str] = []
@@ -259,7 +271,8 @@ def filtration_case(idx: int, seed: int) -> list[str]:
         MB = series_with_af_level(rng, k, rng.randint(3, 6), sigma, sigma)
         if LB is not None and MB is not None:
             d1, d2 = _v(LB, w), _v(MB, w)
-            br = LB * MB - MB * LB
+            lm, ml = LB * MB, MB * LB
+            br = lm - ml
             l1 = filtration_H(LB, d1 - sigma, w)
             m1 = filtration_H(MB, d2 - sigma, w)
             br1 = l1 * m1 - m1 * l1
@@ -269,11 +282,10 @@ def filtration_case(idx: int, seed: int) -> list[str]:
             vbr = _v(br, w)
             check(vbr is None or vbr <= d1 + d2 - sigma, "commutator weight drop")
             eps = Fraction(1, 4)
-            check(filtration_H(LB * MB, d1 + d2 - sigma + eps, w)
-                  == filtration_H(MB * LB, d1 + d2 - sigma + eps, w),
+            check(filtration_H(lm, d1 + d2 - sigma + eps, w)
+                  == filtration_H(ml, d1 + d2 - sigma + eps, w),
                   "products agree above the commutator level")
-            check(filtration_H(LB * MB, d1 + d2, w)
-                  == filtration_H(MB * LB, d1 + d2, w),
+            check(filtration_H(lm, d1 + d2, w) == filtration_H(ml, d1 + d2, w),
                   "products agree at the top level")
 
     # HS laws
@@ -306,7 +318,7 @@ def filtration_case(idx: int, seed: int) -> list[str]:
     if not h1.is_zero_in_window() and not h2.is_zero_in_window():
         a1 = max(pt.l for pt in e_set(h1).points)
         a2 = max(pt.l for pt in e_set(h2).points)
-        lhs4 = filtration_HS(L * M, vL + vM, a1 + a2, w)
+        lhs4 = filtration_HS(prod, vL + vM, a1 + a2, w)
         rhs4 = filtration_H(filtration_HS(L, vL, a1, w) * filtration_HS(M, vM, a2, w),
                             vL + vM, w)
         check(lhs4 == rhs4, "HS product law (item 4)")
@@ -355,11 +367,7 @@ def filtration_case(idx: int, seed: int) -> list[str]:
                 br = LAaf * MA - MA * LAaf
                 if filtration_H(br, 2 * pw_target, w).is_zero_in_window():
                     lhs = filtration_H((LAaf + MA) ** d, d * pw_target, w)
-                    rhs = HcpSeries.zero(k)
-                    for l in range(d + 1):
-                        term = (MA ** (d - l)) * (LAaf ** l)
-                        rhs = rhs + filtration_H(term, d * pw_target, w).scalar_mul(
-                            math.comb(d, l))
+                    rhs = _binomial_sum(MA, LAaf, d, d * pw_target, w)
                     check(lhs == rhs, f"binomial corollary at d={d}")
     else:
         # sigma = 0: equal top orders with scalar (Gamma-free) top symbols
@@ -372,10 +380,7 @@ def filtration_case(idx: int, seed: int) -> list[str]:
         br = LA * MA - MA * LA
         if filtration_H(br, 2 * pw_target, w).is_zero_in_window():
             lhs = filtration_H((LA + MA) ** d, d * pw_target, w)
-            rhs = HcpSeries.zero(k)
-            for l in range(d + 1):
-                term = (MA ** (d - l)) * (LA ** l)
-                rhs = rhs + filtration_H(term, d * pw_target, w).scalar_mul(math.comb(d, l))
+            rhs = _binomial_sum(MA, LA, d, d * pw_target, w)
             check(lhs == rhs, f"binomial corollary at d={d} (sigma=0)")
     return fails
 

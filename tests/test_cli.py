@@ -253,6 +253,13 @@ def test_cli_eval_one_grammar(argv, code, out, capsys):
         assert text.strip() == out
 
 
+def test_cli_eval_sum_with_a_negative_cap_on_an_empty_order(capsys):
+    # d^5 * G{r=0; f[0,1]=1} at xcap 2 is nothing but negative caps on empty
+    # orders; adding x to it once raised KeyError in GradedOp.__add__.
+    argv = ["eval", "--k", "2", "--xcap", "2", "d^5*G{r=0; f[0,1]=1} + x"]
+    assert run_cli(argv, capsys) == (0, "x\n")
+
+
 def _newton_error(path, capsys):
     code, out = run_cli(["newton", "--input", str(path)], capsys)
     return code, json.loads(out)["error"]
@@ -736,6 +743,25 @@ def test_package_runs_as_a_module(cli_env):
                           capture_output=True, text=True, env=cli_env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "d"
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur", "--q", "d^2 + x", "--depth", "30", "--format", "json"],  # fails in print
+    ["eval", "d"],  # buffered until the flush at the end
+], ids=["large", "small"])
+def test_cli_closed_pipe_ends_quietly(argv, cli_env):
+    # The read end is closed before the command writes, as "| head -1" may
+    # leave it: the output fails with EPIPE, which must end in no traceback.
+    # stdout stays block-buffered, as it is on a pipe by default.
+    env = {name: value for name, value in cli_env.items() if name != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "weylnf", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_console_verify_filtration_suite(cli_env):

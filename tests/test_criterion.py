@@ -123,6 +123,25 @@ def test_bc_certificate_is_minimal_at_any_wmax(wmax):
     assert res is not None and res.poly == X2_Y3 and res.weight == 12
 
 
+@pytest.mark.parametrize("name, wlow, whigh", [("kdv24", 6, 30), ("kdv48", 6, 52),
+                                               ("powers", 6, 30),
+                                               ("L^3, L^2 windowed", 12, 46)],
+                         ids=["kdv24", "kdv48", "powers", "L^3, L^2 windowed"])
+def test_bc_certificate_does_not_depend_on_wmax(name, wlow, whigh):
+    # Each candidate weight reads the window of the monomials up to it only.
+    # whigh is the least wmax at which a search over the window of every
+    # monomial up to wmax went wrong: X^2*Y^2 - Y^5 - 1/16*Y^2 on kdv24,
+    # X^2*Y - Y^4 - 1/16*Y on kdv48 and a KeyError on the windowed pair.
+    if name in ("kdv24", "kdv48", "powers"):
+        P, Q = named_pair(name)
+    else:
+        L = parse_operator("d^2 + x")
+        P, Q = ((L ** e).restrict(floor=-40, xcap=40) for e in (3, 2))
+    low = bc_certificate(P, Q, wmax=wlow, depth=8)
+    assert low is not None and low.weight == wlow and low.reverified
+    assert bc_certificate(P, Q, wmax=whigh, depth=8) == low
+
+
 @pytest.mark.parametrize("depth", [8, 12])
 def test_bc_certificate_reaches_the_constant_column(depth):
     # The constant column is zero on orders 4..12; the search adds lower

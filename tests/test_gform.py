@@ -532,34 +532,55 @@ def _assert_series_rebuilds(P):
     assert (rebuilt, rebuilt.floor, rebuilt.top) == (P, P.floor, P.top)
 
 
+def _reference_series_add(A, B):
+    """The body of ``HcpSeries.__add__`` before sums were built unchecked."""
+    floor, top = A._sum_window(B)
+    comps = dict(A.components)
+    for t, h in B.components.items():
+        comps[t] = comps[t] + h if t in comps else h
+    return HcpSeries(A.k, comps, floor, top)
+
+
 @st.composite
 def _series_cases(draw):
-    """Two series of one context, with or without a floor, and a filtration:
-    weight, threshold and Gamma bound."""
+    """Two series of one context, with or without a floor, the second sometimes
+    holding minus some components of the first; a scalar (zero included); and a
+    filtration: weight, threshold and Gamma bound."""
     k = draw(st.integers(1, 6))
     values = _scalars(k)
     keys = st.tuples(st.integers(0, 3), st.integers(0, k - 1))
 
-    def series():
+    def series(cancel=None):
         comps = {t: Hcp(k, t, draw(st.dictionaries(keys, values, max_size=3)),
                         draw(st.dictionaries(st.integers(1, 4), values, max_size=1)))
                  for t in draw(st.sets(st.integers(0, 4), max_size=3))}
+        for t, h in (cancel.components.items() if cancel is not None else ()):
+            if draw(st.booleans()):
+                comps[t] = -h
         return HcpSeries(k, comps, draw(st.one_of(st.none(), st.integers(0, 4))))
 
-    A, B = series(), series()
+    A = series()
+    B = series(cancel=A)
+    c = draw(st.sampled_from([0, 3, Fraction(-2, 5), xi_pow(k, 1)]))
     small = st.fractions(min_value=0, max_value=2, max_denominator=3)
     w = Weight(draw(small), draw(small.filter(bool)))
     d = draw(st.fractions(min_value=-2, max_value=8, max_denominator=3))
-    return A, B, w, d, draw(st.integers(0, 3))
+    return A, B, c, w, d, draw(st.integers(0, 3))
 
 
 @given(_series_cases())
 @settings(max_examples=100, deadline=None)
 def test_unchecked_series_equal_their_checked_rebuild(case):
-    A, B, w, d, m = case
+    A, B, c, w, d, m = case
     AB = A * B
     assert AB == _reference_series_mul(A, B)
-    for P in (AB, filtration_H(A, d, w), filtration_HS(AB, d, m, w)):
+    sums = [A + B, A - B, A.scalar_mul(c)]
+    assert sums[0] == _reference_series_add(A, B)
+    assert sums[1] == _reference_series_add(A, HcpSeries(B.k, {
+        t: -h for t, h in B.components.items()}, B.floor, B.top))
+    assert sums[2] == HcpSeries(A.k, {t: h.scalar_mul(c) for t, h in A.components.items()},
+                                A.floor, A.top)
+    for P in (AB, *sums, filtration_H(A, d, w), filtration_HS(AB, d, m, w)):
         _assert_series_rebuilds(P)
 
 
@@ -573,6 +594,30 @@ def test_series_product_drops_an_order_that_cancels():
         assert sorted(AB.components) == orders
         assert AB == _reference_series_mul(A, B)
         _assert_series_rebuilds(AB)
+
+
+def test_filtration_suite_sees_a_planted_product_defect(monkeypatch):
+    # A filtration case computes each product once and reads it in every law
+    # that needs it; each such law must still compare sides computed apart. A
+    # product that loses its top term when the left factor has the larger
+    # order shows in all of them on these fixed cases.
+    real = gform.hcp_mul
+
+    def lossy(H1, H2, more=()):
+        h = real(H1, H2, more)
+        terms = h.terms[:-1] if H1.r > H2.r else h.terms
+        return gform._make_hcp(h.k, h.r, *gform._canonical(h.den, terms), h.bpart)
+
+    cases = (1, 4, 6, 47, 102)
+    assert not any(suites.filtration_case(idx, 0) for idx in cases)
+    monkeypatch.setattr(gform, "hcp_mul", lossy)
+    seen = {f.split(": ", 1)[1].rsplit(" (k=", 1)[0]
+            for idx in cases for f in suites.filtration_case(idx, 0)}
+    assert seen >= {"H product law at (v(L), v(M))", "HS product law (item 4)",
+                    "commutator filtration law", "commutator weight drop",
+                    "products agree above the commutator level",
+                    "products agree at the top level", "binomial corollary at d=4",
+                    "binomial corollary at d=3 (sigma=0)"}
 
 
 def test_series_product_reaches_the_traced_hcp_mul(layertrace):

@@ -671,8 +671,9 @@ def _assert_rebuilds(r):
 
 def _drawn_op(data, k, cancel=None):
     """An operator on orders -3..3, with or without a floor, with finite caps at
-    the x-degree of a stored coefficient or elsewhere, and no coefficient above
-    a cap; with ``cancel``, it holds minus some of that operator's components."""
+    the x-degree of a stored coefficient or elsewhere (negative on an empty
+    order), and no coefficient above a cap; with ``cancel``, it holds minus some
+    of that operator's components."""
     comps = {t: _component(data, k, t) for t in data.draw(st.sets(st.integers(-3, 3), max_size=4))}
     for t, comp in (cancel.components.items() if cancel is not None else ()):
         if data.draw(st.booleans()):
@@ -681,7 +682,7 @@ def _drawn_op(data, k, cancel=None):
     for t in data.draw(st.sets(st.integers(-3, 3), max_size=3)):
         at = sorted(comps.get(t, ()))
         caps[t] = data.draw(st.sampled_from(at) if at and data.draw(st.booleans())
-                            else st.integers(0, 8))
+                            else st.integers(0 if at else -3, 8))
         comps[t] = {n: c for n, c in comps.get(t, {}).items() if n <= caps[t]}
     floor = data.draw(st.one_of(st.none(), st.integers(-4, 2)))
     top = data.draw(st.integers(-3 if floor is None else floor, 4))
