@@ -173,7 +173,9 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
     vector. A candidate is accepted only if its evaluation vanishes on the
     entire common window, and the result is flagged re-verified when that
     window reaches at least twice the search depth below w. Absence of a
-    certificate is bounded evidence only, never a nonexistence proof.
+    certificate is bounded evidence only, never a nonexistence proof. Each
+    monomial P^u Q^v is evaluated when the weight loop first reaches it, so
+    the products follow the certificate's weight, not ``wmax``.
     """
     if wmax < 0:
         raise PreconditionError("wmax must be nonnegative")
@@ -187,27 +189,28 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
                     if p * u + q * v <= wmax),
                    key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
     pows = {0: GradedOp.one(k), 1: P}, {0: GradedOp.one(k), 1: Q}
-    evals = {(u, v): _monomial(pows, u, v) for u, v in monos}
+    evals = {}  # the monomials the weight loop has reached, evaluated then
 
-    blocks: dict[tuple, list] = {}  # (order, x-cap) -> its rows, one column per monomial
+    blocks: dict[tuple, list] = {}  # (order, x-cap, columns) -> its rows, one column per monomial
 
     def rows_at(t: int) -> list:
         cap = caps.get(t, INF)
-        if (t, cap) not in blocks:
-            ns = sorted({n for e in evals.values() for n in e.components.get(t, {}) if n <= cap})
+        if (t, cap, ncols) not in blocks:
+            comps = [evals[m].components.get(t, {}) for m in monos[:ncols]]
+            ns = sorted({n for comp in comps for n in comp if n <= cap})
             zero = CycloScalar.zero(k)
-            entries = [[evals[m].components.get(t, {}).get(n, zero) for m in monos] for n in ns]
+            entries = [[comp.get(n, zero) for comp in comps] for n in ns]
             # One row per rational coordinate: the relation is sought over Q.
-            blocks[(t, cap)] = [[CycloScalar.from_rational(1, e.coeffs[i]) for e in row]
-                                for row in entries for i in range(len(zero.coeffs))]
-        return blocks[(t, cap)]
+            blocks[(t, cap, ncols)] = [[CycloScalar.from_rational(1, e.coeffs[i]) for e in row]
+                                       for row in entries for i in range(len(zero.coeffs))]
+        return blocks[(t, cap, ncols)]
 
     # The search at weight wcap reads the window of the monomials of weight <= wcap,
     # a prefix of monos: its floor, lowest order and x-cap per order, kept running.
     common_floor, low, caps, ncols = -INF, INF, {}, 0
     for wcap in sorted({p * u + q * v for u, v in monos}):
         while ncols < len(monos) and p * monos[ncols][0] + q * monos[ncols][1] <= wcap:
-            e = evals[monos[ncols]]
+            e = evals[monos[ncols]] = _monomial(pows, *monos[ncols])
             common_floor = max(common_floor, e.floor_eff())
             low = min(low, min(e.components, default=0))
             for t, cap in e.xcaps.items():

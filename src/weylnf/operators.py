@@ -21,38 +21,44 @@ respects the grading and yields the product window rule
 :func:`order_product` is the one place that computes a result order; the
 product and the Schur solve both go through it.
 
-Nu sequences live as integer lanes from the coefficients to the product and
-back: the lane form of a sequence of Q(xi) values over one common
-denominator D > 0, as the ``scalars`` module docstring defines it. The
-triangular map between coefficients and values is a binomial transform
-(perm(j, m) = comb(j, m) * m!), computed on the lanes with integer additions
-and subtractions only (:meth:`Factor.nu`, :func:`_comp_of_lanes`). A
-:class:`Factor` caches one such sequence per order, with D_t the lcm of the
-component's denominators, and :func:`order_product` multiplies and sums the
-lanes in integers mod Phi_k (``scalars._lane_mul``), so no ``CycloScalar``
-is built between the two transforms. Each nonzero coefficient of a result
-is divided back once by ``scalars._from_lanes``. :func:`_nu_to_comp` is the
-inverse transform of a ``CycloScalar`` list, for the G-form expansion; the
-G-form fit reads :meth:`Factor.nu`'s lanes.
+Nu sequences live as integer lanes: the lane form of a sequence of Q(xi)
+values over one common denominator D > 0, as the ``scalars`` module
+docstring defines it. The triangular map between coefficients and values is
+a binomial transform (perm(j, m) = comb(j, m) * m!), computed on the lanes
+with integer additions and subtractions only (:meth:`Factor.nu`,
+:func:`_comp_of_lanes`). :func:`order_product` multiplies and sums the lanes
+of its factors in integers mod Phi_k (``scalars._lane_mul``), and an order
+born in a product is held as lanes: the values nu(j) that determine it,
+reduced once by the gcd of D_t and the entries, so D_t is a common
+denominator of the values, not the lcm of the coefficients' denominators.
+A product's components are a view on its factor that builds an order's
+coefficients, each divided back once by ``scalars._from_lanes``, when a
+reader (the Schur recurrence, a G-form fit, ``==``, ``str``, ``to_dict``)
+first reads the order; the window queries and ``component_as_op`` build
+none, and sums and negations stay on lanes where a summand holds them.
+:func:`_nu_to_comp` inverts a ``CycloScalar`` list, for the G-form expansion.
 
 Sums, negations, scalar multiples, products and component views are built
 by the unchecked :func:`_make_op`, as they hold the invariant that the public
 constructor checks: each component is nonempty with no zero coefficient, each
 x-degree n of order t has n >= max(0, -t), and caps are ints. No component
-dict is written once built, so a sum shares an order that one summand alone
-has, and at an order both have it copies one dict and adds the other into it.
+dict or held lane is written once built, so a sum shares an order that one
+summand alone has, and at an order both have it adds the two into new ones.
 
-Each operator keeps one factor, made on its first product. Its component
-views share it, and so do the operators that the Schur solves build over
-their own factor, so each sequence is computed once per operator; a longer
-sequence resumes the difference table where the shorter one stopped.
+Each operator keeps one factor, made on its first product (a product's result
+is born with its own). Its component views share it, and so do the operators
+that the Schur solves build over their own factor, so each sequence is
+computed once per operator; a longer sequence resumes the difference table
+where the shorter one stopped.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, zip_longest
 from operator import add, sub
 
 from .errors import (
@@ -108,7 +114,7 @@ class Graded:
         orders that count as content for ``top`` (a GradedOp's capped orders)."""
         if floor is None:
             top = max([*comps, *known], default=0)
-        else:
+        elif any(not floor <= t <= top for t in comps):
             comps = {t: c for t, c in comps.items() if floor <= t <= top}
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "components", comps)
@@ -181,6 +187,8 @@ class GradedOp(Graded):
     A component is a dict from x-degree n to the coefficient of x^n d^(n+t);
     ``xcaps`` adds the per-order exactness caps. ``_factor``, once set, holds
     the operator's :class:`Factor` and is no part of its value.
+    ``components`` is a dict, or for an operator whose factor holds lanes a
+    read-only view on the factor that builds an order's coefficients on read.
     """
 
     __slots__ = ("xcaps", "_factor")
@@ -287,9 +295,8 @@ class GradedOp(Graded):
         if cap == -1:
             raise TruncationError(f"component at order {t} is below the window floor",
                                   {"floor": self.floor, "order": t})
-        comp = self.components.get(t)
-        return Factor.of(self).share(_make_op(self.k, {t: comp} if comp else {}, None, t,
-                                              {} if cap == INF else {t: cap}))
+        return _op_of(Factor.of(self), [t] if t in self.components else [], None, t,
+                      {} if cap == INF else {t: cap})
 
     # -- basic queries ---------------------------------------------------------
 
@@ -353,35 +360,45 @@ class GradedOp(Graded):
             return NotImplemented
         self._check_ctx(other)
         floor, top = self._sum_window(other)
-        comps = dict(self.components)
-        for t, b in other.components.items():
-            a = comps.get(t)
-            comps[t] = b
-            if a is not None:
-                if len(a) < len(b):
-                    a, b = b, a
-                a = comps[t] = dict(a)
-                for n, c in b.items():
-                    if n in a:
-                        c = a[n] + c
-                        if c.is_zero():
-                            del a[n]
-                            continue
-                    a[n] = c
         caps = {}
         for t in set(self.xcaps) | set(other.xcaps):
             cap = min(self.xcap(t), other.xcap(t))
             if cap != INF:
                 caps[t] = cap
-                if comps.get(t) and max(comps[t]) > cap:
-                    comps[t] = {n: c for n, c in comps[t].items() if n <= cap}
-        return _make_op(self.k, {t: c for t, c in comps.items() if c}, floor, top, caps)
+        # Per order: share what one summand alone holds at the sum's cap, add
+        # lanes where a summand holds the order as lanes, else coefficients.
+        out = Factor(self.k, {}, caps)
+        for t in sorted({*self.components, *other.components}):
+            if floor is not None and t < floor:
+                continue
+            cap = caps.get(t, INF)
+            parts = [X for X in (self, other) if t in X.components]
+            if len(parts) == 1 and parts[0].xcap(t) == cap:
+                out.take(t, parts[0])
+            elif any(_on_lanes(X, t) for X in parts):
+                factors = [Factor.of(X) for X in parts]
+                jmax = max(F.reach(t, cap) for F in factors)
+                held = _lane_total(self.k, jmax, [(1, *F.nu(t, jmax), 0) for F in factors])
+                if held is not None:
+                    out.nus[t] = (*held, None)
+            else:
+                comp = _coeff_sum([X.components[t] for X in parts], cap)
+                if comp:
+                    out.comps[t] = comp
+        return _op_of(out, [*out.comps, *out.nus], floor, top, caps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        comps = {t: {n: -c for n, c in comp.items()} for t, comp in self.components.items()}
-        return _make_op(self.k, comps, self.floor, self.top, self.xcaps)
+        """Minus each order, on lanes where this operator holds it so."""
+        out = Factor(self.k, {}, self.xcaps)
+        for t in self.components:
+            if _on_lanes(self, t):
+                F, jmax = self._factor, self._factor.reach(t, self.xcap(t))
+                out.nus[t] = (*_lane_total(self.k, jmax, [(-1, *F.nu(t, jmax), 0)]), None)
+            else:
+                out.comps[t] = {n: -c for n, c in self.components[t].items()}
+        return _op_of(out, self.components, self.floor, self.top, self.xcaps)
 
     def scalar_mul(self, value) -> "GradedOp":
         value = as_scalar(self.k, value)
@@ -525,6 +542,79 @@ def _make_op(k: int, comps: dict, floor, top, caps: dict) -> GradedOp:
     return out
 
 
+def _op_of(F: "Factor", orders, floor, top, caps: dict) -> GradedOp:
+    """Unchecked ``GradedOp`` of the ``orders`` that F holds, with F as its
+    factor: a view on F when F holds lanes, else F's coefficient dicts."""
+    comps = _Comps(F, orders) if F.nus else {t: F.comps[t] for t in orders}
+    return F.share(_make_op(F.k, comps, floor, top, caps))
+
+
+def _on_lanes(A: GradedOp, t: int) -> bool:
+    """A holds order t as lanes: A is built over its factor, which has them."""
+    return type(A.components) is not dict and t in A._factor.nus
+
+
+def _coeff_sum(comps: list, cap) -> dict:
+    """The sum of one or two components, without x-degrees above ``cap``."""
+    a = comps[0]
+    for b in comps[1:]:
+        if len(a) < len(b):
+            a, b = b, a
+        a = dict(a)
+        for n, c in b.items():
+            if n in a:
+                c = a[n] + c
+                if c.is_zero():
+                    del a[n]
+                    continue
+            a[n] = c
+    if a and max(a) > cap:
+        a = {n: c for n, c in a.items() if n <= cap}
+    return a
+
+
+def _lane_total(k: int, jmax: int, terms: list):
+    """``(D, lanes)`` over j = 0 .. jmax of the sum of c * lanes / d, each
+    placed from j = j0, over ``terms`` (c, d, lanes, j0); D is the lcm of the
+    d, and D and the lanes are divided by the gcd of D and every entry. None
+    when the sum vanishes."""
+    den = math.lcm(*[d for _, d, _, _ in terms])
+    acc = [[0] * (jmax + 1) for _ in range(len(cyclotomic_poly(k)) - 1)]
+    for c, d, lanes, j0 in terms:
+        scale = c * den // d
+        for a, lane in zip(acc, lanes):
+            if any(lane):
+                a[j0:] = map(add, a[j0:], lane if scale == 1 else [scale * x for x in lane])
+    if not any(map(any, acc)):
+        return None
+    g = math.gcd(den, *chain.from_iterable(acc))
+    return den // g, tuple([x // g for x in lane] for lane in acc)
+
+
+class _Comps(Mapping):
+    """The components of an operator built over its factor: the orders it
+    holds, each order's coefficients built by the factor on first read."""
+
+    __slots__ = ("factor", "orders")
+
+    def __init__(self, factor: "Factor", orders):
+        self.factor, self.orders = factor, dict.fromkeys(sorted(orders))
+
+    def __getitem__(self, t):
+        if t not in self.orders:
+            raise KeyError(t)
+        return self.factor.comp(t)
+
+    def __contains__(self, t):
+        return t in self.orders
+
+    def __iter__(self):
+        return iter(self.orders)
+
+    def __len__(self):
+        return len(self.orders)
+
+
 def _monomial_str(coeff: CycloScalar, xdeg: int, ddeg: int) -> tuple[str, bool]:
     """``(body, negative)`` of one monomial, as :func:`scalars._join_signed` takes it."""
     powers = [("x", xdeg), ("d", ddeg)]
@@ -546,27 +636,28 @@ def product_floor(A, B):
     return None if val == -INF else int(val)
 
 
+def _column(lane: list[int]) -> list[int]:
+    """The forward differences of ``lane`` at j = 0, without trailing zeros
+    (one entry at least): the difference-table row at j = 0."""
+    col = []
+    if any(lane):
+        while lane:
+            col.append(lane[0])
+            lane = list(map(sub, lane[1:], lane))
+        while not col[-1]:
+            col.pop()
+    return col or [0]
+
+
 def _comp_of_lanes(k: int, lanes, den: int, t: int) -> dict[int, CycloScalar]:
-    """The order-t component whose nu(j) is (lanes[i][j - max(0, t)] / den)_i.
+    """The order-t component whose nu(j) is (lanes[i][j] / den)_i, j = 0, 1, ...
 
     The inverse of :meth:`Factor.nu`: m! * D * a_(m-t) is the m-th forward
-    difference of D * nu at j = 0, where nu(j) is zero for j < max(0, t).
+    difference of D * nu at j = 0, where the lanes vanish for j < max(0, t).
     Each nonzero coefficient is divided back once, by D * m!.
     """
-    m0 = max(0, t)
-    cols = []
-    for lane in lanes:
-        row = [0] * m0 + lane
-        if not any(lane):
-            cols.append(row)
-            continue
-        col = []
-        while row:
-            col.append(row[0])
-            row = list(map(sub, row[1:], row))
-        cols.append(col)
     out: dict[int, CycloScalar] = {}
-    for m, b in enumerate(zip(*cols)):
+    for m, b in enumerate(zip_longest(*map(_column, lanes), fillvalue=0)):
         if any(b):
             out[m - t] = _from_lanes(k, b, den * math.factorial(m))
     return out
@@ -577,8 +668,9 @@ def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]
 
     The inverse of :meth:`Factor.nu`; nu(j) is taken as zero for j < max(0, t).
     """
-    den, lanes = _lanes(k, nu[max(0, t):])
-    return _comp_of_lanes(k, lanes, den, t)
+    m0 = max(0, t)
+    den, lanes = _lanes(k, nu[m0:])
+    return _comp_of_lanes(k, [[0] * m0 + lane for lane in lanes], den, t)
 
 
 def _difference_rows(comp: dict[int, CycloScalar], t: int, k: int):
@@ -606,14 +698,18 @@ class Factor:
     """One side of a product: components, caps and their nu sequences.
 
     Each :class:`GradedOp` has one factor, made by :meth:`of` on its first
-    product and kept in a slot that ``==``, hash, ``to_dict`` and ``str``
-    ignore; :meth:`share` gives the same factor to an operator that agrees
-    with it at every order it reads (a component view, or the result of an
-    order-by-order solve over ``comps`` and ``caps``, which may be dicts that
-    the solve keeps filling). An absent cap means exact everywhere. The nu
-    sequence of each order is computed once, as integer lanes over one
-    denominator, together with the difference-table row where it stopped, so
-    a later pair that needs a longer sequence resumes from there.
+    product or born with the operator, and kept in a slot that ``==``, hash,
+    ``to_dict`` and ``str`` ignore; :meth:`share` gives the same factor to an
+    operator that agrees with it at every order it reads (a component view,
+    or the result of an order-by-order solve over ``comps`` and ``caps``,
+    which may be dicts that the solve keeps filling). An absent cap means
+    exact everywhere. ``nus[t]`` is ``(D_t, lanes, rows)``: an order given as
+    coefficients in ``comps`` has its nu sequence computed once, with the
+    difference-table row where it stopped, so a longer one resumes there. An
+    order born in a product, sum or negation is held as lanes alone (``rows``
+    None): the values that determine it, reduced by their gcd, so D_t is a
+    common denominator of the values, not the lcm of the coefficients'
+    denominators; :meth:`comp` builds its coefficients on first read.
     """
 
     __slots__ = ("k", "comps", "caps", "nus")
@@ -633,20 +729,55 @@ class Factor:
         object.__setattr__(A, "_factor", self)
         return A
 
+    def take(self, t: int, A: GradedOp):
+        """Hold order t as A holds it: its coefficients, its lanes, or both."""
+        if type(A.components) is dict:
+            self.comps[t] = A.components[t]
+        else:
+            for mine, theirs in ((self.comps, A._factor.comps), (self.nus, A._factor.nus)):
+                if t in theirs:
+                    mine[t] = theirs[t]
+
     def cap(self, t: int):
         return self.caps.get(t, INF)
+
+    def holds(self, t: int) -> bool:
+        return t in self.nus or bool(self.comps.get(t))
+
+    def comp(self, t: int) -> dict[int, CycloScalar]:
+        """The coefficients of order t, built from its lanes on first read."""
+        comp = self.comps.get(t)
+        if comp is None:
+            den, lanes, _ = self.nus[t]
+            comp = self.comps[t] = _comp_of_lanes(self.k, lanes, den, t)
+        return comp
+
+    def reach(self, t: int, cap=INF) -> int:
+        """The last j whose value order t needs at x-cap ``cap``: cap + t, or
+        for an exact order its top x-degree + t (a bound, for held lanes)."""
+        if cap == INF and not self.comps.get(t):
+            _, lanes, rows = self.nus[t]
+            return (len(lanes[0]) if rows is None else max(map(len, rows))) - 1
+        return (max(self.comps[t]) if cap == INF else cap) + t
 
     def nu(self, t: int, jmax: int) -> tuple[int, tuple[list[int], ...]]:
         """``(D_t, lanes)``: nu_t(j) has coefficient i equal to lanes[i][j] / D_t,
         for j = 0 .. at least jmax.
 
-        Invariant: D_t > 0 is the lcm of the denominators of the order-t
-        component, and ``lanes`` is a tuple of exactly ``deg Phi_k`` equally
-        long lists of ints. Extending a sequence keeps D_t.
+        Invariant: D_t > 0, and ``lanes`` is a tuple of exactly ``deg Phi_k``
+        equally long lists of ints. Extending a sequence keeps D_t. An exact
+        order held as lanes alone resumes past its values from the
+        difference-table row at j = 0 that they determine.
         """
         entry = self.nus.get(t)
         if entry is None:
             den, rows = _difference_rows(self.comps[t], t, self.k)
+            entry = self.nus[t] = (den, tuple([] for _ in rows), rows)
+        elif entry[2] is None:
+            den, lanes, _ = entry
+            if jmax < len(lanes[0]):
+                return den, lanes
+            rows = [_column(lane) for lane in lanes]
             entry = self.nus[t] = (den, tuple([] for _ in rows), rows)
         den, lanes, rows = entry
         for i, lane in enumerate(lanes):
@@ -659,22 +790,24 @@ class Factor:
 
 
 def order_product(t: int, pairs, L: Factor, R: Factor):
-    """Order-t component and cap of sum L_t1 * R_t2 over ``pairs`` (t1, t2).
+    """Order t of sum L_t1 * R_t2 over ``pairs`` (t1, t2) as held lanes
+    ``(D, lanes)`` over j = 0 .. jmax (None when it vanishes), and its cap.
 
     Every pair has t1 + t2 = t and both orders active in their factor. The cap
-    is the window rule min(xcap_L(t1), xcap_R(t2) - t1) over all pairs; the
+    is the window rule min(xcap_L(t1), xcap_R(t2) - t1) over all pairs, and
+    jmax = cap + t; an exact order takes the largest j a pair can reach. The
     product itself is pointwise on nu: nu(j) = nu_L,t1(j - t2) * nu_R,t2(j).
     It runs on the factors' integer lanes: each pair's lanes are multiplied
     by :func:`_lane_mul` over the denominator D_L * D_R, scaled to the lcm D
-    of these denominators and summed, and the sum goes to the inverse
-    transform as D * nu(j) for j >= max(0, t), below which nu vanishes.
+    of these denominators and summed, and the sum, D * nu(j) with nu zero
+    below max(0, t), is reduced once by its gcd with D.
     """
     cap = min((min(L.cap(t1), R.cap(t2) - t1) for t1, t2 in pairs), default=INF)
-    live = [(t1, t2) for t1, t2 in pairs if L.comps.get(t1) and R.comps.get(t2)]
+    live = [(t1, t2) for t1, t2 in pairs if L.holds(t1) and R.holds(t2)]
     if cap != INF:
         jmax = int(cap) + t
     else:
-        jmax = max((max(L.comps[t1]) + max(R.comps[t2]) + t for t1, t2 in live), default=-1)
+        jmax = max((L.reach(t1) + R.reach(t2) for t1, t2 in live), default=-1)
     m0 = max(0, t)
     phi = cyclotomic_poly(L.k)
     terms = []
@@ -686,18 +819,8 @@ def order_product(t: int, pairs, L: Factor, R: Factor):
         dl, nul = L.nu(t1, jmax - t2)
         prod = _lane_mul(phi, [lane[j0:jmax + 1] for lane in nur],
                          [lane[j0 - t2:jmax + 1 - t2] for lane in nul])
-        terms.append((dl * dr, j0 - m0, prod))
-    den = math.lcm(*[dd for dd, _, _ in terms])
-    acc = [[0] * (jmax + 1 - m0) for _ in range(len(phi) - 1)]
-    for dd, off, prod in terms:
-        scale = den // dd
-        for lane, p in zip(acc, prod):
-            if not any(p):
-                continue
-            if scale != 1:
-                p = [scale * x for x in p]
-            lane[off:] = map(add, lane[off:], p)
-    return _comp_of_lanes(L.k, acc, den, t), cap
+        terms.append((1, dl * dr, prod, j0))
+    return _lane_total(L.k, jmax, terms), cap
 
 
 def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
@@ -721,16 +844,15 @@ def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
                 continue
             pairs.setdefault(t, []).append((ta, tb))
 
-    comps: dict[int, dict[int, CycloScalar]] = {}
     caps: dict[int, int] = {}
-    L, R = Factor.of(A), Factor.of(B)
+    L, R, out = Factor.of(A), Factor.of(B), Factor(A.k, {}, caps)
     for t, plist in sorted(pairs.items()):
-        comp, cap = order_product(t, plist, L, R)
-        if comp:
-            comps[t] = comp
+        held, cap = order_product(t, plist, L, R)
+        if held is not None:
+            out.nus[t] = (*held, None)
         if cap != INF:
             caps[t] = int(cap)
-    return _make_op(A.k, comps, floor, top, caps)
+    return _op_of(out, out.nus, floor, top, caps)
 
 
 # -- named operations -------------------------------------------------------------

@@ -35,7 +35,7 @@ from .errors import (
     TruncationError,
 )
 from .gform import AqkReport, Hcp, HcpSeries, check_Aqk, fit_hcp
-from .operators import INF, Factor, GradedOp, _make_op, order_product
+from .operators import INF, Factor, GradedOp, _comp_of_lanes, _op_of, order_product
 from .scalars import CycloScalar
 
 
@@ -94,10 +94,11 @@ def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None) -> SchurPai
                 "Q's window is too shallow for the requested Schur depth",
                 {"q_floor": Q.floor, "depth_reachable": q - Q.floor})
         pairs = [(q + t - b, b) for b in range(t + 1, 1) if q + t - b in q_active]
-        rneg, cap = order_product(q + t, pairs, left, right)
+        held, cap = order_product(q + t, pairs, left, right)
         if cap < X - q:
             raise TruncationError("insufficient x-window while solving S",
                                   {"order": t, "xcap": cap})
+        rneg = {} if held is None else _comp_of_lanes(k, held[1], held[0], q + t)
         n_min = max(0, -t)
         m_min = max(0, -(q + t))
         assert all(m >= m_min for m in rneg), "content below the structural range"
@@ -123,13 +124,19 @@ def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None) -> SchurPai
 
 def _assert_is_d_power(Z: GradedOp, q: int):
     """Z is d^q on its window: the conjugation S^-1 Q S, or with q = 0 a
-    product S T of a unit and its inverse."""
-    for t, comp in Z.components.items():
-        if t == q:
-            if comp != {0: CycloScalar.one(Z.k)}:
-                raise PropertyViolation(f"expected d^{q}: the top symbol is perturbed")
-        elif comp:
-            raise PropertyViolation(f"expected d^{q}: residual at order {t}: {comp}")
+    product S T of a unit and its inverse. Checked on Z's lanes: order q's
+    are D * perm(j, q) and 0 at every j that determines it, no other order
+    holds content, and only a failure builds coefficients, for its message.
+    """
+    F = Factor.of(Z)
+    for t in Z.components:
+        if t != q:
+            raise PropertyViolation(f"expected d^{q}: residual at order {t}: {Z.components[t]}")
+        jmax = F.reach(t, Z.xcap(t))
+        den, lanes = F.nu(t, jmax)
+        if (lanes[0][:jmax + 1] != [den * math.perm(j, q) for j in range(jmax + 1)]
+                or any(any(lane[:jmax + 1]) for lane in lanes[1:])):
+            raise PropertyViolation(f"expected d^{q}: the top symbol is perturbed")
 
 
 def invert_unit(S: GradedOp) -> GradedOp:
@@ -138,16 +145,18 @@ def invert_unit(S: GradedOp) -> GradedOp:
     T_t is minus the sum of the one-pair products S_t1 * T_t2, t1 < 0, whose
     operands are built once: S_t1 as a view sharing S's factor, T_t2 over
     the solve's factor, which T keeps. The pair with T_0 = 1 adds the view
-    S_t itself. No nu sequence is computed twice.
+    S_t itself. No nu sequence is computed twice. The sums and negation stay
+    on the products' held lanes (see ``operators``), which T's factor keeps:
+    D_t is a common denominator of an order's values, and T's coefficients
+    are built only where something reads them.
     """
     k = S.k
     if S.top != 0 or S.components.get(0) != {0: CycloScalar.one(k)}:
         raise PreconditionError("invert_unit needs ord(S) = 0 with S_0 = 1")
     floor = S.floor
     lo = floor if floor is not None else min(S.components, default=0)
-    t_comps: dict[int, dict[int, CycloScalar]] = {0: {0: CycloScalar.one(k)}}
     t_caps: dict[int, int] = {}
-    tf = Factor(k, t_comps, t_caps)
+    tf = Factor(k, {0: {0: CycloScalar.one(k)}}, t_caps)
     ops1 = {t1: S.component_as_op(t1) for t1 in S.active_orders() if t1 < 0}
     ops2 = {}
     for t in range(-1, lo - 1, -1):
@@ -155,15 +164,15 @@ def invert_unit(S: GradedOp) -> GradedOp:
         for t1 in range(max(lo, t), 0):
             if t1 in ops1:
                 acc = acc + (ops1[t1] if t1 == t else ops1[t1] * ops2[t - t1])
-        comp = acc.components.get(t, {})
-        if comp:
-            t_comps[t] = {n: -c for n, c in comp.items()}
+        neg = -acc
+        if t in neg.components:
+            tf.take(t, neg)
         cap = acc.xcap(t)
         caps2 = {}
         if cap != INF:
             t_caps[t] = caps2[t] = int(cap)
-        ops2[t] = tf.share(_make_op(k, {t: t_comps[t]} if comp else {}, None, 0, caps2))
-    T = tf.share(GradedOp(k, t_comps, floor, 0, t_caps))
+        ops2[t] = _op_of(tf, [t] if tf.holds(t) else [], None, 0, caps2)
+    T = _op_of(tf, [t for t in range(lo, 1) if tf.holds(t)], floor, 0, t_caps)
     _assert_is_d_power(S * T, 0)
     _assert_is_d_power(T * S, 0)
     return T
@@ -214,8 +223,7 @@ def normal_form_report(P: GradedOp, Q: GradedOp, depth: int) -> NormalFormResult
     escalated: list[int] = []
     lo = max(0, p - depth)
     for t in range(p, lo - 1, -1):
-        comp = conj.components.get(t)
-        if not comp:
+        if t not in conj.components:
             continue
         single = conj.component_as_op(t)
         i = p - t
@@ -243,7 +251,7 @@ def normal_form_report(P: GradedOp, Q: GradedOp, depth: int) -> NormalFormResult
     below = False
     flo = conj.floor if conj.floor is not None else min(conj.components, default=0)
     for t in range(int(flo), 0):
-        if conj.components.get(t):
+        if t in conj.components:
             below = True
             break
     return NormalFormResult(series=series, schur=pair, conjugated=conj, aqk=aqk,

@@ -259,10 +259,11 @@ def filtration_case(idx: int, seed: int) -> list[str]:
     vdiff = _v(diff, w)
     check(vdiff is None or vdiff <= d1x, "v(H_d2 - H_d1) above d1")
 
-    # product law at the weight levels
+    # product law at the weight levels (h1, h2 serve the HS product law too)
     prod = L * M
+    h1, h2 = filtration_H(L, vL, w), filtration_H(M, vM, w)
     lhs = filtration_H(prod, vL + vM, w)
-    rhs = filtration_H(filtration_H(L, vL, w) * filtration_H(M, vM, w), vL + vM, w)
+    rhs = filtration_H(h1 * h2, vL + vM, w)
     check(lhs == rhs, "H product law at (v(L), v(M))")
 
     # commutator refinement with an A-free band of width sigma
@@ -314,7 +315,6 @@ def filtration_case(idx: int, seed: int) -> list[str]:
                       "HS below the filtered Sdeg should differ")
 
     # HS product law (item 4)
-    h1, h2 = filtration_H(L, vL, w), filtration_H(M, vM, w)
     if not h1.is_zero_in_window() and not h2.is_zero_in_window():
         a1 = max(pt.l for pt in e_set(h1).points)
         a2 = max(pt.l for pt in e_set(h2).points)

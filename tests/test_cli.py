@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -303,6 +304,18 @@ def test_cli_schur_explicit_xcap_equal_to_default(capsys):
     for xcap in (16, 17):
         code, out = run_cli(argv + ["--xcap", str(xcap)], capsys)
         assert code == 0 and json.loads(out)["xcap"] == xcap
+
+
+def test_cli_schur_wide_corner_stays_fast(cli_env):
+    # A guard against an order-of-magnitude slowdown of the Schur solve and
+    # its inverse, not a benchmark: this run takes under 1 s on a 2-CPU host.
+    argv = [sys.executable, "-m", "weylnf", "schur", "--q", "d^3 + x*d + x^2",
+            "--depth", "32", "--xcap", "128"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, env=cli_env, timeout=120)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0 and proc.stdout.startswith("S (verified=True, depth=32):")
+    assert elapsed < 15, f"schur corner took {elapsed:.1f} s"
 
 
 def test_cli_mul_commutator(capsys):

@@ -109,6 +109,27 @@ def test_bc_certificate_kdv():
     assert deeper is not None and deeper.poly == res.poly
 
 
+def test_bc_certificate_products_follow_the_weight_not_wmax(monkeypatch):
+    # Each monomial P^u Q^v is evaluated when the weight loop reaches it, so
+    # a weight-6 certificate takes the same products at wmax 64 as at wmax 6.
+    P, Q = named_pair("kdv24")
+    real = operators._op_mul
+    counts = []
+    for wmax in (6, 64):
+        calls = []
+
+        def counted(A, B):
+            calls.append(None)
+            return real(A, B)
+
+        monkeypatch.setattr(operators, "_op_mul", counted)
+        res = bc_certificate(P, Q, wmax=wmax, depth=8)
+        monkeypatch.undo()
+        assert res is not None and res.weight == 6
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_bc_certificate_none_for_noncommuting():
     P, Q = generic_pair()
     assert bc_certificate(P, Q, wmax=12, depth=8) is None

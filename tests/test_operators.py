@@ -18,6 +18,7 @@ from weylnf.operators import (
     Factor,
     GradedOp,
     XdMonomial,
+    _comp_of_lanes,
     _nu_to_comp,
     ad_pow,
     commutator,
@@ -333,7 +334,13 @@ def _factor(data, k):
 
 
 def _assert_matches_reference(t, pairs, L, R):
-    got = order_product(t, pairs, L, R)
+    """order_product's held lanes, as coefficients, and its cap match the reference."""
+    held, cap = order_product(t, pairs, L, R)
+    if held is not None:
+        den, lanes = held
+        assert any(map(any, lanes))
+        assert math.gcd(den, *[x for lane in lanes for x in lane]) == 1
+    got = (_comp_of_lanes(L.k, held[1], held[0], t) if held else {}), cap
     assert got == _reference_order_product(t, pairs, L, R)
     for v in got[0].values():
         _assert_scalar_invariant(v, L.k)
@@ -369,7 +376,7 @@ def test_order_product_edge_cases():
     comp, cap = _assert_matches_reference(1, [(0, 1), (-1, 2), (2, -1), (1, 0)], L, R)
     assert cap == math.inf and comp
     _assert_matches_reference(2, [(0, 2), (2, 0)], L, R)
-    assert order_product(5, [], L, R) == ({}, math.inf)
+    assert order_product(5, [], L, R) == (None, math.inf)
 
 
 def _fresh(A):
@@ -396,6 +403,40 @@ def test_cached_factor_is_no_part_of_the_value():
         assert view == _fresh(view)
 
 
+def _chain(A, B):
+    """Products, sums, negations and component views over A and B, most of
+    them of operators that products built, so held as lanes; some orders
+    cancel (AB - AB everywhere, AB - BA where A and B commute)."""
+    AB, BA = A * B, B * A
+    C = AB - BA
+    out = [AB, BA, -AB, C, AB - AB, C + BA, AB + A, A - AB, C * A + AB]
+    views = [X.component_as_op(t) for X in (AB, C) for t in X.active_orders() if X.xcap(t) != -1]
+    out += views
+    out += [V * B + AB for V in views[:2]] + [-V for V in views[:2]]
+    return out
+
+
+def _queries(A):
+    """What A answers without building coefficients; checks that none is built."""
+    F = Factor.of(A)
+    built = set(F.comps)
+    views = [A.component_as_op(t) for t in A.active_orders() if A.xcap(t) != -1]
+    got = (A.active_orders(), A.is_zero_in_window(), A.floor, A.top, dict(A.xcaps),
+           [A.xcap(t) for t in range(-14, 14)],
+           [(V.active_orders(), V.is_zero_in_window(), V.top, dict(V.xcaps)) for V in views])
+    assert set(F.comps) == built
+    return got
+
+
+def _assert_chain_matches_fresh(A, B):
+    """The chain over A and B equals the chain over copies with no factor, and
+    reading its coefficients changes none of the non-building answers."""
+    warm = _chain(A, B)
+    before = [_queries(r) for r in warm]
+    assert warm == _chain(_fresh(A), _fresh(B))
+    assert [_queries(r) for r in warm] == before
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_warm_factor_products_match_fresh_copies(k):
     rng = random.Random(40 + k)
@@ -416,6 +457,7 @@ def test_warm_factor_products_match_fresh_copies(k):
         resumed += sum(len(lane) > before.get(id(lane), len(lane))
                        for F in (Factor.of(A), Factor.of(B))
                        for _, lanes, _ in F.nus.values() for lane in lanes)
+        _assert_chain_matches_fresh(A, B)
     assert resumed
 
 
@@ -732,6 +774,12 @@ def test_unchecked_results_equal_their_checked_rebuild(k, data):
     except TruncationError:
         pass
     results += [A.component_as_op(t) for t in A.active_orders() if A.xcap(t) != -1]
+    try:
+        results += _chain(A, B)
+    except TruncationError:
+        pass
+    else:
+        _assert_chain_matches_fresh(A, B)
     for r in results:
         _assert_rebuilds(r)
 
@@ -755,7 +803,7 @@ def test_sums_and_negations_leave_their_operands_unchanged(k, data):
 @pytest.mark.parametrize("workload", ["nf-k3", "classify-fixtures"])
 def test_unchecked_results_keep_the_invariant(monkeypatch, workloads, workload):
     # Every operator one pass of a benchmark workload builds without the checks.
-    from weylnf import operators, schur
+    from weylnf import operators
     made = []
     real = operators._make_op
 
@@ -763,8 +811,7 @@ def test_unchecked_results_keep_the_invariant(monkeypatch, workloads, workload):
         made.append(real(*args))
         return made[-1]
 
-    for module in (operators, schur):
-        monkeypatch.setattr(module, "_make_op", recording)
+    monkeypatch.setattr(operators, "_make_op", recording)
     setup, check = workloads.WORKLOADS[workload]
     ops = setup(3)
     outputs = [call() for _, call in ops]

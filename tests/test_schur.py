@@ -1,12 +1,13 @@
 """Schur conjugation contract, unit inversion, and normal forms."""
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
 
 from weylnf import operators, schur
-from weylnf.errors import NotAnHcpError, PreconditionError, TruncationError
+from weylnf.errors import NotAnHcpError, PreconditionError, PropertyViolation, TruncationError
 from weylnf.gform import check_Aqk
 from weylnf.operators import Factor, GradedOp, commutator
 from weylnf.parsing import parse_operator
@@ -56,10 +57,22 @@ def test_schur_gauge_extends_with_depth():
 
 
 def _assert_factor_describes(A):
+    """A's factor holds A's content at every order: the same orders, caps and
+    coefficients, and lanes whose values are the nu sequence of A's component."""
     F = Factor.of(A)
+    k = A.k
     for t in A.active_orders():
-        assert F.comps.get(t, {}) == A.components.get(t, {})
+        comp = A.components.get(t, {})
+        assert F.holds(t) == bool(comp)
         assert F.cap(t) == A.xcap(t)
+        if t in F.comps:
+            assert F.comps[t] == comp
+        if t in F.nus:
+            den, lanes, _ = F.nus[t]
+            got = [CycloScalar(k, [Fraction(lane[j], den) for lane in lanes])
+                   for j in range(len(lanes[0]))]
+            assert got == [sum((c * math.perm(j, n + t) for n, c in comp.items()),
+                               CycloScalar.zero(k)) for j in range(len(got))]
 
 
 def test_schur_builds_each_nu_sequence_once(monkeypatch):
@@ -91,6 +104,42 @@ def test_invert_unit_shares_its_factors():
     _assert_factor_describes(S)
     _assert_factor_describes(T)
     assert T == invert_unit(GradedOp.from_dict(S.to_dict()))
+
+
+def test_normal_form_report_builds_few_coefficient_orders(monkeypatch):
+    # Products hold their orders as lanes; coefficients are built only for
+    # the Schur recurrence's orders (8), the fitted orders (3) and the few
+    # orders something else reads, not for every product of the chain.
+    built = []
+    real = operators._comp_of_lanes
+
+    def counted(k, lanes, den, t):
+        built.append(t)
+        return real(k, lanes, den, t)
+
+    monkeypatch.setattr(operators, "_comp_of_lanes", counted)
+    monkeypatch.setattr(schur, "_comp_of_lanes", counted, raising=False)
+    res = normal_form_report(parse_operator("d^5 + x^2*d"), parse_operator("d^3 + x*d + x^2"),
+                             depth=8)
+    assert res.schur.verified and res.aqk.ok
+    assert len(built) <= 16, built
+
+
+@pytest.mark.parametrize("k, lane, j", [(1, 0, 0), (1, 0, 5), (3, 0, 2), (3, 1, 4)])
+def test_d_power_check_reads_the_lanes(k, lane, j):
+    # A planted defect in one lane entry of S * T, held as lanes, is caught
+    # whether or not its coefficients were read before.
+    S = (GradedOp.one(1) + op(1, (2, 1, 1), (1, 0, 1), (3, 0, 2))).lift_context(k)
+    S = S.restrict(floor=-6, xcap=9)
+    T = invert_unit(S)
+    for read_first in (False, True):
+        Z = S * T
+        schur._assert_is_d_power(Z, 0)
+        if read_first:
+            assert Z.components == {0: {0: CycloScalar.one(k)}}
+        Factor.of(Z).nus[0][1][lane][j] += 1
+        with pytest.raises(PropertyViolation, match="top symbol is perturbed"):
+            schur._assert_is_d_power(Z, 0)
 
 
 @pytest.mark.parametrize("q_src", ["9", "x", "x^2 + 1"])
