@@ -201,8 +201,10 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
             zero = CycloScalar.zero(k)
             entries = [[comp.get(n, zero) for comp in comps] for n in ns]
             # One row per rational coordinate: the relation is sought over Q.
-            blocks[(t, cap, ncols)] = [[CycloScalar.from_rational(1, e.coeffs[i]) for e in row]
-                                       for row in entries for i in range(len(zero.coeffs))]
+            # A row that vanishes constrains nothing and is dropped.
+            rows = ([CycloScalar.from_rational(1, e.coeffs[i]) for e in row]
+                    for row in entries for i in range(len(zero.coeffs)))
+            blocks[(t, cap, ncols)] = [row for row in rows if any(row)]
         return blocks[(t, cap, ncols)]
 
     # The search at weight wcap reads the window of the monomials of weight <= wcap,
@@ -217,18 +219,16 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
                 caps[t] = min(caps.get(t, INF), cap)
             ncols += 1
         lowest = max(common_floor, low)
-        cols = list(range(ncols))
         lo = max(wcap - depth, common_floor)
-        sub = _on_columns([row for t in range(lo, wcap + 1) for row in rows_at(t)], cols)
-        basis = nullspace(sub, len(cols), 1)
+        sub = [row for t in range(lo, wcap + 1) for row in rows_at(t)]
+        basis = nullspace(sub, ncols, 1)
         while len(basis) > 1 and lo > lowest:
             lo -= 1
-            more = _on_columns(rows_at(lo), cols)
+            more = rows_at(lo)
             if more:
                 basis = _restrict(basis, more)
         for vec in basis:
-            poly = BivarPoly({monos[cols[i]]: vec[i].rational_value()
-                              for i in range(len(cols)) if vec[i]})
+            poly = BivarPoly({monos[i]: vec[i].rational_value() for i in range(ncols) if vec[i]})
             if poly.is_zero():
                 continue
             total = GradedOp.zero(k)
@@ -242,12 +242,6 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
             return BCResult(poly=poly, weight=poly.weighted_degree(p, q),
                             reverified=reverified)
     return None
-
-
-def _on_columns(rows: list, cols: list[int]) -> list:
-    """``rows`` restricted to the columns ``cols``, without those that vanish there."""
-    sliced = ([row[i] for i in cols] for row in rows)
-    return [row for row in sliced if any(row)]
 
 
 def _restrict(basis: list, rows: list) -> list:

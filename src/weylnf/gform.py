@@ -47,7 +47,7 @@ from .errors import (
     TruncationError,
 )
 from .linalg import solve_square
-from .operators import INF, Factor, Graded, GradedOp, _nu_to_comp, product_floor
+from .operators import INF, Factor, Graded, GradedOp, _comp_of_lanes, product_floor
 from .scalars import CycloScalar, _from_lanes, _lanes, _ring, as_scalar
 
 
@@ -189,9 +189,10 @@ class Hcp:
         finite = not self.bpart and not self.contains_ai()
         mmax = (self.sdeg_a() or 0) if finite else xcap
         mu = eigenvalues(self, range(mmax + 1))
-        comp = _nu_to_comp(mu, 0, self.k)
+        den, lanes = _lanes(self.k, mu)
+        comp = _comp_of_lanes(self.k, lanes, den, 0)
         caps = {} if finite else {self.r: xcap}
-        return GradedOp(self.k, {self.r: comp} if comp else {}, None, self.r, caps)
+        return GradedOp(self.k, {self.r: comp}, None, self.r, caps)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -533,9 +534,6 @@ class HcpSeries(Graded):
             comps[t] = comps[t] + h if t in comps else h
         return _make_series(self.k, {t: h for t, h in comps.items() if (h.terms or h.bpart)
                                      and (floor is None or t >= floor)}, floor, top)
-
-    def __neg__(self):
-        return self.scalar_mul(-1)
 
     def scalar_mul(self, value) -> "HcpSeries":
         comps = {t: h.scalar_mul(value) for t, h in self.components.items()}

@@ -26,30 +26,30 @@ values over one common denominator D > 0, as the ``scalars`` module
 docstring defines it. The triangular map between coefficients and values is
 a binomial transform (perm(j, m) = comb(j, m) * m!), computed on the lanes
 with integer additions and subtractions only (:meth:`Factor.nu`,
-:func:`_comp_of_lanes`). :func:`order_product` multiplies and sums the lanes
-of its factors in integers mod Phi_k (``scalars._lane_mul``), and an order
-born in a product is held as lanes: the values nu(j) that determine it,
-reduced once by the gcd of D_t and the entries, so D_t is a common
-denominator of the values, not the lcm of the coefficients' denominators.
-A product's components are a view on its factor that builds an order's
-coefficients, each divided back once by ``scalars._from_lanes``, when a
-reader (the Schur recurrence, a G-form fit, ``==``, ``str``, ``to_dict``)
-first reads the order; the window queries and ``component_as_op`` build
-none, and sums and negations stay on lanes where a summand holds them.
-:func:`_nu_to_comp` inverts a ``CycloScalar`` list, for the G-form expansion.
+:func:`_comp_of_lanes`).
 
-Sums, negations, scalar multiples, products and component views are built
-by the unchecked :func:`_make_op`, as they hold the invariant that the public
-constructor checks: each component is nonempty with no zero coefficient, each
-x-degree n of order t has n >= max(0, -t), and caps are ints. No component
-dict or held lane is written once built, so a sum shares an order that one
-summand alone has, and at an order both have it adds the two into new ones.
+Every operator is built over its own :class:`Factor`, and its
+``components`` are a read-only view on it. The public constructor gives the
+factor the checked coefficients; every other operation holds each order it
+makes as lanes: the values nu(j) that determine it, reduced once by the gcd
+of D_t and the entries, so D_t is a common denominator of the values, not
+the lcm of the coefficients' denominators. :func:`order_product` multiplies
+and sums the lanes of its factors in integers mod Phi_k
+(``scalars._lane_mul``); a sum adds lanes, sharing an order that one summand
+alone holds; a scalar multiple, and so a negation, multiplies each order's
+lanes by the scalar's. The view builds an order's coefficients, each divided
+back once by ``scalars._from_lanes``, when a reader (the Schur recurrence, a
+G-form fit, ``==``, ``str``, ``to_dict``) first reads the order; the window
+queries and ``component_as_op`` build none.
 
-Each operator keeps one factor, made on its first product (a product's result
-is born with its own). Its component views share it, and so do the operators
-that the Schur solves build over their own factor, so each sequence is
-computed once per operator; a longer sequence resumes the difference table
-where the shorter one stopped.
+Results are built unchecked by :func:`_op_of`, as they hold the invariant
+that the public constructor checks: each component nonempty with no zero
+coefficient, each x-degree n of order t at least max(0, -t) and at most the
+order's cap, caps ints. No held component or lane is written once built, so
+factors share them. A component view shares its operator's factor, and so do
+the operators that the Schur solves build over their own factor, so each
+sequence is computed once per factor; a longer sequence resumes the
+difference table where the shorter one stopped.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class Graded:
     Instances are immutable.
 
     Subclasses fix the component type and supply ``one(k)``, the
-    ``(k, components, floor, top)`` constructor, ``scalar_mul``, ``__neg__``,
-    ``__add__`` and ``__mul__`` (windows from :meth:`_sum_window` and
+    ``(k, components, floor, top)`` constructor, ``scalar_mul``, ``__add__``
+    and ``__mul__`` (windows from :meth:`_sum_window` and
     :func:`product_floor`), :meth:`_agrees_at` and :meth:`_body_str`.
     """
 
@@ -142,6 +142,9 @@ class Graded:
         """``(floor, top)`` of a sum: known where both summands are known."""
         floor = max((f for f in (self.floor, other.floor) if f is not None), default=None)
         return floor, max(self.top, other.top)
+
+    def __neg__(self):
+        return self.scalar_mul(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -185,32 +188,29 @@ class GradedOp(Graded):
     """Window-truncated element of the graded operator completion.
 
     A component is a dict from x-degree n to the coefficient of x^n d^(n+t);
-    ``xcaps`` adds the per-order exactness caps. ``_factor``, once set, holds
-    the operator's :class:`Factor` and is no part of its value.
-    ``components`` is a dict, or for an operator whose factor holds lanes a
-    read-only view on the factor that builds an order's coefficients on read.
+    ``xcaps`` adds the per-order exactness caps. ``_factor`` holds the
+    operator's :class:`Factor`, which it is built over and which is no part
+    of its value; ``components`` is the read-only view on the factor of the
+    orders the operator holds, building an order's coefficients on first
+    read. The constructor, like ``Fraction``'s, is ``__new__``: it checks the
+    components, drops zero coefficients and those above their order's cap,
+    and builds the operator over a factor of what is left.
     """
 
     __slots__ = ("xcaps", "_factor")
 
-    def __init__(self, k, components, floor, top, xcaps=None):
+    def __new__(cls, k, components, floor, top, xcaps=None):
+        caps = {t: int(c) for t, c in (xcaps or {}).items() if c != INF}
         comps = {}
         for t, comp in components.items():
             clean = {n: c for n, c in comp.items() if not c.is_zero()}
             for n in clean:
                 if n < max(0, -t):
                     raise PreconditionError(f"monomial x^{n} d^{n + t} has negative d-power")
-            if clean:
+            cap = caps.get(t, INF)
+            if clean := {n: c for n, c in clean.items() if n <= cap}:
                 comps[t] = clean
-        self._set_op(k, comps, floor, top,
-                     {t: int(c) for t, c in (xcaps or {}).items() if c != INF})
-
-    def _set_op(self, k, comps, floor, top, caps):
-        """Store the slots, without caps outside a floor's window."""
-        if floor is not None and caps:
-            caps = {t: c for t, c in caps.items() if floor <= t <= top}
-        self._set_window(k, comps, floor, top, caps)
-        object.__setattr__(self, "xcaps", caps)
+        return _op_of(Factor(k, comps, caps), comps, floor, top, caps)
 
     # -- constructors --------------------------------------------------------
 
@@ -278,15 +278,13 @@ class GradedOp(Graded):
         new_floor = self.floor
         if floor is not None:
             new_floor = floor if new_floor is None else max(new_floor, floor)
-        comps = dict(self.components)
         caps = dict(self.xcaps)
         if xcap is not None:
-            lo = new_floor if new_floor is not None else min(comps, default=0)
+            lo = new_floor if new_floor is not None else min(self.components, default=0)
             for t in range(min(lo, self.top), self.top + 1):
                 caps[t] = min(self.xcaps.get(t, xcap), xcap)
-            comps = {t: {n: c for n, c in comp.items() if n <= caps.get(t, INF)}
-                     for t, comp in comps.items()}
-        return GradedOp(self.k, comps, new_floor, self.top, caps)
+        # The constructor drops the coefficients above the clamped caps.
+        return GradedOp(self.k, self.components, new_floor, self.top, caps)
 
     def component_as_op(self, t: int) -> "GradedOp":
         """The order-t component alone, keeping its exactness cap and sharing
@@ -295,7 +293,7 @@ class GradedOp(Graded):
         if cap == -1:
             raise TruncationError(f"component at order {t} is below the window floor",
                                   {"floor": self.floor, "order": t})
-        return _op_of(Factor.of(self), [t] if t in self.components else [], None, t,
+        return _op_of(self._factor, [t] if t in self.components else [], None, t,
                       {} if cap == INF else {t: cap})
 
     # -- basic queries ---------------------------------------------------------
@@ -365,8 +363,8 @@ class GradedOp(Graded):
             cap = min(self.xcap(t), other.xcap(t))
             if cap != INF:
                 caps[t] = cap
-        # Per order: share what one summand alone holds at the sum's cap, add
-        # lanes where a summand holds the order as lanes, else coefficients.
+        # Per order: share what one summand alone holds at the sum's cap,
+        # else add the summands' lanes.
         out = Factor(self.k, {}, caps)
         for t in sorted({*self.components, *other.components}):
             if floor is not None and t < floor:
@@ -374,40 +372,31 @@ class GradedOp(Graded):
             cap = caps.get(t, INF)
             parts = [X for X in (self, other) if t in X.components]
             if len(parts) == 1 and parts[0].xcap(t) == cap:
-                out.take(t, parts[0])
-            elif any(_on_lanes(X, t) for X in parts):
-                factors = [Factor.of(X) for X in parts]
+                out.take(t, parts[0]._factor)
+            else:
+                factors = [X._factor for X in parts]
                 jmax = max(F.reach(t, cap) for F in factors)
-                held = _lane_total(self.k, jmax, [(1, *F.nu(t, jmax), 0) for F in factors])
+                held = _lane_total(self.k, jmax, [(*F.nu(t, jmax), 0) for F in factors])
                 if held is not None:
                     out.nus[t] = (*held, None)
-            else:
-                comp = _coeff_sum([X.components[t] for X in parts], cap)
-                if comp:
-                    out.comps[t] = comp
         return _op_of(out, [*out.comps, *out.nus], floor, top, caps)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        """Minus each order, on lanes where this operator holds it so."""
-        out = Factor(self.k, {}, self.xcaps)
-        for t in self.components:
-            if _on_lanes(self, t):
-                F, jmax = self._factor, self._factor.reach(t, self.xcap(t))
-                out.nus[t] = (*_lane_total(self.k, jmax, [(-1, *F.nu(t, jmax), 0)]), None)
-            else:
-                out.comps[t] = {n: -c for n, c in self.components[t].items()}
-        return _op_of(out, self.components, self.floor, self.top, self.xcaps)
-
     def scalar_mul(self, value) -> "GradedOp":
-        value = as_scalar(self.k, value)
-        if value.is_zero():
-            # Zero content, but the window stays what it was.
-            return _make_op(self.k, {}, self.floor, self.top, self.xcaps)
-        comps = {t: {n: c * value for n, c in comp.items()}
-                 for t, comp in self.components.items()}
-        return _make_op(self.k, comps, self.floor, self.top, self.xcaps)
+        """Each order's lanes times the scalar's, mod Phi_k; a zero scalar
+        leaves no content but the window as it was."""
+        vden, vlanes = _lanes(self.k, [as_scalar(self.k, value)])
+        phi, F, out = cyclotomic_poly(self.k), self._factor, Factor(self.k, {}, self.xcaps)
+        for t in self.components:
+            jmax = F.reach(t, self.xcap(t))
+            den, lanes = F.nu(t, jmax)
+            prod = _lane_mul(phi, [lane[:jmax + 1] for lane in lanes],
+                             [v * (jmax + 1) for v in vlanes])
+            held = _lane_total(self.k, jmax, [(den * vden, prod, 0)])
+            if held is not None:
+                out.nus[t] = (*held, None)
+        return _op_of(out, out.nus, self.floor, self.top, self.xcaps)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
@@ -533,55 +522,30 @@ class GradedOp(Graded):
         return f"GradedOp(k={self.k}, {self})"
 
 
-def _make_op(k: int, comps: dict, floor, top, caps: dict) -> GradedOp:
-    """Unchecked ``GradedOp``: each component nonempty with no zero coefficient,
-    each x-degree n of order t at least max(0, -t), caps ints. The window is
-    normalised as in the public constructor."""
+def _op_of(F: "Factor", orders, floor, top, caps: dict) -> GradedOp:
+    """Unchecked ``GradedOp`` over F of the ``orders`` F holds, with the
+    window normalised as in the public constructor: no order or cap outside
+    a floor's window."""
+    if floor is not None:
+        orders = [t for t in orders if floor <= t <= top]
+        if caps:
+            caps = {t: c for t, c in caps.items() if floor <= t <= top}
     out = object.__new__(GradedOp)
-    out._set_op(k, comps, floor, top, caps)
+    out._set_window(F.k, _Comps(F, orders), floor, top, caps)
+    object.__setattr__(out, "xcaps", caps)
+    object.__setattr__(out, "_factor", F)
     return out
 
 
-def _op_of(F: "Factor", orders, floor, top, caps: dict) -> GradedOp:
-    """Unchecked ``GradedOp`` of the ``orders`` that F holds, with F as its
-    factor: a view on F when F holds lanes, else F's coefficient dicts."""
-    comps = _Comps(F, orders) if F.nus else {t: F.comps[t] for t in orders}
-    return F.share(_make_op(F.k, comps, floor, top, caps))
-
-
-def _on_lanes(A: GradedOp, t: int) -> bool:
-    """A holds order t as lanes: A is built over its factor, which has them."""
-    return type(A.components) is not dict and t in A._factor.nus
-
-
-def _coeff_sum(comps: list, cap) -> dict:
-    """The sum of one or two components, without x-degrees above ``cap``."""
-    a = comps[0]
-    for b in comps[1:]:
-        if len(a) < len(b):
-            a, b = b, a
-        a = dict(a)
-        for n, c in b.items():
-            if n in a:
-                c = a[n] + c
-                if c.is_zero():
-                    del a[n]
-                    continue
-            a[n] = c
-    if a and max(a) > cap:
-        a = {n: c for n, c in a.items() if n <= cap}
-    return a
-
-
 def _lane_total(k: int, jmax: int, terms: list):
-    """``(D, lanes)`` over j = 0 .. jmax of the sum of c * lanes / d, each
-    placed from j = j0, over ``terms`` (c, d, lanes, j0); D is the lcm of the
-    d, and D and the lanes are divided by the gcd of D and every entry. None
-    when the sum vanishes."""
-    den = math.lcm(*[d for _, d, _, _ in terms])
+    """``(D, lanes)`` over j = 0 .. jmax of the sum of lanes / d, each placed
+    from j = j0, over ``terms`` (d, lanes, j0); D is the lcm of the d, and D
+    and the lanes are divided by the gcd of D and every entry. None when the
+    sum vanishes."""
+    den = math.lcm(*[d for d, _, _ in terms])
     acc = [[0] * (jmax + 1) for _ in range(len(cyclotomic_poly(k)) - 1)]
-    for c, d, lanes, j0 in terms:
-        scale = c * den // d
+    for d, lanes, j0 in terms:
+        scale = den // d
         for a, lane in zip(acc, lanes):
             if any(lane):
                 a[j0:] = map(add, a[j0:], lane if scale == 1 else [scale * x for x in lane])
@@ -592,8 +556,8 @@ def _lane_total(k: int, jmax: int, terms: list):
 
 
 class _Comps(Mapping):
-    """The components of an operator built over its factor: the orders it
-    holds, each order's coefficients built by the factor on first read."""
+    """The components of an operator: the orders it holds, each order's
+    coefficients read from its factor, which builds them on first read."""
 
     __slots__ = ("factor", "orders")
 
@@ -663,16 +627,6 @@ def _comp_of_lanes(k: int, lanes, den: int, t: int) -> dict[int, CycloScalar]:
     return out
 
 
-def _nu_to_comp(nu: list[CycloScalar], t: int, k: int) -> dict[int, CycloScalar]:
-    """Invert the triangular map nu(j) = sum a_n perm(j, n+t).
-
-    The inverse of :meth:`Factor.nu`; nu(j) is taken as zero for j < max(0, t).
-    """
-    m0 = max(0, t)
-    den, lanes = _lanes(k, nu[m0:])
-    return _comp_of_lanes(k, [[0] * m0 + lane for lane in lanes], den, t)
-
-
 def _difference_rows(comp: dict[int, CycloScalar], t: int, k: int):
     """D and, per lane, the difference-table row of D * nu at j = 0, for the
     diagonal action nu(j) = sum_n a_n * perm(j, n+t) of ``comp``.
@@ -695,21 +649,22 @@ def _difference_rows(comp: dict[int, CycloScalar], t: int, k: int):
 
 
 class Factor:
-    """One side of a product: components, caps and their nu sequences.
+    """The orders an operator is built over: coefficients, caps and nu
+    sequences.
 
-    Each :class:`GradedOp` has one factor, made by :meth:`of` on its first
-    product or born with the operator, and kept in a slot that ``==``, hash,
-    ``to_dict`` and ``str`` ignore; :meth:`share` gives the same factor to an
-    operator that agrees with it at every order it reads (a component view,
-    or the result of an order-by-order solve over ``comps`` and ``caps``,
-    which may be dicts that the solve keeps filling). An absent cap means
-    exact everywhere. ``nus[t]`` is ``(D_t, lanes, rows)``: an order given as
-    coefficients in ``comps`` has its nu sequence computed once, with the
-    difference-table row where it stopped, so a longer one resumes there. An
-    order born in a product, sum or negation is held as lanes alone (``rows``
-    None): the values that determine it, reduced by their gcd, so D_t is a
-    common denominator of the values, not the lcm of the coefficients'
-    denominators; :meth:`comp` builds its coefficients on first read.
+    Each :class:`GradedOp` is born over one factor, kept in a slot that
+    ``==``, hash, ``to_dict`` and ``str`` ignore. Operators that agree with a
+    factor at every order they hold share it: a component view, or the
+    result of an order-by-order solve over ``comps`` and ``caps``, which may
+    be dicts that the solve keeps filling. An absent cap means exact
+    everywhere. ``nus[t]`` is ``(D_t, lanes, rows)``: an order given as
+    coefficients in ``comps`` (by the public constructor or a solve) has its
+    nu sequence computed once, with the difference-table row where it
+    stopped, so a longer one resumes there. An order born in a product, sum
+    or scalar multiple is held as lanes alone (``rows`` None): the values
+    that determine it, reduced by their gcd, so D_t is a common denominator
+    of the values, not the lcm of the coefficients' denominators;
+    :meth:`comp` builds its coefficients on first read.
     """
 
     __slots__ = ("k", "comps", "caps", "nus")
@@ -717,26 +672,11 @@ class Factor:
     def __init__(self, k: int, comps: dict, caps: dict):
         self.k, self.comps, self.caps, self.nus = k, comps, caps, {}
 
-    @classmethod
-    def of(cls, A: GradedOp) -> "Factor":
-        try:
-            return A._factor
-        except AttributeError:
-            return cls(A.k, A.components, A.xcaps).share(A)._factor
-
-    def share(self, A: GradedOp) -> GradedOp:
-        """A, with this factor as its own."""
-        object.__setattr__(A, "_factor", self)
-        return A
-
-    def take(self, t: int, A: GradedOp):
-        """Hold order t as A holds it: its coefficients, its lanes, or both."""
-        if type(A.components) is dict:
-            self.comps[t] = A.components[t]
-        else:
-            for mine, theirs in ((self.comps, A._factor.comps), (self.nus, A._factor.nus)):
-                if t in theirs:
-                    mine[t] = theirs[t]
+    def take(self, t: int, F: "Factor"):
+        """Hold order t as F holds it: its coefficients, its lanes, or both."""
+        for mine, theirs in ((self.comps, F.comps), (self.nus, F.nus)):
+            if t in theirs:
+                mine[t] = theirs[t]
 
     def cap(self, t: int):
         return self.caps.get(t, INF)
@@ -819,7 +759,7 @@ def order_product(t: int, pairs, L: Factor, R: Factor):
         dl, nul = L.nu(t1, jmax - t2)
         prod = _lane_mul(phi, [lane[j0:jmax + 1] for lane in nur],
                          [lane[j0 - t2:jmax + 1 - t2] for lane in nul])
-        terms.append((1, dl * dr, prod, j0))
+        terms.append((dl * dr, prod, j0))
     return _lane_total(L.k, jmax, terms), cap
 
 
@@ -845,7 +785,7 @@ def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
             pairs.setdefault(t, []).append((ta, tb))
 
     caps: dict[int, int] = {}
-    L, R, out = Factor.of(A), Factor.of(B), Factor(A.k, {}, caps)
+    L, R, out = A._factor, B._factor, Factor(A.k, {}, caps)
     for t, plist in sorted(pairs.items()):
         held, cap = order_product(t, plist, L, R)
         if held is not None:

@@ -86,7 +86,7 @@ def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None) -> SchurPai
 
     s_comps: dict[int, dict[int, CycloScalar]] = {0: {0: one}}
     s_caps: dict[int, int] = {}
-    left, right = Factor.of(Q), Factor(k, s_comps, s_caps)
+    left, right = Q._factor, Factor(k, s_comps, s_caps)
     q_active = set(Q.active_orders())
     for t in range(-1, -depth - 1, -1):
         if Q.floor is not None and q + t < Q.floor:
@@ -116,7 +116,7 @@ def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None) -> SchurPai
             s_comps[t] = s
         s_caps[t] = X
 
-    S = right.share(GradedOp(k, s_comps, -depth, 0, s_caps))
+    S = _op_of(right, s_comps, -depth, 0, s_caps)
     Sinv = invert_unit(S)
     _assert_is_d_power(Sinv * (Q * S), q)
     return SchurPair(S=S, Sinv=Sinv, q=q, depth=depth, xcap=X, verified=True)
@@ -127,8 +127,11 @@ def _assert_is_d_power(Z: GradedOp, q: int):
     product S T of a unit and its inverse. Checked on Z's lanes: order q's
     are D * perm(j, q) and 0 at every j that determines it, no other order
     holds content, and only a failure builds coefficients, for its message.
+    Order q must hold content wherever its cap reaches x^0.
     """
-    F = Factor.of(Z)
+    F = Z._factor
+    if q not in Z.components and Z.xcap(q) >= 0:
+        raise PropertyViolation(f"expected d^{q}: nothing at order {q}")
     for t in Z.components:
         if t != q:
             raise PropertyViolation(f"expected d^{q}: residual at order {t}: {Z.components[t]}")
@@ -145,10 +148,11 @@ def invert_unit(S: GradedOp) -> GradedOp:
     T_t is minus the sum of the one-pair products S_t1 * T_t2, t1 < 0, whose
     operands are built once: S_t1 as a view sharing S's factor, T_t2 over
     the solve's factor, which T keeps. The pair with T_0 = 1 adds the view
-    S_t itself. No nu sequence is computed twice. The sums and negation stay
-    on the products' held lanes (see ``operators``), which T's factor keeps:
-    D_t is a common denominator of an order's values, and T's coefficients
-    are built only where something reads them.
+    S_t itself. No nu sequence is computed twice. The products, their sum
+    and its negation hold order t as lanes (see ``operators``), and the
+    solve's factor takes them from the negation's: D_t is a common
+    denominator of an order's values, and T's coefficients are built only
+    where something reads them.
     """
     k = S.k
     if S.top != 0 or S.components.get(0) != {0: CycloScalar.one(k)}:
@@ -166,7 +170,7 @@ def invert_unit(S: GradedOp) -> GradedOp:
                 acc = acc + (ops1[t1] if t1 == t else ops1[t1] * ops2[t - t1])
         neg = -acc
         if t in neg.components:
-            tf.take(t, neg)
+            tf.take(t, neg._factor)
         cap = acc.xcap(t)
         caps2 = {}
         if cap != INF:

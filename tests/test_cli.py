@@ -306,16 +306,23 @@ def test_cli_schur_explicit_xcap_equal_to_default(capsys):
         assert code == 0 and json.loads(out)["xcap"] == xcap
 
 
-def test_cli_schur_wide_corner_stays_fast(cli_env):
-    # A guard against an order-of-magnitude slowdown of the Schur solve and
-    # its inverse, not a benchmark: this run takes under 1 s on a 2-CPU host.
-    argv = [sys.executable, "-m", "weylnf", "schur", "--q", "d^3 + x*d + x^2",
-            "--depth", "32", "--xcap", "128"]
+@pytest.mark.parametrize("args, first", [
+    (["schur", "--q", "d^3 + x*d + x^2", "--depth", "32", "--xcap", "128"],
+     "S (verified=True, depth=32):"),
+    (["eval", "--xcap", "256", "(d + x)^64"], "d^64 + 64*x*d^63 + 2016*d^62 + 2016*x^2*d^62 + "),
+    (["normal-form", "--p", "d^7 + x^3*d^2 + x", "--q", "d^5 + x^2*d", "--depth", "64"], "{\n"),
+    (["classify", "--fixture", "generic", "--depth", "64"], "commutes: False\n"),
+    (["bc-find", "--fixture", "kdv48", "--wmax", "64", "--depth", "16"], "X^2 - Y^3 - 1/16\n"),
+], ids=["schur", "eval", "normal-form", "classify", "bc-find"])
+def test_cli_wide_corner_stays_fast(cli_env, args, first):
+    # A guard against an order-of-magnitude slowdown of one command family,
+    # not a benchmark: each run takes under 1 s on a 2-CPU host.
+    argv = [sys.executable, "-m", "weylnf", *args]
     t0 = time.perf_counter()
     proc = subprocess.run(argv, capture_output=True, text=True, env=cli_env, timeout=120)
     elapsed = time.perf_counter() - t0
-    assert proc.returncode == 0 and proc.stdout.startswith("S (verified=True, depth=32):")
-    assert elapsed < 15, f"schur corner took {elapsed:.1f} s"
+    assert proc.returncode == 0 and proc.stdout.startswith(first)
+    assert elapsed < 15, f"{args[0]} corner took {elapsed:.1f} s"
 
 
 def test_cli_mul_commutator(capsys):

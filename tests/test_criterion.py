@@ -130,6 +130,25 @@ def test_bc_certificate_products_follow_the_weight_not_wmax(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_bc_certificate_builds_only_the_orders_it_reads(monkeypatch):
+    # Products, sums and scalar multiples stay on lanes, so the only
+    # coefficients built are those of the orders w - depth .. w that the
+    # nullspace rows read, once per monomial that holds them: 12 for kdv24's
+    # weight-6 certificate; the re-check of the candidate builds none.
+    P, Q = named_pair("kdv24")
+    real = operators._comp_of_lanes
+    built = []
+
+    def counted(k, lanes, den, t):
+        built.append(t)
+        return real(k, lanes, den, t)
+
+    monkeypatch.setattr(operators, "_comp_of_lanes", counted)
+    res = bc_certificate(P, Q, wmax=6, depth=8)
+    assert res is not None and res.weight == 6
+    assert len(built) == 12 and min(built) >= 6 - 8, built
+
+
 def test_bc_certificate_none_for_noncommuting():
     P, Q = generic_pair()
     assert bc_certificate(P, Q, wmax=12, depth=8) is None

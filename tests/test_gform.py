@@ -27,8 +27,8 @@ from weylnf.gform import (
 )
 from weylnf.linalg import solve_square
 from weylnf.newton import Weight, filtration_H, filtration_HS
-from weylnf.operators import GradedOp, _nu_to_comp, poly_from_pairs, product_floor
-from weylnf.scalars import CycloScalar, _ring, cyclotomic_poly, xi_pow
+from weylnf.operators import GradedOp, _comp_of_lanes, poly_from_pairs, product_floor
+from weylnf.scalars import CycloScalar, _lanes, _ring, cyclotomic_poly, xi_pow
 
 from test_operators import _reference_comp_nu
 
@@ -800,7 +800,8 @@ def test_fit_matches_dense_system():
                 n_bad = rng.randint(nbmax + k * (dmax + 1), need)
                 mu = _reference_comp_nu(C.components.get(r, {}), 0, need, k)
                 mu[n_bad] = mu[n_bad] + xi_pow(k, rng.randint(0, k - 1))
-                bad = GradedOp(k, {r: _nu_to_comp(mu, 0, k)}, None, r, {r: need})
+                den, lanes = _lanes(k, mu)
+                bad = GradedOp(k, {r: _comp_of_lanes(k, lanes, den, 0)}, None, r, {r: need})
                 with pytest.raises(NotAnHcpError, match=f"failed at sample {n_bad}\\)"):
                     fit_hcp(bad, dmax=dmax, nbmax=nbmax, margin=margin, r=r)
 

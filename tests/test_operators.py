@@ -19,14 +19,13 @@ from weylnf.operators import (
     GradedOp,
     XdMonomial,
     _comp_of_lanes,
-    _nu_to_comp,
     ad_pow,
     commutator,
     mono_mul,
     order_product,
     poly_from_pairs,
 )
-from weylnf.scalars import CycloScalar, cyclotomic_poly, xi_pow
+from weylnf.scalars import CycloScalar, _lanes, as_scalar, cyclotomic_poly, xi_pow
 
 
 def S(k, v):
@@ -223,6 +222,13 @@ def _lane_values(k, den, lanes, count):
     return [CycloScalar(k, [Fraction(lane[j], den) for lane in lanes]) for j in range(count)]
 
 
+def _comp_of_values(nu, t, k):
+    """``_comp_of_lanes`` of the values ``nu``, taken as zero below max(0, t)."""
+    m0 = max(0, t)
+    den, lanes = _lanes(k, nu[m0:])
+    return _comp_of_lanes(k, [[0] * m0 + lane for lane in lanes], den, t)
+
+
 def _factor_nu(comp, t, jmax, k):
     """nu(0..jmax) of the order-t component ``comp``, read from Factor.nu's lanes."""
     den, lanes = Factor(k, {t: comp}, {}).nu(t, jmax)
@@ -244,7 +250,7 @@ def test_nu_to_comp_matches_reference(k, t, data):
     zero = CycloScalar.zero(k)
     live = data.draw(st.lists(st.booleans(), max_size=14))
     nu = [_field_scalar(data, k) if b else zero for b in live]
-    got = _nu_to_comp(nu, t, k)
+    got = _comp_of_values(nu, t, k)
     assert got == _reference_nu_to_comp(nu, t, k)
     for v in got.values():
         _assert_scalar_invariant(v, k)
@@ -256,7 +262,7 @@ def test_nu_to_comp_matches_reference(k, t, data):
 def test_nu_transforms_round_trip(k, t, data):
     comp = _component(data, k, t)
     jmax = max((n + t for n in comp), default=0) + data.draw(st.integers(0, 3))
-    assert _nu_to_comp(_reference_comp_nu(comp, t, jmax, k), t, k) == comp
+    assert _comp_of_values(_reference_comp_nu(comp, t, jmax, k), t, k) == comp
 
 
 @given(ORDERS, SHIFTS, st.data())
@@ -278,8 +284,8 @@ def test_nu_transforms_of_empty_input():
     for k in (1, 3, 5):
         assert _factor_nu({}, -2, 4, k) == [CycloScalar.zero(k)] * 5
         assert _factor_nu({0: CycloScalar.one(k)}, 0, -1, k) == []
-        assert _nu_to_comp([], 2, k) == {}
-        assert _nu_to_comp([CycloScalar.zero(k)] * 5, -1, k) == {}
+        assert _comp_of_values([], 2, k) == {}
+        assert _comp_of_values([CycloScalar.zero(k)] * 5, -1, k) == {}
 
 
 # -- the product kernel --------------------------------------------------------
@@ -380,7 +386,7 @@ def test_order_product_edge_cases():
 
 
 def _fresh(A):
-    """A copy of A with the same value and no factor."""
+    """A copy of A with the same value and a fresh factor."""
     return GradedOp.from_dict(A.to_dict())
 
 
@@ -392,24 +398,28 @@ def test_cached_factor_is_no_part_of_the_value():
     data, text, key = A.to_dict(), str(A), hash(A)
     A * B
     B * A.component_as_op(A.ord())
-    assert Factor.of(A).nus and not hasattr(fresh, "_factor")
+    assert A._factor.nus and not fresh._factor.nus
     assert A == fresh and fresh == A and hash(A) == hash(fresh) == key
     assert A.to_dict() == data and str(A) == text
     with pytest.raises(AttributeError):
         A._factor = None
     for t in A.active_orders():
         view = A.component_as_op(t)
-        assert Factor.of(view) is Factor.of(A)
+        assert view._factor is A._factor
         assert view == _fresh(view)
 
 
 def _chain(A, B):
-    """Products, sums, negations and component views over A and B, most of
-    them of operators that products built, so held as lanes; some orders
-    cancel (AB - AB everywhere, AB - BA where A and B commute)."""
+    """Products, sums, negations, scalar multiples and component views over A
+    and B, most of them of operators that products built, so held as lanes;
+    some orders cancel (AB - AB everywhere, AB - BA where A and B commute).
+    Those made from products alone build no coefficient."""
     AB, BA = A * B, B * A
     C = AB - BA
-    out = [AB, BA, -AB, C, AB - AB, C + BA, AB + A, A - AB, C * A + AB]
+    scaled = [-AB, -C] + [X.scalar_mul(c) for X in (AB, C)
+                          for c in (0, 3, Fraction(-2, 5), xi_pow(A.k, 1))]
+    assert not any(X._factor.comps for X in [AB, BA, C, *scaled])
+    out = [AB, BA, C, AB - AB, C + BA, AB + A, A - AB, C * A + AB, *scaled]
     views = [X.component_as_op(t) for X in (AB, C) for t in X.active_orders() if X.xcap(t) != -1]
     out += views
     out += [V * B + AB for V in views[:2]] + [-V for V in views[:2]]
@@ -418,7 +428,7 @@ def _chain(A, B):
 
 def _queries(A):
     """What A answers without building coefficients; checks that none is built."""
-    F = Factor.of(A)
+    F = A._factor
     built = set(F.comps)
     views = [A.component_as_op(t) for t in A.active_orders() if A.xcap(t) != -1]
     got = (A.active_orders(), A.is_zero_in_window(), A.floor, A.top, dict(A.xcaps),
@@ -450,12 +460,12 @@ def test_warm_factor_products_match_fresh_copies(k):
         # Shorter products fill the sequences of A and B part way first.
         A * B.restrict(xcap=1)
         A.restrict(xcap=1) * B
-        before = {id(lane): len(lane) for F in (Factor.of(A), Factor.of(B))
+        before = {id(lane): len(lane) for F in (A._factor, B._factor)
                   for _, lanes, _ in F.nus.values() for lane in lanes}
         assert A * B == _fresh(A) * _fresh(B)
         assert B * A == _fresh(B) * _fresh(A)
         resumed += sum(len(lane) > before.get(id(lane), len(lane))
-                       for F in (Factor.of(A), Factor.of(B))
+                       for F in (A._factor, B._factor)
                        for _, lanes, _ in F.nus.values() for lane in lanes)
         _assert_chain_matches_fresh(A, B)
     assert resumed
@@ -675,6 +685,18 @@ def test_apply_truncated_requires_bound():
         A.apply_to_poly(poly_from_pairs(1, [(3, 1)]), through_degree=5)
 
 
+def test_constructor_keeps_what_the_caps_certify():
+    # Coefficients above an order's cap are no exact values: the constructor
+    # drops them, so sums and scalar multiples, which read an order up to its
+    # cap, agree with the coefficient-wise ones. Input checks come first.
+    one = S(1, 1)
+    A = GradedOp(1, {-1: {1: one, 5: one}, -3: {4: one}}, None, 0, {-1: 3, -3: 2})
+    assert A.components == {-1: {1: one}} and A.xcaps == {-1: 3, -3: 2}
+    assert -(-A) == A and A + A == A.scalar_mul(2)
+    with pytest.raises(PreconditionError, match="negative d-power"):
+        GradedOp(1, {-3: {0: one}}, None, 0, {-3: -1})
+
+
 def test_serialization_round_trip():
     A = op(2, (0, 2, 1), (1, 0, CycloScalar(2, [Fraction(1, 2)])), (2, 1, -3))
     B = A.restrict(floor=-2, xcap=5)
@@ -750,6 +772,13 @@ def _reference_add(A, B):
     return GradedOp(A.k, comps, floor, top, caps)
 
 
+def _reference_scalar_mul(A, c):
+    """c * A coefficient by coefficient, on A's window."""
+    c = as_scalar(A.k, c)
+    comps = {t: {n: x * c for n, x in comp.items()} for t, comp in A.components.items()}
+    return GradedOp(A.k, comps, A.floor, A.top, A.xcaps)
+
+
 def _snapshot(A):
     """A deep copy of A: new component and cap dicts (the scalars are immutable)."""
     return GradedOp(A.k, {t: dict(c) for t, c in A.components.items()}, A.floor, A.top,
@@ -769,6 +798,11 @@ def test_unchecked_results_equal_their_checked_rebuild(k, data):
     assert results[0] == _reference_add(A, B)
     assert results[1] == _reference_add(A, _snapshot(-B))
     assert results[2] == _reference_add(A, GradedOp.from_scalar(k, 3))
+    assert results[4] == _reference_scalar_mul(A, -1)
+    assert results[5] == _reference_scalar_mul(A, c)
+    assert (results[5].floor, results[5].xcaps) == (A.floor, A.xcaps)
+    if A.floor is not None:
+        assert results[5].top == A.top
     try:
         results.append(A * B)
     except TruncationError:
@@ -787,7 +821,8 @@ def test_unchecked_results_equal_their_checked_rebuild(k, data):
 @given(K_SMALL, st.data())
 @settings(max_examples=100, deadline=None)
 def test_sums_and_negations_leave_their_operands_unchanged(k, data):
-    # Sums share the component dicts of their summands; none may be written.
+    # Sums share the held components and lanes of their summands; none may
+    # be written.
     A = _drawn_op(data, k)
     B = _drawn_op(data, k, cancel=A)
     before = [_snapshot(A), _snapshot(B)]
@@ -803,15 +838,16 @@ def test_sums_and_negations_leave_their_operands_unchanged(k, data):
 @pytest.mark.parametrize("workload", ["nf-k3", "classify-fixtures"])
 def test_unchecked_results_keep_the_invariant(monkeypatch, workloads, workload):
     # Every operator one pass of a benchmark workload builds without the checks.
-    from weylnf import operators
+    from weylnf import operators, schur
     made = []
-    real = operators._make_op
+    real = operators._op_of
 
     def recording(*args):
         made.append(real(*args))
         return made[-1]
 
-    monkeypatch.setattr(operators, "_make_op", recording)
+    monkeypatch.setattr(operators, "_op_of", recording)
+    monkeypatch.setattr(schur, "_op_of", recording)
     setup, check = workloads.WORKLOADS[workload]
     ops = setup(3)
     outputs = [call() for _, call in ops]

@@ -9,7 +9,7 @@ import pytest
 from weylnf import operators, schur
 from weylnf.errors import NotAnHcpError, PreconditionError, PropertyViolation, TruncationError
 from weylnf.gform import check_Aqk
-from weylnf.operators import Factor, GradedOp, commutator
+from weylnf.operators import GradedOp, commutator
 from weylnf.parsing import parse_operator
 from weylnf.scalars import CycloScalar
 from weylnf.schur import invert_unit, normal_form, normal_form_report, schur_operator
@@ -59,7 +59,7 @@ def test_schur_gauge_extends_with_depth():
 def _assert_factor_describes(A):
     """A's factor holds A's content at every order: the same orders, caps and
     coefficients, and lanes whose values are the nu sequence of A's component."""
-    F = Factor.of(A)
+    F = A._factor
     k = A.k
     for t in A.active_orders():
         comp = A.components.get(t, {})
@@ -93,7 +93,7 @@ def test_schur_builds_each_nu_sequence_once(monkeypatch):
     assert len(builds) <= comps + len((Q * pair.S).components)
     # S and Sinv keep the factors of their solves, filled and describing them.
     for A in (pair.S, pair.Sinv):
-        assert Factor.of(A).nus
+        assert A._factor.nus
         _assert_factor_describes(A)
 
 
@@ -137,9 +137,28 @@ def test_d_power_check_reads_the_lanes(k, lane, j):
         schur._assert_is_d_power(Z, 0)
         if read_first:
             assert Z.components == {0: {0: CycloScalar.one(k)}}
-        Factor.of(Z).nus[0][1][lane][j] += 1
+        Z._factor.nus[0][1][lane][j] += 1
         with pytest.raises(PropertyViolation, match="top symbol is perturbed"):
             schur._assert_is_d_power(Z, 0)
+
+
+@pytest.mark.parametrize("Z, q", [(GradedOp.zero(1), 0), (GradedOp.zero(1), 3),
+                                  (GradedOp(1, {}, -4, 0, {}), 0)])
+def test_d_power_check_needs_order_q(Z, q):
+    # A verification product that vanished on its window is no d^q.
+    with pytest.raises(PropertyViolation, match=f"nothing at order {q}"):
+        schur._assert_is_d_power(Z, q)
+
+
+def test_d_power_check_passes_real_products():
+    Q = parse_operator("d^3 + x*d + x^2")
+    pair = schur_operator(Q, depth=8, xcap=30)
+    schur._assert_is_d_power(pair.S * pair.Sinv, 0)
+    schur._assert_is_d_power(pair.Sinv * pair.S, 0)
+    schur._assert_is_d_power(pair.Sinv * (Q * pair.S), 3)
+    # Order q below the window, or with a negative cap, holds nothing known.
+    schur._assert_is_d_power(GradedOp(1, {}, 1, 2, {}), 0)
+    schur._assert_is_d_power(GradedOp(1, {}, None, 0, {0: -1}), 0)
 
 
 @pytest.mark.parametrize("q_src", ["9", "x", "x^2 + 1"])
