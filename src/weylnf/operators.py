@@ -784,8 +784,14 @@ def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
                 continue
             pairs.setdefault(t, []).append((ta, tb))
 
+    return _op_of_products(pairs, A._factor, B._factor, floor, top)
+
+
+def _op_of_products(pairs: dict, L: Factor, R: Factor, floor, top) -> GradedOp:
+    """Unchecked ``GradedOp`` over a new factor holding, at each order t of
+    ``pairs``, the lanes and finite cap of ``order_product(t, pairs[t], L, R)``."""
     caps: dict[int, int] = {}
-    L, R, out = A._factor, B._factor, Factor(A.k, {}, caps)
+    out = Factor(L.k, {}, caps)
     for t, plist in sorted(pairs.items()):
         held, cap = order_product(t, plist, L, R)
         if held is not None:

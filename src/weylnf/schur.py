@@ -10,9 +10,11 @@ solved (the remaining term Q_q S_t = d^q S_t is the unknown). R_t is one call
 of the operator kernel's single-order product, ``operators.order_product``,
 on exactly these pairs, so its x-window follows the product rule
 min(xcap_Q(a), xcap_S(b) - a); the nu sequences of Q's components and of each
-solved S_b are computed once and reused by every later order. Q and S keep
-the solve's factors (``operators.Factor``), as S^-1 keeps :func:`invert_unit`'s,
-so the verification products and the conjugation extend those sequences.
+solved S_b are computed once and reused by every later order.
+:func:`invert_unit` solves S^-1 the same way, one ``order_product`` call per
+order of S T = 1. Q and S keep the solve's factors (``operators.Factor``),
+as S^-1 keeps its own, so the verification products and the conjugation
+extend those sequences.
 
 Each homogeneous solve is an upward x-degree recurrence: the
 equation at degree m determines s_(m+q) with the nonzero factor
@@ -35,7 +37,8 @@ from .errors import (
     TruncationError,
 )
 from .gform import AqkReport, Hcp, HcpSeries, check_Aqk, fit_hcp
-from .operators import INF, Factor, GradedOp, _comp_of_lanes, _op_of, order_product
+from .operators import (INF, Factor, GradedOp, _comp_of_lanes, _op_of, _op_of_products,
+                        order_product)
 from .scalars import CycloScalar
 
 
@@ -145,37 +148,38 @@ def _assert_is_d_power(Z: GradedOp, q: int):
 def invert_unit(S: GradedOp) -> GradedOp:
     """Inverse T of S = 1 + (negative orders), solved order by order.
 
-    T_t is minus the sum of the one-pair products S_t1 * T_t2, t1 < 0, whose
-    operands are built once: S_t1 as a view sharing S's factor, T_t2 over
-    the solve's factor, which T keeps. The pair with T_0 = 1 adds the view
-    S_t itself. No nu sequence is computed twice. The products, their sum
-    and its negation hold order t as lanes (see ``operators``), and the
-    solve's factor takes them from the negation's: D_t is a common
-    denominator of an order's values, and T's coefficients are built only
+    Order t < 0 of S T = 1 gives T_t = -(S_t + R_t), R_t the sum of
+    S_t1 * T_(t-t1) over t < t1 < 0: one ``operators.order_product`` call on
+    the pairs active in S and in the solve's factor, so the window rule holds
+    pair by pair. The pair with T_0 = 1 is the view S_t, no product. The
+    solve's factor, which T keeps, takes order t from the negation's lanes,
+    so no nu sequence is computed twice and T's coefficients are built only
     where something reads them.
+
+    Without a floor S must be 1: the inverse of 1 + N, N != 0 of negative
+    orders, has infinitely many orders.
     """
     k = S.k
     if S.top != 0 or S.components.get(0) != {0: CycloScalar.one(k)}:
         raise PreconditionError("invert_unit needs ord(S) = 0 with S_0 = 1")
+    active = [t1 for t1 in S.active_orders() if t1 < 0]
     floor = S.floor
-    lo = floor if floor is not None else min(S.components, default=0)
+    if floor is None and active:
+        raise PreconditionError("invert_unit needs a floor on S: the inverse of "
+                                "1 + (negative orders) has infinitely many orders")
+    lo = 0 if floor is None else floor
     t_caps: dict[int, int] = {}
     tf = Factor(k, {0: {0: CycloScalar.one(k)}}, t_caps)
-    ops1 = {t1: S.component_as_op(t1) for t1 in S.active_orders() if t1 < 0}
-    ops2 = {}
     for t in range(-1, lo - 1, -1):
-        acc = GradedOp.zero(k)
-        for t1 in range(max(lo, t), 0):
-            if t1 in ops1:
-                acc = acc + (ops1[t1] if t1 == t else ops1[t1] * ops2[t - t1])
+        pairs = [(t1, t - t1) for t1 in active
+                 if t1 > t and (tf.holds(t - t1) or t - t1 in t_caps)]
+        acc = S.component_as_op(t) + _op_of_products({t: pairs}, S._factor, tf, None, t)
         neg = -acc
         if t in neg.components:
             tf.take(t, neg._factor)
         cap = acc.xcap(t)
-        caps2 = {}
         if cap != INF:
-            t_caps[t] = caps2[t] = int(cap)
-        ops2[t] = _op_of(tf, [t] if tf.holds(t) else [], None, 0, caps2)
+            t_caps[t] = int(cap)
     T = _op_of(tf, [t for t in range(lo, 1) if tf.holds(t)], floor, 0, t_caps)
     _assert_is_d_power(S * T, 0)
     _assert_is_d_power(T * S, 0)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from weylnf import operators, schur
@@ -11,8 +13,9 @@ from weylnf.errors import NotAnHcpError, PreconditionError, PropertyViolation, T
 from weylnf.gform import check_Aqk
 from weylnf.operators import GradedOp, commutator
 from weylnf.parsing import parse_operator
-from weylnf.scalars import CycloScalar
-from weylnf.schur import invert_unit, normal_form, normal_form_report, schur_operator
+from weylnf.scalars import CycloScalar, xi_pow
+from weylnf.schur import (default_fit_xcap, invert_unit, normal_form, normal_form_report,
+                          schur_operator)
 
 
 def op(k, *items):
@@ -201,6 +204,85 @@ def test_invert_unit_propagates_finite_caps():
 
 def test_invert_unit_identity():
     assert invert_unit(GradedOp.one(1)) == GradedOp.one(1)
+
+
+@pytest.mark.parametrize("S", [op(1, (0, 0, 1), (1, 0, 1)),  # 1 + x
+                               GradedOp(1, {0: {0: CycloScalar.one(1)}}, None, 0, {-3: 5})])
+def test_invert_unit_needs_a_floor_below_one(S):
+    # With no floor, an active negative order (content, or a cap alone)
+    # makes the inverse infinite: a precondition, not a failed verification.
+    with pytest.raises(PreconditionError, match="needs a floor"):
+        invert_unit(S)
+
+
+def _reference_invert_unit(S):
+    """The pairwise solve: T_t = -(S_t + sum of S_t1 * T_(t-t1), t < t1 < 0),
+    one ``_op_mul`` per pair and one operator sum per summand, each T_t an
+    operator of its own built by the checked constructor."""
+    k = S.k
+    ops1 = {t1: S.component_as_op(t1) for t1 in S.active_orders() if t1 < 0}
+    comps, caps, ops2 = {0: {0: CycloScalar.one(k)}}, {}, {}
+    for t in range(-1, S.floor - 1, -1):
+        acc = GradedOp.zero(k)
+        for t1 in range(t, 0):
+            if t1 in ops1:
+                acc = acc + (ops1[t1] if t1 == t else operators._op_mul(ops1[t1], ops2[t - t1]))
+        comp = (-acc).components.get(t)
+        if comp:
+            comps[t] = comp
+        if acc.xcap(t) != math.inf:
+            caps[t] = acc.xcap(t)
+        ops2[t] = GradedOp(k, {t: comp} if comp else {}, None, t, {t: caps[t]} if t in caps else {})
+    return GradedOp(k, comps, S.floor, 0, caps)
+
+
+@st.composite
+def _units(draw):
+    """S = 1 + (negative orders) over Q(xi_k) with a floor, some finite caps,
+    and orders with content, with a cap and no content, or absent."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    floor = draw(st.integers(-6, -1))
+    scalars = st.builds(lambda a, b, e: a + b * xi_pow(k, e),
+                        st.fractions(-3, 3, max_denominator=4),
+                        st.fractions(-3, 3, max_denominator=4), st.integers(0, k - 1))
+    comps, caps = {0: {0: CycloScalar.one(k)}}, {}
+    for t in range(floor, 0):
+        kind = draw(st.sampled_from(["content", "content", "capped", "absent"]))
+        if kind == "content":
+            n0 = -t
+            comps[t] = {n: draw(scalars) for n in draw(st.sets(st.integers(n0, n0 + 4),
+                                                                   min_size=1, max_size=3))}
+        if kind == "capped" or draw(st.booleans()):
+            caps[t] = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        caps[0] = draw(st.integers(0, 10))
+    return GradedOp(k, comps, floor, 0, caps)
+
+
+@given(_units())
+@settings(max_examples=100, deadline=None)
+def test_invert_unit_matches_the_pairwise_solve(S):
+    T = invert_unit(S)
+    ref = _reference_invert_unit(S)
+    assert (T.floor, T.top, T.xcaps, T.components) == (ref.floor, ref.top, ref.xcaps,
+                                                      ref.components)
+    _assert_factor_describes(T)
+
+
+def test_invert_unit_calls_the_kernel_once_per_order(monkeypatch):
+    # nf-k3's S: each order of T is one order_product call; the only
+    # products are the verification's S T and T S.
+    Q = parse_operator("d^3 + x*d + x^2").lift_context(3)
+    S = schur_operator(Q, depth=8, xcap=default_fit_xcap(5, 3, 8)).S
+    kernel, products = [], []
+    real_op, real_mul = operators.order_product, operators._op_mul
+    monkeypatch.setattr(operators, "order_product",
+                        lambda t, *args: kernel.append(t) or real_op(t, *args))
+    monkeypatch.setattr(operators, "_op_mul",
+                        lambda A, B: products.append(len(kernel)) or real_mul(A, B))
+    assert invert_unit(S).floor == -8
+    assert kernel[:8] == list(range(-1, -9, -1))
+    assert len(products) == 2 and products[0] == 8
 
 
 def test_invert_unit_mixed_term():
