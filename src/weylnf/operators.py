@@ -34,13 +34,16 @@ factor the checked coefficients; every other operation holds each order it
 makes as lanes: the values nu(j) that determine it, reduced once by the gcd
 of D_t and the entries, so D_t is a common denominator of the values, not
 the lcm of the coefficients' denominators. :func:`order_product` multiplies
-and sums the lanes of its factors in integers mod Phi_k
-(``scalars._lane_mul``); a sum adds lanes, sharing an order that one summand
-alone holds; a scalar multiple, and so a negation, multiplies each order's
-lanes by the scalar's. The view builds an order's coefficients, each divided
-back once by ``scalars._from_lanes``, when a reader (the Schur recurrence, a
-G-form fit, ``==``, ``str``, ``to_dict``) first reads the order; the window
-queries and ``component_as_op`` build none.
+and sums the lanes of its factors in integers mod Phi_k, reading each pair's
+caps and lanes from the factors' dicts (a method call only where a sequence
+must grow); with deg Phi_k = 1 one pass multiplies, scales and sums the
+values, else ``scalars._lane_mul`` multiplies the lanes. A sum adds lanes,
+sharing an order that one summand alone holds; a scalar multiple, and so a
+negation, multiplies each order's lanes by the scalar's. The view builds an
+order's coefficients, each divided back once by ``scalars._from_lanes``,
+when a reader (the Schur recurrence, a G-form fit, ``==``, ``str``,
+``to_dict``) first reads the order; the window queries and
+``component_as_op`` build none.
 
 Results are built unchecked by :func:`_op_of`, as they hold the invariant
 that the public constructor checks: each component nonempty with no zero
@@ -539,9 +542,8 @@ def _op_of(F: "Factor", orders, floor, top, caps: dict) -> GradedOp:
 
 def _lane_total(k: int, jmax: int, terms: list):
     """``(D, lanes)`` over j = 0 .. jmax of the sum of lanes / d, each placed
-    from j = j0, over ``terms`` (d, lanes, j0); D is the lcm of the d, and D
-    and the lanes are divided by the gcd of D and every entry. None when the
-    sum vanishes."""
+    from j = j0, over ``terms`` (d, lanes, j0); D is the lcm of the d, and the
+    sum is reduced by :func:`_reduced`. None when the sum vanishes."""
     den = math.lcm(*[d for d, _, _ in terms])
     acc = [[0] * (jmax + 1) for _ in range(len(cyclotomic_poly(k)) - 1)]
     for d, lanes, j0 in terms:
@@ -549,10 +551,16 @@ def _lane_total(k: int, jmax: int, terms: list):
         for a, lane in zip(acc, lanes):
             if any(lane):
                 a[j0:] = map(add, a[j0:], lane if scale == 1 else [scale * x for x in lane])
+    return _reduced(den, acc)
+
+
+def _reduced(den: int, acc: list):
+    """``(D, lanes)``: the lanes ``acc`` over ``den``, both divided by the gcd
+    of ``den`` and every entry. None when every entry is zero."""
     if not any(map(any, acc)):
         return None
     g = math.gcd(den, *chain.from_iterable(acc))
-    return den // g, tuple([x // g for x in lane] for lane in acc)
+    return den // g, tuple(acc if g == 1 else ([x // g for x in lane] for lane in acc))
 
 
 class _Comps(Mapping):
@@ -664,7 +672,9 @@ class Factor:
     or scalar multiple is held as lanes alone (``rows`` None): the values
     that determine it, reduced by their gcd, so D_t is a common denominator
     of the values, not the lcm of the coefficients' denominators;
-    :meth:`comp` builds its coefficients on first read.
+    :meth:`comp` builds its coefficients on first read. :func:`order_product`
+    reads ``caps``, ``nus`` and ``comps`` directly and calls :meth:`reach`
+    and :meth:`nu` only for an exact order's reach or a sequence to extend.
     """
 
     __slots__ = ("k", "comps", "caps", "nus")
@@ -677,9 +687,6 @@ class Factor:
         for mine, theirs in ((self.comps, F.comps), (self.nus, F.nus)):
             if t in theirs:
                 mine[t] = theirs[t]
-
-    def cap(self, t: int):
-        return self.caps.get(t, INF)
 
     def holds(self, t: int) -> bool:
         return t in self.nus or bool(self.comps.get(t))
@@ -737,30 +744,50 @@ def order_product(t: int, pairs, L: Factor, R: Factor):
     is the window rule min(xcap_L(t1), xcap_R(t2) - t1) over all pairs, and
     jmax = cap + t; an exact order takes the largest j a pair can reach. The
     product itself is pointwise on nu: nu(j) = nu_L,t1(j - t2) * nu_R,t2(j).
-    It runs on the factors' integer lanes: each pair's lanes are multiplied
-    by :func:`_lane_mul` over the denominator D_L * D_R, scaled to the lcm D
-    of these denominators and summed, and the sum, D * nu(j) with nu zero
+    It runs on the factors' integer lanes, read from their dicts: a pair
+    calls a method only for an exact order's reach or to extend a sequence
+    that stops short of jmax. Each pair's product has denominator D_L * D_R
+    and is scaled to the lcm D of these denominators and summed; with
+    deg Phi_k = 1 one loop multiplies, scales and sums the values, else
+    :func:`_lane_mul` multiplies the lanes. The sum, D * nu(j) with nu zero
     below max(0, t), is reduced once by its gcd with D.
     """
-    cap = min((min(L.cap(t1), R.cap(t2) - t1) for t1, t2 in pairs), default=INF)
-    live = [(t1, t2) for t1, t2 in pairs if L.holds(t1) and R.holds(t2)]
+    lcaps, rcaps, lnus, rnus = L.caps, R.caps, L.nus, R.nus
+    cap, live = INF, []
+    for t1, t2 in pairs:
+        c = min(lcaps.get(t1, INF), rcaps.get(t2, INF) - t1)
+        if c < cap:
+            cap = c
+        if (t1 in lnus or L.comps.get(t1)) and (t2 in rnus or R.comps.get(t2)):
+            live.append((t1, t2))
     if cap != INF:
         jmax = int(cap) + t
     else:
         jmax = max((L.reach(t1) + R.reach(t2) for t1, t2 in live), default=-1)
     m0 = max(0, t)
-    phi = cyclotomic_poly(L.k)
     terms = []
     for t1, t2 in live:
         j0 = max(t2, m0)
         if j0 > jmax:
             continue
-        dr, nur = R.nu(t2, jmax)
-        dl, nul = L.nu(t1, jmax - t2)
-        prod = _lane_mul(phi, [lane[j0:jmax + 1] for lane in nur],
-                         [lane[j0 - t2:jmax + 1 - t2] for lane in nul])
-        terms.append((dl * dr, prod, j0))
-    return _lane_total(L.k, jmax, terms), cap
+        e = rnus.get(t2)
+        dr, nur = e[:2] if e and len(e[1][0]) > jmax else R.nu(t2, jmax)
+        e = lnus.get(t1)
+        dl, nul = e[:2] if e and len(e[1][0]) > jmax - t2 else L.nu(t1, jmax - t2)
+        terms.append((dl * dr, nur, nul, j0, t2))
+    phi = cyclotomic_poly(L.k)
+    if len(phi) > 2:
+        return _lane_total(L.k, jmax, [
+            (d, _lane_mul(phi, [lane[j0:jmax + 1] for lane in nur],
+                          [lane[j0 - t2:jmax + 1 - t2] for lane in nul]), j0)
+            for d, nur, nul, j0, t2 in terms]), cap
+    den = math.lcm(*[d for d, *_ in terms])
+    acc = [0] * (jmax + 1)
+    for d, (x,), (y,), j0, t2 in terms:
+        s = den // d
+        for j in range(j0, jmax + 1):
+            acc[j] += s * x[j] * y[j - t2]
+    return _reduced(den, [acc]), cap
 
 
 def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:

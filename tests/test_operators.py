@@ -132,12 +132,17 @@ def test_op_mul_matches_monomial_expansion():
         assert got.components == expected.components
 
 
+def _field_coeff(rng, k):
+    """A random rational plus a rational multiple of a power of xi."""
+    return (Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+            + Fraction(rng.randint(-3, 3), rng.randint(1, 5)) * xi_pow(k, rng.randrange(k)))
+
+
 def _field_op(rng, k, nterms, maxdeg):
     """A random operator whose coefficients are rationals times xi powers."""
     items = []
     for _ in range(nterms):
-        c = (Fraction(rng.randint(-4, 4), rng.randint(1, 6))
-             + Fraction(rng.randint(-3, 3), rng.randint(1, 5)) * xi_pow(k, rng.randrange(k)))
+        c = _field_coeff(rng, k)
         if not c.is_zero():
             items.append((rng.randint(0, maxdeg), rng.randint(0, maxdeg), c))
     return op(k, *items)
@@ -295,7 +300,8 @@ def _reference_order_product(t, pairs, L, R):
     """The CycloScalar body of order_product before it ran on integer lanes,
     with its nu sequences from the reference transforms."""
     k = L.k
-    cap = min((min(L.cap(t1), R.cap(t2) - t1) for t1, t2 in pairs), default=math.inf)
+    cap = min((min(L.caps.get(t1, math.inf), R.caps.get(t2, math.inf) - t1)
+               for t1, t2 in pairs), default=math.inf)
     live = [(t1, t2) for t1, t2 in pairs if L.comps.get(t1) and R.comps.get(t2)]
     if cap != math.inf:
         jmax = int(cap) + t
@@ -354,15 +360,26 @@ def _assert_matches_reference(t, pairs, L, R):
     return got
 
 
-@given(ORDERS, st.data())
-@settings(max_examples=60, deadline=None)
-def test_order_product_matches_reference(k, data):
+def _check_drawn_products(k, data):
     L, R = _factor(data, k), _factor(data, k)
     for _ in range(3):  # later products reuse and extend the cached sequences
         t = data.draw(st.integers(-7, 5))
         pairs = [(t1, t - t1) for t1 in KERNEL_ORDERS
                  if t - t1 in KERNEL_ORDERS and data.draw(st.booleans())]
         _assert_matches_reference(t, pairs, L, R)
+
+
+@given(ORDERS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_order_product_matches_reference(k, data):
+    _check_drawn_products(k, data)
+
+
+@given(st.sampled_from([1, 2]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_order_product_matches_reference_in_degree_one(k, data):
+    # deg Phi_k = 1 takes the one-pass loop, which ORDERS draws about 1 time in 6.
+    _check_drawn_products(k, data)
 
 
 def test_order_product_edge_cases():
@@ -383,6 +400,44 @@ def test_order_product_edge_cases():
     assert cap == math.inf and comp
     _assert_matches_reference(2, [(0, 2), (2, 0)], L, R)
     assert order_product(5, [], L, R) == (None, math.inf)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_order_product_degree_one_edge_cases(k):
+    # deg Phi_k = 1: one loop multiplies, scales and sums the values.
+    def factor(comps, caps=None):
+        return Factor(k, {t: {n: S(k, c) for n, c in comp.items()}
+                          for t, comp in comps.items()}, caps or {})
+
+    L = factor({-3: {3: Fraction(1, 4)}, -1: {1: Fraction(1, 4)},
+                0: {0: Fraction(1, 6), 2: 2}, 1: {0: 3}}, {-3: 1})
+    R = factor({4: {0: Fraction(1, 6)}, 2: {0: Fraction(1, 10)},
+                1: {0: Fraction(1, 6), 3: 3}, 0: {1: 2}})
+    # The cap 1 of L_-3 gives jmax = 2, below t2 = 4, so the pair (-3, 4) is
+    # skipped before R_4's sequence is computed. The one product, 2/40 at
+    # j = 2, is reduced by the gcd to 1/20.
+    comp, cap = _assert_matches_reference(1, [(-3, 4), (-1, 2)], L, R)
+    assert cap == 1 and comp and 4 not in R.nus
+    assert order_product(1, [(-3, 4), (-1, 2)], L, R)[0] == (20, ([0, 0, 1],))
+    # Exact orders: jmax = 6 comes from reach, 2 of L_0 (x^2 d^2) plus 4 of
+    # R_1 (x^3 d^4). The pair denominators 36, 40 and 1 are scaled by 10, 9
+    # and 360 to their lcm.
+    L.nu(0, 1)  # extended in steps by the next product
+    comp, cap = _assert_matches_reference(1, [(0, 1), (-1, 2), (1, 0)], L, R)
+    assert cap == math.inf and comp
+    assert len(order_product(1, [(0, 1), (-1, 2), (1, 0)], L, R)[0][1][0]) == 7
+    # nu of x^3 d^5 vanishes below j = 5, so the pair (0, 2) adds zero on
+    # j = 2 .. 4; the pair (1, 1) alone gives the result.
+    L = factor({0: {0: 1}, 1: {0: Fraction(1, 2)}}, {0: 2})
+    R = factor({2: {3: 5}, 1: {0: Fraction(1, 3)}})
+    comp, cap = _assert_matches_reference(2, [(0, 2), (1, 1)], L, R)
+    assert cap == 2 and comp
+    assert order_product(2, [(0, 2)], L, R) == (None, 2)
+    # (1/3) * (3/2) d + (1/2) d * (-1) = 0, over the denominators 6 and 2.
+    L = factor({0: {0: Fraction(1, 3)}, 1: {0: Fraction(1, 2)}})
+    R = factor({1: {0: Fraction(3, 2)}, 0: {0: -1}}, {1: 5})
+    assert _assert_matches_reference(1, [(0, 1), (1, 0)], L, R) == ({}, 5)
+    assert order_product(1, [(0, 1), (1, 0)], L, R) == (None, 5)
 
 
 def _fresh(A):
@@ -833,6 +888,33 @@ def test_sums_and_negations_leave_their_operands_unchanged(k, data):
     assert [A, B, C] == before
     assert D == _reference_add(before[2], before[0])
     assert E + C == C.scalar_mul(0)
+
+
+def _held_lanes(*ops):
+    """Every lane held by the operators' factors, each with a copy of its entries."""
+    return [(lane, list(lane)) for X in ops for _, lanes, _ in X._factor.nus.values()
+            for lane in lanes]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_products_leave_their_operands_intact(k):
+    # The kernel sums into lists of its own: an operand's sequences may only
+    # grow, and no product or Schur solve holds one of its lanes.
+    from weylnf.schur import schur_operator
+    rng = random.Random(60 + k)
+    for _ in range(4):
+        A = _field_op(rng, k, 5, 4).restrict(floor=rng.randint(-3, 0), xcap=rng.randint(3, 8))
+        B = _field_op(rng, k, 5, 4)
+        Q = op(k, (0, 3, 1), *[(n, m, _field_coeff(rng, k)) for n, m in ((1, 1), (2, 0), (3, 1))])
+        for X, Y in ((B, A), (A, B), (A, Q)):
+            X.restrict(xcap=1) * Y  # Y's sequences, cached part way
+        before = _held_lanes(A, B, Q)
+        assert before
+        pair = schur_operator(Q, depth=4, xcap=10)
+        results = [A * B, B * A, pair.S, pair.Sinv]
+        assert all(lane[:len(old)] == old for lane, old in before)
+        held = {id(lane) for lane, _ in _held_lanes(A, B, Q)}
+        assert not any(id(lane) in held for lane, _ in _held_lanes(*results))
 
 
 @pytest.mark.parametrize("workload", ["nf-k3", "classify-fixtures"])

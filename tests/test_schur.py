@@ -67,7 +67,7 @@ def _assert_factor_describes(A):
     for t in A.active_orders():
         comp = A.components.get(t, {})
         assert F.holds(t) == bool(comp)
-        assert F.cap(t) == A.xcap(t)
+        assert F.caps.get(t, math.inf) == A.xcap(t)
         if t in F.comps:
             assert F.comps[t] == comp
         if t in F.nus:
