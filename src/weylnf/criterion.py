@@ -185,6 +185,8 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
     p, q = P.ord(), Q.ord()
     if not (P.is_monic() and Q.is_monic()):
         raise PreconditionError("bc_certificate needs monic operators")
+    if p < 1 or q < 1:
+        raise PreconditionError(f"bc_certificate needs operators of order >= 1, got {p} and {q}")
     monos = sorted(((u, v) for u in range(wmax // p + 1) for v in range(wmax // q + 1)
                     if p * u + q * v <= wmax),
                    key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))

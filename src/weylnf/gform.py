@@ -19,8 +19,8 @@ polynomials to one denominator D, returns to the G-form by the inverse
 transform over k * D, and checks every remaining sample exactly against its
 class polynomial, all on integer vectors.
 
-An :class:`Hcp` is integer vectors (``scalars``' lane form) over one reduced
-denominator, as FLINT's ``fmpq_poly`` holds a polynomial. Sums, rational
+An :class:`Hcp` holds its quasi part in the integer-vector form of the
+``scalars`` module docstring, one vector per term. Sums, rational
 multiples, ``newton``'s filtrations, the transforms and :func:`hcp_mul`, which
 forms one result order from all of its pairs as ``operators.order_product``
 does, run on these ints (``scalars._ring`` products; :func:`hcp_mul` sums
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .linalg import solve_square
 from .operators import INF, Factor, Graded, GradedOp, _comp_of_lanes, product_floor
-from .scalars import CycloScalar, _from_lanes, _lanes, _ring, as_scalar
+from .scalars import CycloScalar, _from_lanes, _lanes, _reduced, _ring, _vectors, as_scalar
 
 
 EXPANSION_XCAP = 16  # the x-window of an infinite expansion when none is given
@@ -58,8 +58,8 @@ class Hcp:
     """A single homogeneous component in G-form (order r >= 0).
 
     ``terms`` is the quasi part: ``(l, i, vec)`` sorted by ``(l, i)``, ``vec``
-    the nonzero ``deg Phi_k`` ints den * f[l,i].coeffs, and ``den > 0`` shares
-    no factor with all of them. The form is canonical, so ``==`` and hash read
+    the nonzero vector of f[l,i] over ``den``, reduced as by
+    ``scalars._reduced``. The form is canonical, so ``==`` and hash read
     it (with the ``bpart`` dict of ``CycloScalar``s); ``gamma``, {(l, i):
     f[l,i]}, is a view for I/O and eigenvalues, built on first read and cached.
     """
@@ -79,11 +79,11 @@ class Hcp:
             raise PreconditionError("B index must be positive")
         b = {j: as_scalar(k, c) for j, c in (bpart or {}).items()}
         g = {key: g[key] for key in sorted(g) if g[key]}
-        den, lanes = _lanes(k, g.values())
+        den, vecs = _vectors(k, g.values())
         _set_k(self, k)
         _set_r(self, r)
         _set_den(self, den)
-        _set_terms(self, tuple([(l, i, vec) for (l, i), vec in zip(g, zip(*lanes))]))
+        _set_terms(self, tuple([(l, i, vec) for (l, i), vec in zip(g, vecs)]))
         _set_bpart(self, {j: c for j, c in b.items() if c})
         _set_gamma(self, g)
 
@@ -154,8 +154,7 @@ class Hcp:
         if not value:
             return _make_hcp(k, self.r, 1, (), {})
         if isinstance(value, CycloScalar):
-            vmul, (den, lanes) = _ring(k)[0], _lanes(k, (value,))
-            v = [x for x, in lanes]
+            vmul, (den, (v,)) = _ring(k)[0], _vectors(k, (value,))
             terms = tuple([(l, i, vmul(vec, v)) for l, i, vec in self.terms])
         else:
             den, num = value.denominator, value.numerator
@@ -243,10 +242,11 @@ def _make_hcp(k: int, r: int, den: int, terms: tuple, bpart: dict) -> Hcp:
 
 
 def _canonical(den: int, terms: tuple) -> tuple[int, tuple]:
-    """Sorted nonzero ``terms`` over ``den``, with the gcd of den and all entries out."""
-    if den > 1 and (g := math.gcd(den, *[x for _, _, vec in terms for x in vec])) > 1:
-        den //= g
-        terms = tuple([(l, i, tuple([x // g for x in vec])) for l, i, vec in terms])
+    """Sorted nonzero ``terms`` over ``den``, reduced by ``scalars._reduced``."""
+    if den > 1:
+        g, vecs = _reduced(den, [vec for _, _, vec in terms])
+        if g != den:
+            den, terms = g, tuple([(l, i, tuple(v)) for (l, i, _), v in zip(terms, vecs)])
     return den, terms
 
 
@@ -431,8 +431,7 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
         nodes = range(n0, n0 + ncols, k)
         vander = [[CycloScalar.from_rational(k, n ** l) for l in range(dmax + 1)] for n in nodes]
         c[n0 % k::k] = solve_square(vander, [_from_lanes(k, mu[n], mden) for n in nodes])
-    den, lanes = _lanes(k, c)
-    vecs = list(zip(*lanes))
+    den, vecs = _vectors(k, c)
     # The inverse DFT, f[l,i] = (1/k) sum_rho c[l,rho] xi^(-i rho), over k * D.
     f = _dft(k, [(m // k, m % k, v) for m, v in enumerate(vecs)], -1)
     terms = tuple([(l, i, tuple(f[i][l])) for l in range(dmax + 1) for i in range(k)

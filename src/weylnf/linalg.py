@@ -1,34 +1,18 @@
 """Exact dense linear algebra over the cyclotomic scalars.
 
 Gauss-Jordan elimination, pivoting on the first nonzero entry (sizes here are
-tens of rows), of rows held as ``gform.Hcp`` holds its terms: ``(den, vecs)``,
-one ``deg Phi_k`` int vector per entry over one reduced denominator. A pivot
-row is scaled by its pivot's one :meth:`CycloScalar.inv`, and row_i - f * prow
-is integer products (``scalars._ring``) over den_i * den_p, then one gcd.
+tens of rows), of rows held in the integer-vector form of the ``scalars``
+module docstring, one reduced denominator per row. A pivot row is scaled by
+its pivot's one :meth:`CycloScalar.inv`, and row_i - f * prow is integer
+products (``scalars._ring``) over den_i * den_p, then one ``scalars._reduced``.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import chain
 
 from .errors import ContextMismatchError, PreconditionError
-from .scalars import CycloScalar, _from_lanes, _lanes, _ring
-
-
-def _lane_row(k: int, row: list) -> tuple[int, list]:
-    """``row`` as ``(den, vecs)``, once each entry is checked to be of order k."""
-    for v in row:
-        if not isinstance(v, CycloScalar):
-            raise PreconditionError(f"matrix entries must be CycloScalars, got {type(v).__name__}")
-        if v.k != k:
-            raise ContextMismatchError(f"cyclotomic order mismatch: {k} vs {v.k}")
-    den, lanes = _lanes(k, row)  # den is the lcm, so already reduced
-    return den, list(zip(*lanes))
-
-
-def _reduced(den: int, vecs: list) -> tuple[int, list]:
-    g = math.gcd(den, *[x for v in vecs for x in v])
-    return (den, vecs) if g == 1 else (den // g, [tuple([x // g for x in v]) for v in vecs])
+from .scalars import CycloScalar, _from_lanes, _reduced, _ring, _vectors
 
 
 def _rref(rows: list[list[CycloScalar]], ncols: int, k: int) -> list[int]:
@@ -39,7 +23,12 @@ def _rref(rows: list[list[CycloScalar]], ncols: int, k: int) -> list[int]:
     Returns the pivot columns; row i of the result is the one pivoted on
     column ``pivots[i]``, scaled so that entry is one.
     """
-    work = [_lane_row(k, row) for row in rows]
+    for v in chain.from_iterable(rows):
+        if not isinstance(v, CycloScalar):
+            raise PreconditionError(f"matrix entries must be CycloScalars, got {type(v).__name__}")
+        if v.k != k:
+            raise ContextMismatchError(f"cyclotomic order mismatch: {k} vs {v.k}")
+    work = [_vectors(k, row) for row in rows]  # den is the lcm, so already reduced
     vmul = _ring(k)[0]
     pivots: list[int] = []
     for col in range(ncols):
@@ -51,17 +40,16 @@ def _rref(rows: list[list[CycloScalar]], ncols: int, k: int) -> list[int]:
             continue
         work[r], work[piv] = work[piv], work[r]
         den, vecs = work[r]
-        iden, (inv,) = _lane_row(k, [_from_lanes(k, vecs[col], den).inv()])
+        iden, (inv,) = _vectors(k, [_from_lanes(k, vecs[col], den).inv()])
         pden, pvecs = work[r] = _reduced(den * iden, [vmul(v, inv) if any(v) else v
                                                       for v in vecs])
         live = [(j, v) for j, v in enumerate(pvecs) if any(v)]
         for i, (den, vecs) in enumerate(work):
             f = vecs[col]
             if i != r and any(f):
-                if pden != 1:
-                    vecs = [tuple([x * pden for x in v]) for v in vecs]
+                vecs = [[x * pden for x in v] for v in vecs] if pden != 1 else list(vecs)
                 for j, v in live:
-                    vecs[j] = tuple([x - y for x, y in zip(vecs[j], vmul(f, v))])
+                    vecs[j] = [x - y for x, y in zip(vecs[j], vmul(f, v))]
                 work[i] = _reduced(den * pden, vecs)
         pivots.append(col)
     for i, (den, vecs) in enumerate(work):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .gform import HcpSeries, _canonical, _make_hcp, _make_series, check_Aqk
-from .scalars import _exact
+from .scalars import _exact, _ints
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def weight_of(P: HcpSeries, w: Weight, assume_growth_bound: bool = False) -> Sup
     bound Sdeg_A(P_(p-i)) < i is used to certify finiteness where possible,
     otherwise a lower-bound marker is returned.
     """
-    den, (S, R) = _over_one_den(w.sigma, w.rho)
+    den, (S, R) = _ints((w.sigma, w.rho))
     top = _top_weight(P, S, R)
     sup = None if top is None else Fraction(top, den)
     if P.floor is None:
@@ -106,12 +106,6 @@ def weight_of(P: HcpSeries, w: Weight, assume_growth_bound: bool = False) -> Sup
     i = p - P.floor + 1
     unseen = R * p - S if S == R else S * (i - 1) + R * (p - i)
     return SupResult(sup, top >= unseen)
-
-
-def _over_one_den(*values: Fraction) -> tuple[int, list[int]]:
-    """The lcm ``den`` of the values' denominators and each value times den."""
-    den = math.lcm(*[v.denominator for v in values])
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _top_weight(P: HcpSeries, S: int, R: int) -> int | None:
@@ -127,7 +121,7 @@ def top_term(P: HcpSeries, w: Weight) -> HcpSeries:
     :func:`weight_of` to know whether the supremum itself is certified.
     They are the points of weight >= the supremum, which :func:`_filtration` keeps.
     """
-    den, (S, R) = _over_one_den(w.sigma, w.rho)
+    den, (S, R) = _ints((w.sigma, w.rho))
     sup = _top_weight(P, S, R)
     if sup is None:
         return HcpSeries.zero(P.k)
@@ -247,7 +241,7 @@ def _filtration(L: HcpSeries, d: Fraction, m: int | None, w: Weight) -> HcpSerie
     then one integer threshold on l: l >= ceil((D - R*j) / S) when S > 0,
     and all or nothing (R*j >= D) when S = 0.
     """
-    _, (S, R, D) = _over_one_den(w.sigma, w.rho, d)
+    _, (S, R, D) = _ints((w.sigma, w.rho, d))
     hi = math.inf if m is None else m
     comps = {}
     for j, h in L.components.items():

@@ -21,29 +21,28 @@ respects the grading and yields the product window rule
 :func:`order_product` is the one place that computes a result order; the
 product and the Schur solve both go through it.
 
-Nu sequences live as integer lanes: the lane form of a sequence of Q(xi)
-values over one common denominator D > 0, as the ``scalars`` module
-docstring defines it. The triangular map between coefficients and values is
+Nu sequences live as lanes, the integer-vector form that the ``scalars``
+module docstring states. The triangular map between coefficients and values is
 a binomial transform (perm(j, m) = comb(j, m) * m!), computed on the lanes
 with integer additions and subtractions only (:meth:`Factor.nu`,
 :func:`_comp_of_lanes`).
 
-Every operator is built over its own :class:`Factor`, and its
-``components`` are a read-only view on it. The public constructor gives the
-factor the checked coefficients; every other operation holds each order it
-makes as lanes: the values nu(j) that determine it, reduced once by the gcd
-of D_t and the entries, so D_t is a common denominator of the values, not
-the lcm of the coefficients' denominators. :func:`order_product` multiplies
-and sums the lanes of its factors in integers mod Phi_k, reading each pair's
-caps and lanes from the factors' dicts (a method call only where a sequence
-must grow); with deg Phi_k = 1 one pass multiplies, scales and sums the
-values, else ``scalars._lane_mul`` multiplies the lanes. A sum adds lanes,
-sharing an order that one summand alone holds; a scalar multiple, and so a
-negation, multiplies each order's lanes by the scalar's. The view builds an
-order's coefficients, each divided back once by ``scalars._from_lanes``,
-when a reader (the Schur recurrence, a G-form fit, ``==``, ``str``,
-``to_dict``) first reads the order; the window queries and
-``component_as_op`` build none.
+Every operator is built over its own :class:`Factor`, and its ``components``
+are a read-only view on it. The public constructor gives the factor the
+checked coefficients; every other operation holds each order it makes as
+lanes: the values nu(j) that determine it, reduced once
+(``scalars._reduced``), so D_t need not be the lcm of the coefficients'
+denominators. :func:`order_product` multiplies and sums the lanes of its
+factors in integers mod Phi_k, reading each pair's caps and lanes from the
+factors' dicts (a method call only where a sequence must grow); with deg
+Phi_k = 1 one pass multiplies, scales and sums the values, else
+``scalars._lane_mul`` multiplies the lanes. A sum adds lanes, sharing an
+order that one summand alone holds; a scalar multiple, and so a negation,
+multiplies each order's lanes by the scalar's. The view builds an order's
+coefficients, each divided back once by ``scalars._from_lanes``, when a
+reader (the Schur recurrence, a G-form fit, ``==``, ``str``, ``to_dict``)
+first reads the order; the window queries and ``component_as_op`` build
+none.
 
 Results are built unchecked by :func:`_op_of`, as they hold the invariant
 that the public constructor checks: each component nonempty with no zero
@@ -61,7 +60,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from operator import add, sub
 
 from .errors import (
@@ -70,8 +69,8 @@ from .errors import (
     TruncationError,
     UndefinedOrderError,
 )
-from .scalars import (CycloScalar, _from_lanes, _join_signed, _lane_mul, _lanes, _signed_term,
-                      as_scalar, cyclotomic_poly)
+from .scalars import (CycloScalar, _from_lanes, _join_signed, _lane_mul, _lanes, _reduced,
+                      _signed_term, as_scalar, cyclotomic_poly)
 
 INF = math.inf
 
@@ -543,24 +542,15 @@ def _op_of(F: "Factor", orders, floor, top, caps: dict) -> GradedOp:
 def _lane_total(k: int, jmax: int, terms: list):
     """``(D, lanes)`` over j = 0 .. jmax of the sum of lanes / d, each placed
     from j = j0, over ``terms`` (d, lanes, j0); D is the lcm of the d, and the
-    sum is reduced by :func:`_reduced`. None when the sum vanishes."""
+    sum is reduced by ``scalars._reduced``. None when the sum vanishes."""
     den = math.lcm(*[d for d, _, _ in terms])
-    acc = [[0] * (jmax + 1) for _ in range(len(cyclotomic_poly(k)) - 1)]
+    acc = tuple([[0] * (jmax + 1) for _ in range(len(cyclotomic_poly(k)) - 1)])
     for d, lanes, j0 in terms:
         scale = den // d
         for a, lane in zip(acc, lanes):
             if any(lane):
                 a[j0:] = map(add, a[j0:], lane if scale == 1 else [scale * x for x in lane])
-    return _reduced(den, acc)
-
-
-def _reduced(den: int, acc: list):
-    """``(D, lanes)``: the lanes ``acc`` over ``den``, both divided by the gcd
-    of ``den`` and every entry. None when every entry is zero."""
-    if not any(map(any, acc)):
-        return None
-    g = math.gcd(den, *chain.from_iterable(acc))
-    return den // g, tuple(acc if g == 1 else ([x // g for x in lane] for lane in acc))
+    return _reduced(den, acc) if any(map(any, acc)) else None
 
 
 class _Comps(Mapping):
@@ -669,12 +659,11 @@ class Factor:
     coefficients in ``comps`` (by the public constructor or a solve) has its
     nu sequence computed once, with the difference-table row where it
     stopped, so a longer one resumes there. An order born in a product, sum
-    or scalar multiple is held as lanes alone (``rows`` None): the values
-    that determine it, reduced by their gcd, so D_t is a common denominator
-    of the values, not the lcm of the coefficients' denominators;
-    :meth:`comp` builds its coefficients on first read. :func:`order_product`
-    reads ``caps``, ``nus`` and ``comps`` directly and calls :meth:`reach`
-    and :meth:`nu` only for an exact order's reach or a sequence to extend.
+    or scalar multiple is held as lanes alone (``rows`` None), the reduced
+    values that determine it; :meth:`comp` builds its coefficients on first
+    read. :func:`order_product` reads ``caps``, ``nus`` and ``comps`` directly
+    and calls :meth:`reach` and :meth:`nu` only for an exact order's reach or
+    a sequence to extend.
     """
 
     __slots__ = ("k", "comps", "caps", "nus")
@@ -787,7 +776,7 @@ def order_product(t: int, pairs, L: Factor, R: Factor):
         s = den // d
         for j in range(j0, jmax + 1):
             acc[j] += s * x[j] * y[j - t2]
-    return _reduced(den, [acc]), cap
+    return (_reduced(den, (acc,)) if any(acc) else None), cap
 
 
 def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:

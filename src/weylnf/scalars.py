@@ -17,18 +17,22 @@ Invariant: ``coeffs`` is a tuple of exactly ``deg Phi_k`` objects of type
 establishes it by coercing and reducing whatever it is given; arithmetic
 results that keep it by construction are built unchecked by :func:`_make`.
 
-This is the only module that knows that storage; the hot loops elsewhere
-run on integer forms made and read back here. Lane invariant: values over
-one common denominator D > 0 are exactly ``deg Phi_k`` lanes of ``int``,
-lane i holding D * v.coeffs[i] (:func:`_lanes`, :func:`_from_lanes`), and
-products fold each xi^e, e >= deg Phi_k, through the monic Phi_k, so they
-stay in integers (:func:`_lane_mul` on lanes, :func:`_ring` on single
-vectors). :func:`_ring`'s product mod Phi_k is also the one that
-``CycloScalar.__mul__`` and ``inv`` apply to coefficient tuples, whether of
-ints or of Fractions. ``gform.Hcp`` keeps its coefficients in this form as
-its value, one vector per term, and builds scalars from it only for I/O and
-eigenvalue results; the G-form fit and ``linalg``'s elimination run on these
-vectors too.
+This is the only module that knows that storage, and the home of the
+integer-vector form that every exact kernel runs on, as FLINT's ``fmpq_poly``
+holds a polynomial: values over one common denominator D > 0, each value v
+the vector of ``deg Phi_k`` ints D * v.coeffs (:func:`_vectors`), or the same
+ints transposed into ``deg Phi_k`` lanes, lane i holding coefficient i of
+every value (:func:`_lanes`); :func:`_from_lanes` reads a vector back. Both
+are made by the one Fraction-to-ints conversion :func:`_ints`, with D the
+lcm of the denominators. :func:`_reduced` is the one gcd rule: D and every
+entry divided by their common gcd, so D > 0 shares no factor with all the
+entries, and all zeros have D = 1. Products fold each xi^e, e >= deg Phi_k,
+through the monic Phi_k, so they stay in integers (:func:`_lane_mul` on
+lanes, :func:`_ring` on single vectors); :func:`_ring`'s product mod Phi_k is
+also the one that ``CycloScalar.__mul__`` and ``inv`` apply to coefficient
+tuples, whether of ints or of Fractions. The operator kernel holds its nu
+sequences as lanes; ``gform.Hcp`` holds its terms, ``linalg`` its rows and
+the G-form fit its class polynomials as vectors.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import add, mul, sub
 
 from .errors import ContextMismatchError, DivisionByZeroError, PreconditionError
@@ -187,8 +192,7 @@ class CycloScalar:
             if not a[0]:
                 raise DivisionByZeroError("inverse of zero")
             return CycloScalar(k, [1 / a[0]])
-        den, lanes = _lanes(k, (self,))
-        v = [x for x, in lanes]
+        den, (v,) = _vectors(k, (self,))
         vmul, xis = _ring(k)
         b = reduce(vmul, [[sum(x * xis[i * j % k][m] for i, x in enumerate(v) if x)
                            for m in range(len(v))] for j in range(2, k) if math.gcd(j, k) == 1])
@@ -308,20 +312,40 @@ def xi_pow(k: int, e: int) -> CycloScalar:
 # -- integer forms ------------------------------------------------------------------
 
 
+def _ints(values) -> tuple[int, list[int]]:
+    """The lcm D of the denominators of the Fractions ``values``, and each value times D."""
+    den = math.lcm(*[f.denominator for f in values])
+    return den, [f.numerator * (den // f.denominator) for f in values]
+
+
+def _vectors(k: int, values) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm D of the coefficient denominators of ``values``, and per value v
+    the vector of ints D * v.coeffs."""
+    den, flat = _ints([f for v in values for f in v.coeffs])
+    return den, list(zip(*[iter(flat)] * (len(cyclotomic_poly(k)) - 1)))
+
+
 def _lanes(k: int, values) -> tuple[int, list[list[int]]]:
-    """The lcm D of the coefficient denominators of ``values``, and per
-    coefficient index i the lane of integers D * v.coeffs[i] over ``values``."""
-    coeffs = [v.coeffs for v in values]
-    den = math.lcm(*{f.denominator for c in coeffs for f in c})
-    lanes = [[f.numerator * (den // f.denominator) for f in lane] for lane in zip(*coeffs)]
-    return den, lanes or [[] for _ in range(len(cyclotomic_poly(k)) - 1)]
+    """The transpose of :func:`_vectors`: D, and per coefficient index i the
+    lane of ints D * v.coeffs[i] over ``values``."""
+    den, flat = _ints([f for v in values for f in v.coeffs])
+    d = len(cyclotomic_poly(k)) - 1
+    return den, [flat[i::d] for i in range(d)]
 
 
-def _from_lanes(k: int, lanes, den: int) -> CycloScalar:
-    """The scalar with coefficients lanes / den."""
+def _reduced(den: int, vecs):
+    """``(den, vecs)`` with den and every entry divided by their gcd, the
+    vectors then a tuple of lists; ``vecs`` itself when that gcd is 1."""
+    if den == 1 or (g := math.gcd(den, *chain.from_iterable(vecs))) == 1:
+        return den, vecs
+    return den // g, tuple([[x // g for x in v] for v in vecs])
+
+
+def _from_lanes(k: int, vec, den: int) -> CycloScalar:
+    """The scalar with coefficients vec / den: one value read back."""
     if den == 1:  # Fraction(x) skips the gcd that Fraction(x, 1) takes
-        return _make(k, tuple([Fraction(x) if x else _ZERO for x in lanes]))
-    return _make(k, tuple([Fraction(x, den) if x else _ZERO for x in lanes]))
+        return _make(k, tuple([Fraction(x) if x else _ZERO for x in vec]))
+    return _make(k, tuple([Fraction(x, den) if x else _ZERO for x in vec]))
 
 
 @lru_cache(maxsize=None)

@@ -360,6 +360,9 @@ def test_cli_verify_small(capsys):
     ["eval", "G{r=0; f[0,1]=1}", "--k", "2", "--xcap", "-1"],
     ["normal-form", "--depth", "3"],
     ["classify", "--p", "d^3 + x", "--depth", "3"],
+    ["bc-find", "--p", "1", "--q", "d", "--wmax", "3", "--depth", "2"],
+    ["bc-find", "--p", "d", "--q", "1", "--wmax", "3", "--depth", "2"],
+    ["classify", "--p", "1", "--q", "d^2", "--depth", "3"],
 ])
 def test_cli_bad_arguments_exit_3(argv, capsys):
     code, out = run_cli(argv, capsys)
@@ -520,7 +523,7 @@ def _out(flag, suffix):
 FUZZ_OPERATOR = st.one_of(
     st.sampled_from(["d^2 + x", "d^3 + x*d + x^2", "d^3 + x", "x*d", "d", "xi*d + x",
                      "d^3 + xi", "d^3", "G{r=1; f[0,1]=1}", "G{r=0; g[2]=1}", "d^", "",
-                     "x - x"]),
+                     "x - x", "1"]),
     st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=6).map("".join))
 FUZZ_OPERAND = FUZZ_OPERATOR.map(lambda a: [a])
 FUZZ_PAIR = st.one_of(

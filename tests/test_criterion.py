@@ -130,6 +130,19 @@ def test_bc_certificate_products_follow_the_weight_not_wmax(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("p, q", [("1", "d"), ("d", "1"), ("1", "d^2"), ("1 + x", "d^2")])
+def test_bc_certificate_refuses_an_operator_of_order_zero(monkeypatch, p, q):
+    # The monomials P^u Q^v of weight <= wmax are endless when an order is 0;
+    # the search refuses such a pair before its first product.
+    def no_product(A, B):
+        raise AssertionError("a product was taken")
+
+    P, Q = parse_operator(p), parse_operator(q)
+    monkeypatch.setattr(operators, "_op_mul", no_product)
+    with pytest.raises(PreconditionError, match="order >= 1"):
+        bc_certificate(P, Q, wmax=3, depth=2)
+
+
 def test_bc_certificate_builds_only_the_orders_it_reads(monkeypatch):
     # Products, sums and scalar multiples stay on lanes, so the only
     # coefficients built are those of the orders w - depth .. w that the

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from weylnf.cli import MAX_K
 from weylnf.errors import ContextMismatchError, DivisionByZeroError, ParseError, PreconditionError
 from weylnf.parsing import parse_scalar
-from weylnf.scalars import CycloScalar, _ring, cyclotomic_poly, xi_pow
+from weylnf.scalars import (CycloScalar, _from_lanes, _lanes, _reduced, _ring, _vectors,
+                            cyclotomic_poly, xi_pow)
 
 
 def naive_mod_xk_minus_1(k, a, b):
@@ -291,6 +292,36 @@ def test_integer_ring_product_matches_scalar_product(k):
         got = vmul(a, b)
         assert all(type(c) is int for c in got)
         assert CycloScalar(k, got) == CycloScalar(k, a) * CycloScalar(k, b)
+
+
+# -- the integer-vector form ----------------------------------------------------------------
+
+
+@given(st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_vector_form(k, data):
+    values = [CycloScalar(k, _draw_scalar(data, k)) for _ in range(data.draw(st.integers(0, 4)))]
+    den, vecs = _vectors(k, values)
+    assert den > 0 and len(vecs) == len(values)
+    assert all(type(v) is tuple and len(v) == _degree(k) for v in vecs)
+    assert [_from_lanes(k, v, den) for v in vecs] == values
+    lden, lanes = _lanes(k, values)
+    assert lden == den and len(lanes) == _degree(k)
+    assert lanes == [[v[i] for v in vecs] for i in range(_degree(k))]
+
+    # _reduced: den > 0 sharing no factor with all entries, the same values;
+    # a gcd of 1 returns its input itself, and all zeros have den 1.
+    scale = data.draw(st.integers(1, 12))
+    scaled = [[scale * x for x in v] for v in vecs]
+    rden, rvecs = _reduced(scale * den, scaled)
+    assert rden > 0 and math.gcd(rden, *[x for v in rvecs for x in v]) == 1
+    assert [_from_lanes(k, v, rden) for v in rvecs] == values
+    assert all(type(v) is list for v in rvecs)
+    for d, v in ((rden, rvecs), (den, vecs)):  # the lcm leaves no common factor
+        assert _reduced(d, v) == (d, v) and _reduced(d, v)[1] is v
+    zeros = [[0] * _degree(k) for _ in range(len(values) + 1)]
+    zden, zvecs = _reduced(scale * den, zeros)
+    assert zden == 1 and list(zvecs) == zeros
 
 
 # -- hash and equality against plain rationals -------------------------------------------
