@@ -4,8 +4,8 @@ Given bivariate F and a monic pair (P, Q), this module evaluates F(P, Q)
 with P-powers left of Q-powers, decomposes F into (p, q)-weighted
 homogeneous pieces, computes the type-i linear identities on a piece,
 searches for an exact annihilating polynomial (the Burchnall-Chaundy
-certificate) by a nullspace computation over the rationals, and
-extracts the leading filtration coefficients of F(P', d^q) along a
+certificate) by a nullspace computation over the rationals on integer rows,
+and extracts the leading filtration coefficients of F(P', d^q) along a
 restriction top line. The end-to-end pipeline conjugates the pair to a
 normal form, classifies its top line, and reports the verdict with every
 window it was established on.
@@ -13,6 +13,7 @@ window it was established on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .gform import HcpSeries, Hcp
 from .linalg import nullspace
 from .newton import TopLineClass, Weight, classify_top_line, filtration_HS
 from .operators import Graded, GradedOp, INF, commutator
-from .scalars import CycloScalar, _join_signed, _signed_term
+from .scalars import _join_signed, _reduced, _signed_term, cyclotomic_poly
 from .schur import NormalFormResult, normal_form_report
 
 
@@ -175,7 +176,8 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
     window reaches at least twice the search depth below w. Absence of a
     certificate is bounded evidence only, never a nonexistence proof. Each
     monomial P^u Q^v is evaluated when the weight loop first reaches it, so
-    the products follow the certificate's weight, not ``wmax``.
+    the products follow the certificate's weight, not ``wmax``. The rows are
+    integers, read from the monomials' difference rows: no coefficient is built.
     """
     if wmax < 0:
         raise PreconditionError("wmax must be nonnegative")
@@ -192,22 +194,23 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
                    key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
     pows = {0: GradedOp.one(k), 1: P}, {0: GradedOp.one(k), 1: Q}
     evals = {}  # the monomials the weight loop has reached, evaluated then
+    lanes = len(cyclotomic_poly(k)) - 1
 
-    blocks: dict[tuple, list] = {}  # (order, x-cap, columns) -> its rows, one column per monomial
+    @functools.cache
+    def difference_rows(m: tuple, t: int) -> tuple:  # empty columns for an order m lacks
+        return evals[m]._factor.differences(t) if t in evals[m].components else (1, [[]] * lanes)
 
     def rows_at(t: int) -> list:
-        cap = caps.get(t, INF)
-        if (t, cap, ncols) not in blocks:
-            comps = [evals[m].components.get(t, {}) for m in monos[:ncols]]
-            ns = sorted({n for comp in comps for n in comp if n <= cap})
-            zero = CycloScalar.zero(k)
-            entries = [[comp.get(n, zero) for comp in comps] for n in ns]
-            # One row per rational coordinate: the relation is sought over Q.
-            # A row that vanishes constrains nothing and is dropped.
-            rows = ([CycloScalar.from_rational(1, e.coeffs[i]) for e in row]
-                    for row in entries for i in range(len(zero.coeffs)))
-            blocks[(t, cap, ncols)] = [row for row in rows if any(row)]
-        return blocks[(t, cap, ncols)]
+        """Lane i of monomial c's rows, m! * D_c * a_(m-t), times L / D_c, L the lcm: row
+        (m, i) is coordinate i of the x^(m-t) coefficients times m! * L, a row per rational
+        coordinate (the relation is over Q). Zero rows (each m < max(0, t) gives one) go."""
+        held, m0 = [difference_rows(m, t) for m in monos[:ncols]], max(0, t)
+        scale = math.lcm(*[den for den, _ in held])
+        end = min(caps.get(t, INF) + t + 1, max(len(col) for _, cols in held for col in cols))
+        cols = [[[x * (scale // den) for x in col[m0:end]] + [0] * (end - max(m0, len(col)))
+                 for col in cols] for den, cols in held]
+        return [row for rows in zip(*[zip(*[c[i] for c in cols]) for i in range(lanes)])
+                for row in rows if any(row)]
 
     # The search at weight wcap reads the window of the monomials of weight <= wcap,
     # a prefix of monos: its floor, lowest order and x-cap per order, kept running.
@@ -223,50 +226,39 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
         lowest = max(common_floor, low)
         lo = max(wcap - depth, common_floor)
         sub = [row for t in range(lo, wcap + 1) for row in rows_at(t)]
-        basis = nullspace(sub, ncols, 1)
-        while len(basis) > 1 and lo > lowest:
+        basis = nullspace(sub, ncols)
+        while len(basis[1]) > 1 and lo > lowest:
             lo -= 1
-            more = rows_at(lo)
-            if more:
+            if more := rows_at(lo):
                 basis = _restrict(basis, more)
-        for vec in basis:
-            poly = BivarPoly({monos[i]: vec[i].rational_value() for i in range(ncols) if vec[i]})
-            if poly.is_zero():
-                continue
-            total = GradedOp.zero(k)
-            for (u, v), c in poly.terms.items():
-                total = total + evals[(u, v)].scalar_mul(c)
+        for vec in basis[1]:  # each a positive multiple of its relation: the scale is fixed below
+            poly = BivarPoly({monos[i]: x for i, x in enumerate(vec) if x})
+            total = sum((evals[uv].scalar_mul(c) for uv, c in poly.terms.items()), GradedOp.zero(k))
             if not total.is_zero_in_window():
                 continue
             lead = max(poly.terms, key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
             poly = poly.scale(1 / poly.terms[lead])
             reverified = common_floor == -INF or common_floor <= wcap - 2 * depth
-            return BCResult(poly=poly, weight=poly.weighted_degree(p, q),
-                            reverified=reverified)
+            return BCResult(poly, poly.weighted_degree(p, q), reverified)
     return None
 
 
-def _restrict(basis: list, rows: list) -> list:
-    """The combinations of the nullspace ``basis`` of some rows that ``rows``
-    annihilate. They are the basis :func:`nullspace` returns for both sets
-    of rows together, as both are one on their own free column and zero on
-    the other free columns, in ascending order."""
-    zero = CycloScalar.zero(basis[0][0].k)
-    products = []
-    for row in rows:
-        support = [(i, x) for i, x in enumerate(row) if x]
-        products.append([sum((x * vec[i] for i, x in support if vec[i]), zero)
-                         for vec in basis])
-    out = []
-    for c in nullspace(products, len(basis), zero.k):
-        combo = [zero] * len(basis[0])
-        for cj, vec in zip(c, basis):
-            if cj:
-                for i, b in enumerate(vec):
-                    if b:
-                        combo[i] = combo[i] + cj * b
-        out.append(combo)
-    return out
+def _restrict(basis: tuple[int, list], rows: list) -> tuple[int, list]:
+    """The combinations of the nullspace ``basis`` ``(D, vecs)`` of some rows that the
+    ``rows`` annihilate (row * vec is D times row * (vec / D)): the basis :func:`nullspace`
+    returns for both sets of rows together, as both are one on their own free column
+    and zero on the other free columns, in ascending order."""
+    den, vecs = basis
+    support = [[(i, x) for i, x in enumerate(vec) if x] for vec in vecs]  # a few entries each
+    products = [[sum(row[i] * x for i, x in sp) for sp in support] for row in rows]
+    cden, cvecs = nullspace(products, len(vecs))
+    combos = [[0] * len(vecs[0]) for _ in cvecs]
+    for combo, cvec in zip(combos, cvecs):
+        for c, sp in zip(cvec, support):
+            for i, x in sp if c else ():
+                combo[i] += c * x
+    den, combos = _reduced(cden * den, combos)
+    return den, list(combos)
 
 
 @dataclass
@@ -360,6 +352,8 @@ def classify_pair(P: GradedOp, Q: GradedOp, depth: int, wmax: int | None = None,
     if wmax is not None and wmax < 0:
         raise PreconditionError("wmax must be nonnegative")
     p, q = P.ord(), Q.ord()
+    if min(p, q) < 1:  # the message of normal_form_report's own check on Q
+        raise PreconditionError(f"ord({'Q' if q < 1 else 'P'}) must be positive")
     C = commutator(P, Q)
     commutes = C.is_zero_in_window()
     nf = normal_form_report(P, Q, depth)

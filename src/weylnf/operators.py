@@ -25,7 +25,7 @@ Nu sequences live as lanes, the integer-vector form that the ``scalars``
 module docstring states. The triangular map between coefficients and values is
 a binomial transform (perm(j, m) = comb(j, m) * m!), computed on the lanes
 with integer additions and subtractions only (:meth:`Factor.nu`,
-:func:`_comp_of_lanes`).
+:meth:`Factor.differences`, :func:`_comp_of_lanes`).
 
 Every operator is built over its own :class:`Factor`, and its ``components``
 are a read-only view on it. The public constructor gives the factor the
@@ -688,6 +688,13 @@ class Factor:
             comp = self.comps[t] = _comp_of_lanes(self.k, lanes, den, t)
         return comp
 
+    def differences(self, t: int) -> tuple[int, list[list[int]]]:
+        """``(D_t, cols)``: per lane, D_t * nu_t's differences m! * D_t * a_(m-t) at j = 0."""
+        entry = self.nus.get(t)
+        if entry is None or entry[2] is not None and self.comps.get(t):
+            return _difference_rows(self.comps[t], t, self.k)
+        return entry[0], [_column(lane) for lane in entry[1]]
+
     def reach(self, t: int, cap=INF) -> int:
         """The last j whose value order t needs at x-cap ``cap``: cap + t, or
         for an exact order its top x-degree + t (a bound, for held lanes)."""
@@ -706,14 +713,10 @@ class Factor:
         difference-table row at j = 0 that they determine.
         """
         entry = self.nus.get(t)
-        if entry is None:
-            den, rows = _difference_rows(self.comps[t], t, self.k)
-            entry = self.nus[t] = (den, tuple([] for _ in rows), rows)
-        elif entry[2] is None:
-            den, lanes, _ = entry
-            if jmax < len(lanes[0]):
-                return den, lanes
-            rows = [_column(lane) for lane in lanes]
+        if entry is None or entry[2] is None:
+            if entry is not None and jmax < len(entry[1][0]):
+                return entry[:2]
+            den, rows = self.differences(t)
             entry = self.nus[t] = (den, tuple([] for _ in rows), rows)
         den, lanes, rows = entry
         for i, lane in enumerate(lanes):

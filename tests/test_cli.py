@@ -313,7 +313,9 @@ def test_cli_schur_explicit_xcap_equal_to_default(capsys):
     (["normal-form", "--p", "d^7 + x^3*d^2 + x", "--q", "d^5 + x^2*d", "--depth", "64"], "{\n"),
     (["classify", "--fixture", "generic", "--depth", "64"], "commutes: False\n"),
     (["bc-find", "--fixture", "kdv48", "--wmax", "64", "--depth", "16"], "X^2 - Y^3 - 1/16\n"),
-], ids=["schur", "eval", "normal-form", "classify", "bc-find"])
+    # The non-commuting search that adds rows through _restrict.
+    (["bc-find", "--fixture", "generic", "--wmax", "30", "--depth", "8"], "none\n"),
+], ids=["schur", "eval", "normal-form", "classify", "bc-find", "bc-find-restrict"])
 def test_cli_wide_corner_stays_fast(cli_env, args, first):
     # A guard against an order-of-magnitude slowdown of one command family,
     # not a benchmark: each run takes under 1 s on a 2-CPU host.
@@ -363,6 +365,7 @@ def test_cli_verify_small(capsys):
     ["bc-find", "--p", "1", "--q", "d", "--wmax", "3", "--depth", "2"],
     ["bc-find", "--p", "d", "--q", "1", "--wmax", "3", "--depth", "2"],
     ["classify", "--p", "1", "--q", "d^2", "--depth", "3"],
+    ["classify", "--p", "1 + x", "--q", "d^2", "--depth", "3"],
 ])
 def test_cli_bad_arguments_exit_3(argv, capsys):
     code, out = run_cli(argv, capsys)

@@ -17,13 +17,12 @@ from weylnf.criterion import (
     weighted_decompose,
 )
 from weylnf.errors import PreconditionError
-from weylnf import operators
+from weylnf import criterion, operators
 from weylnf.fixtures import airy_like_pair, generic_pair, kdv_pair, named_pair, power_pair
 from weylnf.gform import Hcp, HcpSeries
 from weylnf.linalg import nullspace
 from weylnf.operators import GradedOp, commutator
 from weylnf.parsing import parse_operator
-from weylnf.scalars import CycloScalar
 
 
 def F(d):
@@ -130,6 +129,19 @@ def test_bc_certificate_products_follow_the_weight_not_wmax(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("p, q", [("1", "d^2"), ("1 + x", "d^2"), ("d^2 + x", "2")])
+def test_classify_pair_refuses_an_operator_of_order_zero(monkeypatch, p, q):
+    # One answer for a commuting and a non-commuting pair, before the
+    # commutator's first product.
+    def no_product(A, B):
+        raise AssertionError("a product was taken")
+
+    P, Q = parse_operator(p), parse_operator(q)
+    monkeypatch.setattr(operators, "_op_mul", no_product)
+    with pytest.raises(PreconditionError, match=r"ord\([PQ]\) must be positive"):
+        classify_pair(P, Q, depth=3)
+
+
 @pytest.mark.parametrize("p, q", [("1", "d"), ("d", "1"), ("1", "d^2"), ("1 + x", "d^2")])
 def test_bc_certificate_refuses_an_operator_of_order_zero(monkeypatch, p, q):
     # The monomials P^u Q^v of weight <= wmax are endless when an order is 0;
@@ -144,10 +156,9 @@ def test_bc_certificate_refuses_an_operator_of_order_zero(monkeypatch, p, q):
 
 
 def test_bc_certificate_builds_only_the_orders_it_reads(monkeypatch):
-    # Products, sums and scalar multiples stay on lanes, so the only
-    # coefficients built are those of the orders w - depth .. w that the
-    # nullspace rows read, once per monomial that holds them: 12 for kdv24's
-    # weight-6 certificate; the re-check of the candidate builds none.
+    # Products, sums and scalar multiples stay on lanes, and the nullspace
+    # rows read each monomial's difference rows, so kdv24's weight-6
+    # certificate builds no coefficients; nor does the re-check of the candidate.
     P, Q = named_pair("kdv24")
     real = operators._comp_of_lanes
     built = []
@@ -159,7 +170,7 @@ def test_bc_certificate_builds_only_the_orders_it_reads(monkeypatch):
     monkeypatch.setattr(operators, "_comp_of_lanes", counted)
     res = bc_certificate(P, Q, wmax=6, depth=8)
     assert res is not None and res.weight == 6
-    assert len(built) == 12 and min(built) >= 6 - 8, built
+    assert built == []
 
 
 def test_bc_certificate_none_for_noncommuting():
@@ -222,23 +233,52 @@ def test_bc_certificate_is_irreducible_for_a_lower_order_term():
     assert res is not None and str(res.poly) == "X^2 - Y^3 - 2*Y^2 - Y"
 
 
+# Per commuting classify-fixtures case (fixture, depth, wmax or None for p*q):
+# the rows and columns of each nullspace call and the products of monomials.
+SEARCH_INPUTS = {
+    "powers": (10, None, [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 7], 4),
+    "kdv24": (8, 6, [1, 4, 8, 14, 18, 21], [1, 2, 3, 4, 5, 7], 4),
+    "kdv48": (16, 6, [1, 7, 17, 31, 43, 54], [1, 2, 3, 4, 5, 7], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_INPUTS))
+def test_bc_certificate_search_inputs_are_pinned(monkeypatch, name):
+    # The search's rows are the coefficients of its window, one per rational
+    # coordinate, zero rows dropped; their form may change, their count not.
+    depth, wmax, rows, cols, products = SEARCH_INPUTS[name]
+    P, Q = named_pair(name)
+    calls, muls = [], []
+    real_nullspace, real_mul = criterion.nullspace, operators._op_mul
+
+    def traced(matrix, ncols, *rest):
+        calls.append((len(matrix), ncols))
+        return real_nullspace(matrix, ncols, *rest)
+
+    monkeypatch.setattr(criterion, "nullspace", traced)
+    monkeypatch.setattr(operators, "_op_mul", lambda A, B: muls.append(None) or real_mul(A, B))
+    res = bc_certificate(P, Q, P.ord() * Q.ord() if wmax is None else wmax, depth)
+    assert res is not None and res.weight == 6
+    assert [r for r, _ in calls] == rows and [c for _, c in calls] == cols
+    assert len(muls) == products
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_restricted_basis_is_the_nullspace_of_all_rows(seed):
     # bc_certificate adds rows to a nullspace through _restrict; the basis
     # must be the one nullspace returns for all the rows at once.
     rng = random.Random(seed)
-    k, ncols = rng.choice([1, 3]), rng.randint(2, 7)
+    ncols = rng.randint(2, 7)
 
     def row():
-        return [CycloScalar(k, [rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(2)])
-                for _ in range(ncols)]
+        return [rng.choice([0, 0, 1, -2, 3, 12]) for _ in range(ncols)]
 
     first = [row() for _ in range(rng.randint(0, ncols - 1))]
     more = [row() for _ in range(rng.randint(1, 3))]
     more.append([a + b for a, b in zip(more[0], (first or more)[0])])  # a dependent row
-    basis = nullspace(first, ncols, k)
-    assert basis
-    assert _restrict(basis, more) == nullspace(first + more, ncols, k)
+    basis = nullspace(first, ncols)
+    assert basis[1]
+    assert _restrict(basis, more) == nullspace(first + more, ncols)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -1,15 +1,17 @@
-"""Exact linear algebra over Q(xi): square solves and nullspaces."""
+"""Exact linear algebra: square solves over Q(xi), nullspaces of integer rows over Q."""
 
 from fractions import Fraction
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from weylnf.criterion import _restrict
 from weylnf.errors import ContextMismatchError, PreconditionError
-from weylnf.linalg import _rref, nullspace, solve_square
-from weylnf.scalars import CycloScalar, xi_pow
+from weylnf.linalg import _rref, _scalar_inverse, nullspace, solve_square
+from weylnf.scalars import CycloScalar, _from_lanes, _vectors, xi_pow
 
 KS = (1, 3, 5)
 
@@ -76,74 +78,58 @@ def test_solve_square_rejects_bad_systems(k):
                 solve_square(bad_matrix, bad_rhs)
 
 
-def _planted_rank(rng, k, rank, ncols):
-    """Rows of rank exactly ``rank``: ``rank`` rows with a unit in distinct
-    columns and zeros in the others' unit columns, their random combinations,
-    and zero rows (at least one row in all), shuffled."""
-    zero = CycloScalar.zero(k)
+def _planted_rank(rng, rank, ncols):
+    """Integer rows of rank exactly ``rank``: ``rank`` rows with a unit in
+    distinct columns and zeros in the others' unit columns, their random
+    combinations, and zero rows (at least one row in all), shuffled."""
     units = rng.sample(range(ncols), rank)
     base = []
     for u in units:
-        row = [zero if col in units else _rand_scalar(rng, k) for col in range(ncols)]
-        row[u] = _nonzero_scalar(rng, k)
+        row = [0 if col in units else rng.randint(-3, 3) for col in range(ncols)]
+        row[u] = rng.choice((-2, -1, 1, 3))
         base.append(row)
     rows = [list(row) for row in base]
     for _ in range(rng.randint(0, 3)):
-        cs = [_rand_scalar(rng, k) for _ in base]
-        rows.append([_dot(cs, [row[col] for row in base], k) for col in range(ncols)])
-    rows += [[zero] * ncols for _ in range(rng.randint(0 if rows else 1, 2))]
+        cs = [rng.randint(-3, 3) for _ in base]
+        rows.append([sum(c * row[col] for c, row in zip(cs, base)) for col in range(ncols)])
+    rows += [[0] * ncols for _ in range(rng.randint(0 if rows else 1, 2))]
     rng.shuffle(rows)
     return rows
 
 
-@pytest.mark.parametrize("k", KS)
-def test_nullspace_annihilates_with_full_dimension(k):
-    rng = random.Random(300 + k)
+@pytest.mark.parametrize("scale", (1, 3, 5))
+def test_nullspace_annihilates_with_full_dimension(scale):
+    # Every row times a positive constant leaves the basis as it is: the
+    # certificate search's rows are coefficients times m! * L.
+    rng = random.Random(300 + scale)
     for ncols in range(1, 7):
         for rank in range(ncols + 1):
-            matrix = _planted_rank(rng, k, rank, ncols)
-            basis = nullspace(matrix, ncols, k)
-            assert len(basis) == ncols - rank
+            matrix = _planted_rank(rng, rank, ncols)
+            den, basis = nullspace(matrix, ncols)
+            assert den > 0 and len(basis) == ncols - rank
             for vec in basis:
-                assert len(vec) == ncols and any(vec)
-                assert all(v.k == k for v in vec)
-                assert all(not _dot(row, vec, k) for row in matrix)
+                assert len(vec) == ncols and any(vec) and all(type(x) is int for x in vec)
+                assert all(not sum(a * x for a, x in zip(row, vec)) for row in matrix)
+            assert nullspace([[scale * x for x in row] for row in matrix], ncols) == (den, basis)
 
 
-@pytest.mark.parametrize("k", KS)
-def test_nullspace_of_zero_rows_is_the_unit_vectors(k):
-    zero, one = CycloScalar.zero(k), CycloScalar.one(k)
+def test_nullspace_of_zero_rows_is_the_unit_vectors():
     for ncols in range(4):
-        units = [[one if i == j else zero for j in range(ncols)] for i in range(ncols)]
+        units = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
         for nrows in (1, 2):
-            assert nullspace([[zero] * ncols for _ in range(nrows)], ncols, k) == units
-        # With no rows at all the field still comes from k.
-        assert nullspace([], ncols, k) == units
-
-
-def test_nullspace_without_rows_is_over_the_callers_field():
-    # No row carries a scalar, so the field comes from k alone, and the unit
-    # vectors combine with the caller's Q(xi_3) scalars.
-    xi = xi_pow(3, 1)
-    basis = nullspace([], 2, 3)
-    assert all(v.k == 3 for vec in basis for v in vec)
-    assert [a * xi + b for a, b in zip(*basis)] == [xi, CycloScalar.one(3)]
+            assert nullspace([[0] * ncols for _ in range(nrows)], ncols) == (1, units)
+        assert nullspace([], ncols) == (1, units)
 
 
 def test_nullspace_rejects_ragged_rows():
-    zero = CycloScalar.zero(3)
     with pytest.raises(PreconditionError, match="ragged"):
-        nullspace([[zero, zero], [zero]], 2, 3)
+        nullspace([[0, 0], [0]], 2)
     with pytest.raises(PreconditionError, match="ragged"):
-        nullspace([[zero, zero]], 3, 3)
+        nullspace([[0, 0]], 3)
 
 
 def test_entries_of_another_order_are_refused():
-    one1, zero1 = CycloScalar.one(1), CycloScalar.zero(1)
-    one3, xi5 = CycloScalar.one(3), xi_pow(5, 1)
-    for bad in ([[one1, zero1]], [[zero1, zero1]], [[one3, zero1]]):
-        with pytest.raises(ContextMismatchError, match="order mismatch: 3 vs 1"):
-            nullspace(bad, 2, 3)
+    one1, one3, xi5 = CycloScalar.one(1), CycloScalar.one(3), xi_pow(5, 1)
     # solve_square holds every entry, the right-hand side too, to the first one's order.
     with pytest.raises(ContextMismatchError, match="order mismatch: 3 vs 5"):
         solve_square([[one3, one3], [one3, xi5]], [one3, one3])
@@ -157,13 +143,15 @@ def test_entries_that_are_not_scalars_are_refused():
                         ([[one, 0], [0, one]], [one, one])):
         with pytest.raises(PreconditionError, match="must be CycloScalars, got"):
             solve_square(matrix, rhs)
-    with pytest.raises(PreconditionError, match="must be CycloScalars, got int"):
-        nullspace([[one, 0]], 2, 2)
+    # nullspace takes integer rows only.
+    for bad, name in ((one, "CycloScalar"), (Fraction(1, 2), "Fraction"), (True, "bool")):
+        with pytest.raises(PreconditionError, match=f"must be ints, got {name}"):
+            nullspace([[1, bad]], 2)
 
 
 def _reference_rref(rows, ncols):
     """Gauss-Jordan with one CycloScalar per entry: the elimination that the
-    lane rows of ``linalg._rref`` replace, kept as their reference."""
+    integer rows of ``linalg._rref`` replace, kept as their reference."""
     pivots = []
     for col in range(ncols):
         r = len(pivots)
@@ -216,14 +204,60 @@ def test_rref_matches_the_reference(data):
     rows = data.draw(st.permutations(rows))
     expect = [list(row) for row in rows]
     expect_pivots = _reference_rref(expect, ncols)
-    got = [list(row) for row in rows]
+    work = [_vectors(k, row) for row in rows]
     inverted = []
     real_inv = CycloScalar.inv
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CycloScalar, "inv", lambda self: inverted.append(self) or real_inv(self))
-        pivots = _rref(got, ncols, k)
+        pivots = _rref(work, ncols, k, _scalar_inverse)
+    got = [[_from_lanes(k, v, den) for v in vecs] for den, vecs in work]
     assert pivots == expect_pivots and len(pivots) == rank
     assert got == expect
     assert all(type(v) is CycloScalar and v.k == k for row in got for v in row)
     # One inverse per pivot: nf-k3's scalars.inv_calls reached-check counts them.
     assert len(inverted) == len(pivots)
+
+
+def _reference_nullspace(rows, ncols):
+    """The nullspace basis that ``nullspace`` once built from ``_rref`` on
+    rows of k = 1 ``CycloScalar``s, one per rational entry: kept as the
+    reference of the integer one."""
+    rows = [[CycloScalar.from_rational(1, x) for x in row] for row in rows]
+    pivots = _reference_rref(rows, ncols)
+    zero, one = CycloScalar.zero(1), CycloScalar.one(1)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [zero] * ncols
+            vec[fc] = one
+            for prow, pcol in enumerate(pivots):
+                vec[pcol] = -rows[prow][fc]
+            basis.append([v.rational_value() for v in vec])
+    return basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_nullspace_matches_the_scalar_reference(data):
+    # Rational rows, zero and dependent ones among them, each cleared of its
+    # denominators; nullspace, and _restrict adding the later rows to the
+    # nullspace of the first ones, give the reference's rational basis.
+    ncols = data.draw(st.integers(1, 6), label="ncols")
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    for cs in data.draw(st.lists(st.tuples(entry, entry), max_size=2)):
+        if rows:
+            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            rows.append([cs[0] * x + cs[1] * y for x, y in zip(a, b)])
+    rows += [[Fraction(0)] * ncols] * data.draw(st.integers(0, 2))
+    rows = data.draw(st.permutations(rows))
+    ints = []
+    for row in rows:
+        m = math.lcm(*[x.denominator for x in row])
+        ints.append([int(x * m) for x in row])
+    den, basis = nullspace(ints, ncols)
+    assert [[Fraction(x, den) for x in vec] for vec in basis] == _reference_nullspace(rows, ncols)
+    assert den > 0 and math.gcd(den, *[x for vec in basis for x in vec]) == 1  # the least D
+    cut = data.draw(st.integers(0, len(ints)), label="cut")
+    assert _restrict(nullspace(ints[:cut], ncols), ints[cut:]) == (den, basis)
