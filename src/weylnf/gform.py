@@ -48,7 +48,8 @@ from .errors import (
 )
 from .linalg import solve_square
 from .operators import INF, Factor, Graded, GradedOp, _comp_of_lanes, product_floor
-from .scalars import CycloScalar, _from_lanes, _lanes, _reduced, _ring, _vectors, as_scalar
+from .scalars import (CycloScalar, _from_lanes, _lanes, _rational_or_scalar, _reduced, _ring,
+                      _vectors, as_scalar)
 
 
 EXPANSION_XCAP = 16  # the x-window of an infinite expansion when none is given
@@ -147,10 +148,7 @@ class Hcp:
     def scalar_mul(self, value) -> "Hcp":
         """The product with a rational, on the ints, or with a ``CycloScalar``,
         each vector times its vector through ``scalars._ring``."""
-        k = self.k
-        if not isinstance(value, (int, Fraction)):
-            value = as_scalar(k, value)
-            value = value.coeffs[0] if value.is_rational() else value
+        k, value = self.k, _rational_or_scalar(self.k, value)
         if not value:
             return _make_hcp(k, self.r, 1, (), {})
         if isinstance(value, CycloScalar):

@@ -37,8 +37,9 @@ factors in integers mod Phi_k, reading each pair's caps and lanes from the
 factors' dicts (a method call only where a sequence must grow); with deg
 Phi_k = 1 one pass multiplies, scales and sums the values, else
 ``scalars._lane_mul`` multiplies the lanes. A sum adds lanes, sharing an
-order that one summand alone holds; a scalar multiple, and so a negation,
-multiplies each order's lanes by the scalar's. The view builds an order's
+order that one summand alone holds; a rational multiple, a negation among
+them, scales the lanes by its numerator and D_t by its denominator, and only
+any other scalar multiplies them mod Phi_k. The view builds an order's
 coefficients, each divided back once by ``scalars._from_lanes``, when a
 reader (the Schur recurrence, a G-form fit, ``==``, ``str``, ``to_dict``)
 first reads the order; the window queries and ``component_as_op`` build
@@ -69,8 +70,8 @@ from .errors import (
     TruncationError,
     UndefinedOrderError,
 )
-from .scalars import (CycloScalar, _from_lanes, _join_signed, _lane_mul, _lanes, _reduced,
-                      _signed_term, as_scalar, cyclotomic_poly)
+from .scalars import (CycloScalar, _from_lanes, _join_signed, _lane_mul, _lanes,
+                      _rational_or_scalar, _reduced, _signed_term, as_scalar, cyclotomic_poly)
 
 INF = math.inf
 
@@ -386,18 +387,24 @@ class GradedOp(Graded):
     __radd__ = __add__
 
     def scalar_mul(self, value) -> "GradedOp":
-        """Each order's lanes times the scalar's, mod Phi_k; a zero scalar
-        leaves no content but the window as it was."""
-        vden, vlanes = _lanes(self.k, [as_scalar(self.k, value)])
-        phi, F, out = cyclotomic_poly(self.k), self._factor, Factor(self.k, {}, self.xcaps)
-        for t in self.components:
+        """Each order's lanes times the scalar, reduced once by ``scalars._reduced``:
+        a rational (-1 for a negation) scales them by its numerator and D_t by
+        its denominator, any other scalar multiplies them by its lanes mod
+        Phi_k. A zero scalar leaves no content but the window as it was."""
+        k, value = self.k, _rational_or_scalar(self.k, value)
+        if isinstance(value, CycloScalar):
+            phi, (vden, vlanes) = cyclotomic_poly(k), _lanes(k, [value])
+        F, out = self._factor, Factor(k, {}, self.xcaps)
+        for t in self.components if value else ():
             jmax = F.reach(t, self.xcap(t))
             den, lanes = F.nu(t, jmax)
-            prod = _lane_mul(phi, [lane[:jmax + 1] for lane in lanes],
-                             [v * (jmax + 1) for v in vlanes])
-            held = _lane_total(self.k, jmax, [(den * vden, prod, 0)])
-            if held is not None:
-                out.nus[t] = (*held, None)
+            lanes = [lane[:jmax + 1] for lane in lanes]
+            if isinstance(value, CycloScalar):
+                den, prod = den * vden, _lane_mul(phi, lanes, [v * (jmax + 1) for v in vlanes])
+            else:
+                den, num = den * value.denominator, value.numerator
+                prod = [[num * x for x in lane] for lane in lanes]
+            out.nus[t] = (*_reduced(den, tuple(prod)), None)
         return _op_of(out, out.nus, self.floor, self.top, self.xcaps)
 
     def __mul__(self, other):

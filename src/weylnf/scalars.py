@@ -303,6 +303,15 @@ def as_scalar(k: int, value) -> CycloScalar:
     return CycloScalar.from_rational(k, value)
 
 
+def _rational_or_scalar(k: int, value):
+    """``value`` as an int or Fraction when it is rational (a CycloScalar with
+    zero xi-coordinates too), else as an element of Q(xi_k)."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    value = as_scalar(k, value)
+    return value.coeffs[0] if value.is_rational() else value
+
+
 def xi_pow(k: int, e: int) -> CycloScalar:
     """xi^e reduced to canonical form; e may be negative."""
     cyclotomic_poly(k)  # rejects k < 1 before e % k divides by it

@@ -101,19 +101,20 @@ def schur_operator(Q: GradedOp, depth: int, xcap: int | None = None) -> SchurPai
         if cap < X - q:
             raise TruncationError("insufficient x-window while solving S",
                                   {"order": t, "xcap": cap})
-        rneg = {} if held is None else _comp_of_lanes(k, held[1], held[0], q + t)
+        r_t = {} if held is None else _comp_of_lanes(k, held[1], held[0], q + t)
         n_min = max(0, -t)
         m_min = max(0, -(q + t))
-        assert all(m >= m_min for m in rneg), "content below the structural range"
+        assert all(m >= m_min for m in r_t), "content below the structural range"
         s: dict[int, CycloScalar] = {}
         for m in range(m_min, X - q + 1):
-            val = -rneg.get(m, CycloScalar.zero(k))
+            val = r_t.get(m)
             for j in range(1, q):
                 sn = s.get(m + j)
                 if sn is not None:
-                    val = val - sn * (math.comb(q, j) * math.perm(m + j, j))
-            if not val.is_zero():
-                s[m + q] = val * Fraction(1, math.perm(m + q, q))
+                    sn = sn * (math.comb(q, j) * math.perm(m + j, j))
+                    val = sn if val is None else val + sn
+            if val is not None and not val.is_zero():
+                s[m + q] = val * Fraction(-1, math.perm(m + q, q))
         s = {n: c for n, c in s.items() if n >= n_min}
         if s:
             s_comps[t] = s

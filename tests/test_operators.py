@@ -848,7 +848,8 @@ K_SMALL = st.integers(min_value=1, max_value=6)
 def test_unchecked_results_equal_their_checked_rebuild(k, data):
     A = _drawn_op(data, k)
     B = _drawn_op(data, k, cancel=A)
-    c = data.draw(st.sampled_from([0, 3, Fraction(-2, 5), xi_pow(k, 1)]))
+    c = data.draw(st.sampled_from([0, 3, -1, Fraction(-2, 5), Fraction(6, 4), xi_pow(k, 1),
+                                   CycloScalar.from_rational(k, Fraction(-7, 3))]))
     results = [A + B, A - B, 3 + A, A + c, -A, A.scalar_mul(c)]
     assert results[0] == _reference_add(A, B)
     assert results[1] == _reference_add(A, _snapshot(-B))
@@ -859,9 +860,15 @@ def test_unchecked_results_equal_their_checked_rebuild(k, data):
     if A.floor is not None:
         assert results[5].top == A.top
     try:
-        results.append(A * B)
+        AB = A * B
     except TruncationError:
         pass
+    else:
+        # A product holds its orders as lanes alone, which a negation or a
+        # scalar multiple reads without building a coefficient.
+        results += [AB, -AB, AB.scalar_mul(c)]
+        assert results[-2] == _reference_scalar_mul(AB, -1)
+        assert results[-1] == _reference_scalar_mul(AB, c)
     results += [A.component_as_op(t) for t in A.active_orders() if A.xcap(t) != -1]
     try:
         results += _chain(A, B)
@@ -870,6 +877,7 @@ def test_unchecked_results_equal_their_checked_rebuild(k, data):
     else:
         _assert_chain_matches_fresh(A, B)
     for r in results:
+        assert all(den > 0 for den, _, _ in r._factor.nus.values())
         _assert_rebuilds(r)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from weylnf import operators, schur
 from weylnf.errors import NotAnHcpError, PreconditionError, PropertyViolation, TruncationError
+from weylnf.fixtures import kdv_pair
 from weylnf.gform import check_Aqk
 from weylnf.operators import GradedOp, commutator
 from weylnf.parsing import parse_operator
@@ -283,6 +284,18 @@ def test_invert_unit_calls_the_kernel_once_per_order(monkeypatch):
     assert invert_unit(S).floor == -8
     assert kernel[:8] == list(range(-1, -9, -1))
     assert len(products) == 2 and products[0] == 8
+
+
+@pytest.mark.parametrize("Q, p", [(parse_operator("d^3 + x*d + x^2").lift_context(3), 5),
+                                  (kdv_pair(24)[1].lift_context(2), 3)])
+def test_schur_recurrence_negates_no_scalar(monkeypatch, Q, p):
+    # Each s_(m+q) is its degree's sum times one negative rational: the
+    # recurrence builds no negated scalar, zero or not.
+    negated = []
+    real = CycloScalar.__neg__
+    monkeypatch.setattr(CycloScalar, "__neg__", lambda c: negated.append(c) or real(c))
+    assert schur_operator(Q, depth=8, xcap=default_fit_xcap(p, Q.ord(), 8)).verified
+    assert negated == []
 
 
 def test_invert_unit_mixed_term():
