@@ -20,14 +20,15 @@ transform over k * D, and checks every remaining sample exactly against its
 class polynomial, all on integer vectors.
 
 An :class:`Hcp` holds its quasi part in the integer-vector form of the
-``scalars`` module docstring, one vector per term. Sums, rational
-multiples, ``newton``'s filtrations, the transforms and :func:`hcp_mul`, which
+``scalars`` module docstring, one vector per term. Sums and differences,
+rational multiples, ``newton``'s filtrations, the transforms and :func:`hcp_mul`, which
 forms one result order from all of its pairs as ``operators.order_product``
 does, run on these ints (``scalars._ring`` products; :func:`hcp_mul` sums
 plain ints when deg Phi_k is 1 and two-int lists when it is 2); ``Hcp.gamma``
-is built for I/O. An :class:`HcpSeries` sum, scalar multiple, product or
-filtration is built by the unchecked :func:`_make_series`, with cancelled
-orders dropped and the components kept to the result's window.
+is built for I/O. An :class:`HcpSeries` sum or difference (one pass, with the
+subtrahend's vectors and B part scaled by the sign), scalar multiple, product,
+filtration or ``one`` is built by the unchecked :func:`_make_series`, with
+cancelled orders dropped and the components kept to the result's window.
 """
 
 from __future__ import annotations
@@ -119,31 +120,35 @@ class Hcp:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "Hcp") -> "Hcp":
-        if not isinstance(other, Hcp):
-            return NotImplemented
+        return self._plus(other, 1) if isinstance(other, Hcp) else NotImplemented
+
+    def __sub__(self, other: "Hcp") -> "Hcp":
+        if not isinstance(other, Hcp):  # NotImplemented would let HcpSeries.__rsub__ take it
+            raise TypeError(f"cannot subtract {type(other).__name__} from Hcp")
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Hcp", sign: int) -> "Hcp":
+        """self + sign * other in one pass: sign scales other's vectors and B part."""
         if self.k != other.k:
             raise ContextMismatchError("cyclotomic order mismatch")
         if self.r != other.r:
             raise PreconditionError("cannot add components of different order")
         den = math.lcm(self.den, other.den)
         acc = {}
-        for h in (self, other):
-            scale = den // h.den
+        for h, scale in ((self, den // self.den), (other, sign * (den // other.den))):
             for l, i, vec in h.terms:
                 if scale != 1:
                     vec = [scale * x for x in vec]
                 prev = acc.get((l, i))
                 acc[(l, i)] = vec if prev is None else list(map(add, prev, vec))
         terms = tuple([(l, i, tuple(v)) for (l, i), v in sorted(acc.items()) if any(v)])
-        bpart = {j: c for j in {**self.bpart, **other.bpart}
-                 if (c := self.bpart.get(j, 0) + other.bpart.get(j, 0))}
+        a, b = self.bpart, other.bpart
+        bpart = {j: c for j in {**a, **b}
+                 if (c := a.get(j, 0) + b.get(j, 0) if sign > 0 else a.get(j, 0) - b.get(j, 0))}
         return _make_hcp(self.k, self.r, *_canonical(den, terms), bpart)
 
     def __neg__(self):
         return self.scalar_mul(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scalar_mul(self, value) -> "Hcp":
         """The product with a rational, on the ints, or with a ``CycloScalar``,
@@ -486,7 +491,7 @@ class HcpSeries(Graded):
 
     @classmethod
     def one(cls, k: int) -> "HcpSeries":
-        return cls.d_power(k, 0)
+        return _make_series(k, {0: _make_hcp(k, 0, 1, ((0, 0, _ring(k)[1][0]),), {})}, None, 0)
 
     @classmethod
     def from_hcp(cls, h: Hcp) -> "HcpSeries":
@@ -520,6 +525,13 @@ class HcpSeries(Graded):
     # -- ring operations ----------------------------------------------------------------
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, each common order by one ``Hcp._plus``."""
         if isinstance(other, Hcp):
             other = HcpSeries.from_hcp(other)
         if not isinstance(other, HcpSeries):
@@ -528,7 +540,7 @@ class HcpSeries(Graded):
         floor, top = self._sum_window(other)
         comps = dict(self.components)
         for t, h in other.components.items():
-            comps[t] = comps[t] + h if t in comps else h
+            comps[t] = comps[t]._plus(h, sign) if t in comps else (h if sign > 0 else -h)
         return _make_series(self.k, {t: h for t, h in comps.items() if (h.terms or h.bpart)
                                      and (floor is None or t >= floor)}, floor, top)
 

@@ -24,19 +24,24 @@ from .scalars import _exact, _ints
 
 @dataclass(frozen=True)
 class Weight:
-    """Weight vector (sigma, rho), sigma >= 0, rho > 0."""
+    """Weight vector (sigma, rho), sigma >= 0, rho > 0, with its integer form ``ints``
+    (D, D*sigma, D*rho) over their least denominator D, no part of ==, hash or repr."""
 
     sigma: Fraction
     rho: Fraction = Fraction(1)
+    ints: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _exact(self.sigma))
         object.__setattr__(self, "rho", _exact(self.rho))
         if self.sigma < 0 or self.rho <= 0:
             raise PreconditionError("weight needs sigma >= 0 and rho > 0")
+        den, (S, R) = _ints((self.sigma, self.rho))
+        object.__setattr__(self, "ints", (den, S, R))
 
     def value(self, l: int, j: int) -> Fraction:
-        return self.sigma * l + self.rho * j
+        den, S, R = self.ints
+        return Fraction(S * l + R * j, den)
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ def weight_of(P: HcpSeries, w: Weight, assume_growth_bound: bool = False) -> Sup
     bound Sdeg_A(P_(p-i)) < i is used to certify finiteness where possible,
     otherwise a lower-bound marker is returned.
     """
-    den, (S, R) = _ints((w.sigma, w.rho))
+    den, S, R = w.ints
     top = _top_weight(P, S, R)
     sup = None if top is None else Fraction(top, den)
     if P.floor is None:
@@ -121,7 +126,7 @@ def top_term(P: HcpSeries, w: Weight) -> HcpSeries:
     :func:`weight_of` to know whether the supremum itself is certified.
     They are the points of weight >= the supremum, which :func:`_filtration` keeps.
     """
-    den, (S, R) = _ints((w.sigma, w.rho))
+    den, S, R = w.ints
     sup = _top_weight(P, S, R)
     if sup is None:
         return HcpSeries.zero(P.k)
@@ -236,26 +241,28 @@ def filtration_HS(L: HcpSeries, d: Fraction, m: int, w: Weight) -> HcpSeries:
 def _filtration(L: HcpSeries, d: Fraction, m: int | None, w: Weight) -> HcpSeries:
     """The Gamma_l A_i D^j monomials of L with weight >= d and, unless m is None, l <= m.
 
-    sigma, rho and d are brought to one common denominator once, as the
-    integers S, R and D. At order j the weight condition S*l + R*j >= D is
-    then one integer threshold on l: l >= ceil((D - R*j) / S) when S > 0,
-    and all or nothing (R*j >= D) when S = 0.
+    With d = a/b and the weight's ``ints`` (D, S, R) the condition is S*b*l + R*b*j >= a*D:
+    at order j, l >= ceil((a*D - R*b*j) / (S*b)) when S > 0, all or nothing when S = 0.
+    Terms are sorted by l, so a B-free component whose first and last l pass is
+    kept as it is, and L itself is returned when every component is.
     """
-    _, (S, R, D) = _ints((w.sigma, w.rho, d))
+    den, S, R = w.ints
+    Sb, Rb, aD = S * d.denominator, R * d.denominator, d.numerator * den
     hi = math.inf if m is None else m
-    comps = {}
+    comps, whole = {}, 0
     for j, h in L.components.items():
-        if S:
-            lo = -((R * j - D) // S)
-        elif R * j >= D:
+        if Sb:
+            lo = -((Rb * j - aD) // Sb)
+        elif Rb * j >= aD:
             lo = 0
         else:
             continue
-        terms = tuple([t for t in h.terms if lo <= t[0] <= hi])
-        if terms:  # h itself when it keeps every term and has no B part
-            comps[j] = h if len(terms) == len(h.terms) and not h.bpart else _make_hcp(
-                L.k, j, *_canonical(h.den, terms), {})
-    return _make_series(L.k, comps, L.floor, L.top)
+        if not h.bpart and lo <= h.terms[0][0] and h.terms[-1][0] <= hi:
+            comps[j] = h
+            whole += 1
+        elif terms := tuple([t for t in h.terms if lo <= t[0] <= hi]):
+            comps[j] = _make_hcp(L.k, j, *_canonical(h.den, terms), {})
+    return L if whole == len(L.components) else _make_series(L.k, comps, L.floor, L.top)
 
 
 def convex_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -908,6 +908,10 @@ def test_series_power_is_repeated_product():
             expect = expect * P
     with pytest.raises(PreconditionError):
         finite ** -1
+    for k in range(1, 13):
+        one, d0 = HcpSeries.one(k), HcpSeries.d_power(k, 0)
+        assert one == d0 and hash(one) == hash(d0) and one.is_monic()
+        assert (one.floor, one.top) == (d0.floor, d0.top)
 
 
 def _reference_series_pow(P, e):
@@ -941,6 +945,7 @@ def test_series_window_algebra_matches_reference():
         for e in range(4):
             assert A ** e == _reference_series_pow(A, e)
         for B in series:
+            assert A - B == A + B.scalar_mul(-1)  # the one-pass difference against -B
             got = A.agrees_with(B)
             assert got == _reference_series_agrees_with(A, B)
             verdicts.add(got)

@@ -93,8 +93,8 @@ def _reference_exact(P, w, sup, growth):
 
 
 def test_weight_of_and_top_term_match_the_fraction_definition():
-    # weight_of and top_term scale sigma and rho to integers once per call;
-    # the literal definition evaluates w.value(l, j) in Fractions.
+    # weight_of and top_term read the weight's integer form; the literal
+    # definition evaluates sigma*l + rho*j in Fractions.
     rng = random.Random(59)
     for case in range(30):
         k = rng.choice((1, 2, 3))
@@ -103,7 +103,7 @@ def test_weight_of_and_top_term_match_the_fraction_definition():
             P = P.restrict_floor(max(P.components) - rng.randint(0, 3))
         w = Weight(rng.choice(SIGMAS + (Fraction(2, 3), Fraction(5, 4))),
                    rng.choice((Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 3))))
-        vals = {(pt.l, pt.j): w.value(pt.l, pt.j) for pt in e_set(P).points}
+        vals = {(pt.l, pt.j): w.sigma * pt.l + w.rho * pt.j for pt in e_set(P).points}
         sup = max(vals.values(), default=None)
         for growth in (False, True):
             res = weight_of(P, w, assume_growth_bound=growth)
@@ -111,10 +111,24 @@ def test_weight_of_and_top_term_match_the_fraction_definition():
             assert res.exact == _reference_exact(P, w, sup, growth)
         comps = {}
         for j, h in P.components.items():
-            gamma = {(l, i): c for (l, i), c in h.gamma.items() if w.value(l, j) == sup}
+            gamma = {(l, i): c for (l, i), c in h.gamma.items()
+                     if w.sigma * l + w.rho * j == sup}
             if gamma:
                 comps[j] = Hcp(k, j, gamma)
         assert top_term(P, w) == HcpSeries(k, comps)
+
+
+def test_weight_value_matches_the_fraction_definition():
+    for sigma in SIGMAS + (Fraction(2, 3), Fraction(5, 4)):
+        for rho in (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 3)):
+            w = Weight(sigma, rho)
+            for l in range(6):
+                for j in range(6):
+                    assert w.value(l, j) == sigma * l + rho * j
+    # The cached integer form is no part of equality, hash or repr.
+    half = Weight("2/4", 1)
+    assert half == Weight(Fraction(1, 2)) and hash(half) == hash(Weight(Fraction(1, 2)))
+    assert repr(half) == "Weight(sigma=Fraction(1, 2), rho=Fraction(1, 1))"
 
 
 def test_weight_growth_bound_certifies_11():
@@ -197,11 +211,11 @@ def test_filtration_HS_examples():
 
 
 def _reference_filtration(L, d, m, w):
-    """The literal definition: keep monomials with w.value(l, j) >= d and l <= m."""
+    """The literal definition: keep monomials with sigma*l + rho*j >= d and l <= m."""
     comps = {}
     for j, h in L.components.items():
         gamma = {(l, i): c for (l, i), c in h.gamma.items()
-                 if (m is None or l <= m) and w.value(l, j) >= d}
+                 if (m is None or l <= m) and w.sigma * l + w.rho * j >= d}
         if gamma:
             comps[j] = Hcp(L.k, j, gamma)
     return HcpSeries(L.k, comps, L.floor, L.top)
@@ -227,6 +241,14 @@ def test_filtration_matches_reference():
                     assert filtration_H(L, d, w) == _reference_filtration(L, d, None, w)
                     for m in range(5):
                         assert filtration_HS(L, d, m, w) == _reference_filtration(L, d, m, w)
+                # The suite's keep-all threshold, and an m above every Gamma index:
+                # L itself comes back, unless a B part has to be dropped.
+                low, m = Fraction(-10 ** 6), max(pt.l for pt in e_set(L).points) + 1
+                for kept in (filtration_H(L, low, w), filtration_HS(L, low, m, w)):
+                    assert (kept.floor, kept.top) == (L.floor, L.top)
+                    assert kept == _reference_filtration(L, low, None, w)
+                    assert (kept == L) != (case % 4 == 0)
+                    assert not any(h.bpart for h in kept.components.values())
 
 
 def _gauge_unit(k, c):
