@@ -14,6 +14,7 @@ in n. :func:`eigenvalues` is the one evaluator: the forward discrete Fourier
 transform :func:`_dft` gives the class polynomials, and :func:`_class_value`
 evaluates them by Horner. Products are pointwise products of eigenvalues with
 the argument of the right factor shifted by the left order. :func:`fit_hcp`
+reads mu(n) = nu_r(n + r) / perm(n + r, r) from the operator's held nu lanes,
 solves one small rational Vandermonde system per class, brings the class
 polynomials to one denominator D, returns to the G-form by the inverse
 transform over k * D, and checks every remaining sample exactly against its
@@ -48,7 +49,7 @@ from .errors import (
     TruncationError,
 )
 from .linalg import solve_square
-from .operators import INF, Factor, Graded, GradedOp, _comp_of_lanes, product_floor
+from .operators import INF, Graded, GradedOp, _comp_of_lanes, product_floor
 from .scalars import (CycloScalar, _from_lanes, _lanes, _rational_or_scalar, _reduced, _ring,
                       _vectors, as_scalar)
 
@@ -392,9 +393,11 @@ def _shift_weights(l2: int, r1: int) -> tuple[tuple[int, int], ...]:
 def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = None) -> Hcp:
     """Recover the G-form of a single homogeneous component.
 
+    The eigenvalues mu(n) = nu_r(n + r) / perm(n + r, r) are read from the
+    lanes that C's factor holds for order r (no content there fits to zero).
     The quasi-polynomial coefficients f_{l,i} (l <= dmax, i < k) come from
-    k*(dmax+1) consecutive eigenvalue samples at n >= nbmax (beyond every
-    allowed B projector), dmax+1 in each residue class n = rho (mod k). On
+    k*(dmax+1) consecutive samples at n >= nbmax (beyond every allowed B
+    projector), dmax+1 in each residue class n = rho (mod k). On
     its class the eigenvalue is the polynomial p_rho(n) = sum_l c[l,rho] n^l
     with c[l,rho] = sum_i f[l,i] xi^(i rho), so each class is one
     (dmax+1)-square rational Vandermonde solve, and the inverse discrete
@@ -424,16 +427,18 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
                               {"order": r, "needed_xcap": need,
                                "xcap": None if cap == INF else cap})
     upto = need if cap == INF else int(cap)
-    # The order-zero factor of x^n d^(n+r) acts on x^m by perm(m, n); mu(n) = mu[n] / mden.
-    mden, lanes = Factor(k, {0: C.components.get(r, {})}, {}).nu(0, upto)
-    mu = list(zip(*lanes))
+    if r not in C.components:
+        return _make_hcp(k, r, 1, (), {})
+    mden, lanes = C._factor.nu(r, upto + r)  # mu(n) = mu[n] / dens[n]
+    mu = list(zip(*[lane[r:upto + r + 1] for lane in lanes]))
+    dens = [mden * math.perm(n + r, r) for n in range(upto + 1)]
     # c[l * k + rho] = c[l,rho] is solved on its class's nodes; D * c[l,rho] is
     # vecs[l * k + rho], over the classes' one denominator D.
     c = [None] * ncols
     for n0 in range(nbmax, nbmax + k):
         nodes = range(n0, n0 + ncols, k)
         vander = [[CycloScalar.from_rational(k, n ** l) for l in range(dmax + 1)] for n in nodes]
-        c[n0 % k::k] = solve_square(vander, [_from_lanes(k, mu[n], mden) for n in nodes])
+        c[n0 % k::k] = solve_square(vander, [_from_lanes(k, mu[n], dens[n]) for n in nodes])
     den, vecs = _vectors(k, c)
     # The inverse DFT, f[l,i] = (1/k) sum_rho c[l,rho] xi^(-i rho), over k * D.
     f = _dft(k, [(m // k, m % k, v) for m, v in enumerate(vecs)], -1)
@@ -442,14 +447,14 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
     polys = [vecs[rho::k] for rho in range(k)]
     bpart = {}
     for n in [*range(nbmax), *range(nbmax + ncols, upto + 1)]:
-        v = [x * den - y * mden for x, y in zip(mu[n], _class_value(polys, n))]
+        v = [x * den - y * dens[n] for x, y in zip(mu[n], _class_value(polys, n))]
         if not any(v):
             continue
         if n >= nbmax:
             raise NotAnHcpError(
                 f"component at order {r} is not an HCP within bounds "
                 f"dmax={dmax}, nbmax={nbmax} (verification failed at sample {n})")
-        bpart[n + 1] = _from_lanes(k, v, mden * den)
+        bpart[n + 1] = _from_lanes(k, v, dens[n] * den)
     return _make_hcp(k, r, *_canonical(k * den, terms), bpart)
 
 

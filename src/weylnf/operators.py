@@ -34,16 +34,17 @@ lanes: the values nu(j) that determine it, reduced once
 (``scalars._reduced``), so D_t need not be the lcm of the coefficients'
 denominators. :func:`order_product` multiplies and sums the lanes of its
 factors in integers mod Phi_k, reading each pair's caps and lanes from the
-factors' dicts (a method call only where a sequence must grow); with deg
-Phi_k = 1 one pass multiplies, scales and sums the values, else
-``scalars._lane_mul`` multiplies the lanes. A sum adds lanes, sharing an
-order that one summand alone holds; a rational multiple, a negation among
-them, scales the lanes by its numerator and D_t by its denominator, and only
-any other scalar multiplies them mod Phi_k. The view builds an order's
-coefficients, each divided back once by ``scalars._from_lanes``, when a
-reader (the Schur recurrence, a G-form fit, ``==``, ``str``, ``to_dict``)
-first reads the order; the window queries and ``component_as_op`` build
-none.
+factors' dicts (a method call only where a sequence must grow); when every
+operand lane past the first is zero (as for rational operators over any Q(xi))
+one pass multiplies, scales and sums the first lanes, else
+``scalars._lane_mul`` multiplies the lanes. A sum adds lanes, sharing an order
+that one summand alone holds; a rational multiple, a negation among them,
+scales the lanes by its numerator and D_t by its denominator, and only any
+other scalar multiplies them mod Phi_k. The view builds an order's
+coefficients, each divided back once by ``scalars._from_lanes``, when a reader
+(the Schur recurrence, ``==``, ``str``, ``to_dict``) first reads the order; a
+G-form fit reads the held lanes, and the window queries and
+``component_as_op`` build none.
 
 Results are built unchecked by :func:`_op_of`, as they hold the invariant
 that the public constructor checks: each component nonempty with no zero
@@ -746,10 +747,10 @@ def order_product(t: int, pairs, L: Factor, R: Factor):
     It runs on the factors' integer lanes, read from their dicts: a pair
     calls a method only for an exact order's reach or to extend a sequence
     that stops short of jmax. Each pair's product has denominator D_L * D_R
-    and is scaled to the lcm D of these denominators and summed; with
-    deg Phi_k = 1 one loop multiplies, scales and sums the values, else
-    :func:`_lane_mul` multiplies the lanes. The sum, D * nu(j) with nu zero
-    below max(0, t), is reduced once by its gcd with D.
+    and is scaled to the lcm D of these denominators and summed; when every
+    operand lane past the first is zero, one loop does it on the first lanes
+    (deg Phi_k - 1 zero lanes follow), else :func:`_lane_mul` multiplies the
+    lanes. The sum, D * nu(j) with nu zero below max(0, t), is reduced once.
     """
     lcaps, rcaps, lnus, rnus = L.caps, R.caps, L.nus, R.nus
     cap, live = INF, []
@@ -775,18 +776,20 @@ def order_product(t: int, pairs, L: Factor, R: Factor):
         dl, nul = e[:2] if e and len(e[1][0]) > jmax - t2 else L.nu(t1, jmax - t2)
         terms.append((dl * dr, nur, nul, j0, t2))
     phi = cyclotomic_poly(L.k)
-    if len(phi) > 2:
+    if len(phi) > 2 and any(any(map(any, nur[1:])) or any(map(any, nul[1:]))
+                            for _, nur, nul, _, _ in terms):
         return _lane_total(L.k, jmax, [
             (d, _lane_mul(phi, [lane[j0:jmax + 1] for lane in nur],
                           [lane[j0 - t2:jmax + 1 - t2] for lane in nul]), j0)
             for d, nur, nul, j0, t2 in terms]), cap
     den = math.lcm(*[d for d, *_ in terms])
     acc = [0] * (jmax + 1)
-    for d, (x,), (y,), j0, t2 in terms:
-        s = den // d
+    for d, nur, nul, j0, t2 in terms:
+        s, x, y = den // d, nur[0], nul[0]
         for j in range(j0, jmax + 1):
             acc[j] += s * x[j] * y[j - t2]
-    return (_reduced(den, (acc,)) if any(acc) else None), cap
+    zeros = [[0] * (jmax + 1) for _ in range(len(phi) - 2)]
+    return (_reduced(den, (acc, *zeros)) if any(acc) else None), cap
 
 
 def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:

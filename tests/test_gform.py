@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from weylnf import gform, scalars, suites
+from weylnf import gform, operators, scalars, schur, suites
 from weylnf.errors import (
     ContextMismatchError,
     NotAnHcpError,
@@ -27,6 +27,7 @@ from weylnf.gform import (
 )
 from weylnf.linalg import solve_square
 from weylnf.newton import Weight, filtration_H, filtration_HS
+from weylnf.parsing import parse_operator
 from weylnf.operators import GradedOp, _comp_of_lanes, poly_from_pairs, product_floor
 from weylnf.scalars import CycloScalar, _lanes, _ring, cyclotomic_poly, xi_pow
 
@@ -852,6 +853,61 @@ def test_fit_gives_the_canonical_form_and_checks_samples_without_scalars(monkeyp
         for ref in (H, rebuilt):
             assert (got.den, got.terms, got.bpart) == (ref.den, ref.terms, ref.bpart)
             assert got == ref and hash(got) == hash(ref)
+
+
+def _two_forms(C):
+    """(2/3) C twice: held as lanes alone (a multiple), and as coefficients."""
+    return C.scalar_mul(Fraction(2, 3)), GradedOp.from_dict(C.scalar_mul(Fraction(2, 3)).to_dict())
+
+
+def test_fit_reads_held_lanes_as_it_reads_coefficients(monkeypatch):
+    # The fit reads mu(n) = nu_r(n + r) / perm(n + r, r) from the lanes the
+    # operator's factor holds, whether they came from coefficients or from
+    # a product or multiple, and builds no coefficients for lanes alone.
+    rng = random.Random(61)
+    real, built = operators._comp_of_lanes, []
+    for k in (1, 2, 3, 4, 5, 6, 8):
+        assert fit_hcp(GradedOp.zero(k), dmax=1, nbmax=1, margin=2, r=2) == Hcp(k, 2)
+        for _ in range(4):
+            r, dmax, nbmax = rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 2)
+            gamma = {(rng.randint(0, dmax), rng.randint(0, k - 1)): _rand_scalar(rng, k)
+                     for _ in range(rng.randint(1, 3))}
+            bpart = {j: _rand_scalar(rng, k) for j in range(1, nbmax + 1) if rng.random() < 0.7}
+            H = Hcp(k, r, gamma, bpart)
+            margin = rng.randint(0, 4)
+            need = nbmax + k * (dmax + 1) + margin
+            lanes_only, coeffs = _two_forms(H.expand(xcap=need))
+            assert r not in lanes_only._factor.comps
+            with monkeypatch.context() as mp:
+                mp.setattr(operators, "_comp_of_lanes", lambda *a: built.append(a) or real(*a))
+                got = fit_hcp(lanes_only, dmax=dmax, nbmax=nbmax, margin=margin, r=r)
+            assert not built and r not in lanes_only._factor.comps
+            assert got == fit_hcp(coeffs, dmax=dmax, nbmax=nbmax, margin=margin, r=r)
+            assert got == H.scalar_mul(Fraction(2, 3))
+            # One sample past the fit window, changed: both forms fail at it.
+            n_bad = rng.randint(nbmax + k * (dmax + 1), need)
+            mu = eigenvalues(H, range(need + 1))
+            mu[n_bad] = mu[n_bad] + xi_pow(k, rng.randint(0, k - 1))
+            den, lanes = _lanes(k, mu)
+            bad = GradedOp(k, {r: _comp_of_lanes(k, lanes, den, 0)}, None, r, {r: need})
+            for form in _two_forms(bad):
+                with pytest.raises(NotAnHcpError, match=f"failed at sample {n_bad}\\)"):
+                    fit_hcp(form, dmax=dmax, nbmax=nbmax, margin=margin, r=r)
+
+
+def test_normal_form_report_fits_without_building_coefficients(monkeypatch):
+    # The fits read the conjugate's held lanes: coefficients are built only
+    # for the Schur recurrence's orders of R_t, none by Factor.comp.
+    P, Q = parse_operator("d^5 + x^2*d"), parse_operator("d^3 + x*d + x^2")
+    schur.normal_form_report(P, Q, depth=8)
+    real, calls = operators._comp_of_lanes, []
+    monkeypatch.setattr(operators, "_comp_of_lanes",
+                        lambda *a: calls.append("Factor.comp") or real(*a))
+    monkeypatch.setattr(schur, "_comp_of_lanes",
+                        lambda *a: calls.append("schur_operator") or real(*a))
+    res = schur.normal_form_report(P, Q, depth=8)
+    assert res.schur.verified and res.fitted_orders == [5, 2, 0]
+    assert calls == ["schur_operator"] * 4
 
 
 # -- condition A_q(k) -----------------------------------------------------------------

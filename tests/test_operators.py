@@ -19,13 +19,15 @@ from weylnf.operators import (
     GradedOp,
     XdMonomial,
     _comp_of_lanes,
+    _lane_total,
     ad_pow,
     commutator,
     mono_mul,
     order_product,
     poly_from_pairs,
+    product_floor,
 )
-from weylnf.scalars import CycloScalar, _lanes, as_scalar, cyclotomic_poly, xi_pow
+from weylnf.scalars import CycloScalar, _lane_mul, _lanes, as_scalar, cyclotomic_poly, xi_pow
 
 
 def S(k, v):
@@ -438,6 +440,85 @@ def test_order_product_degree_one_edge_cases(k):
     R = factor({1: {0: Fraction(3, 2)}, 0: {0: -1}}, {1: 5})
     assert _assert_matches_reference(1, [(0, 1), (1, 0)], L, R) == ({}, 5)
     assert order_product(1, [(0, 1), (1, 0)], L, R) == (None, 5)
+
+
+def _lane_reference(t, pairs, L, R):
+    """order_product's held ``(D, lanes)`` with every pair multiplied by
+    ``_lane_mul`` and summed by ``_lane_total``, whatever the lanes hold."""
+    cap = min((min(L.caps.get(t1, math.inf), R.caps.get(t2, math.inf) - t1)
+               for t1, t2 in pairs), default=math.inf)
+    live = [(t1, t2) for t1, t2 in pairs if L.holds(t1) and R.holds(t2)]
+    if cap != math.inf:
+        jmax = int(cap) + t
+    else:
+        jmax = max((L.reach(t1) + R.reach(t2) for t1, t2 in live), default=-1)
+    phi, terms = cyclotomic_poly(L.k), []
+    for t1, t2 in live:
+        j0 = max(t2, t, 0)
+        if j0 <= jmax:
+            dr, nur = R.nu(t2, jmax)
+            dl, nul = L.nu(t1, jmax - t2)
+            terms.append((dl * dr, _lane_mul(phi, [x[j0:jmax + 1] for x in nur],
+                                             [y[j0 - t2:jmax + 1 - t2] for y in nul]), j0))
+    return _lane_total(L.k, jmax, terms)
+
+
+def _assert_held_lanes_match_reference(A, B):
+    """A * B, with each order's held (D, lanes) equal to ``_lane_reference``."""
+    AB = A * B
+    floor, pairs = product_floor(A, B), {}
+    for ta in A.active_orders():
+        for tb in B.active_orders():
+            if floor is None or ta + tb >= floor:
+                pairs.setdefault(ta + tb, []).append((ta, tb))
+    for t, plist in pairs.items():
+        held = AB._factor.nus.get(t)
+        assert (held and held[:2]) == _lane_reference(t, plist, A._factor, B._factor)
+        assert held is None or len(held[1]) == len(cyclotomic_poly(A.k)) - 1
+    return AB
+
+
+def _rational_op(rng, window):
+    items = [(rng.randint(0, 4), rng.randint(0, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+             for _ in range(rng.randint(1, 4))]
+    A = op(1, *[item for item in items if item[2]] or [(0, 0, 1)])
+    if window:
+        A = A.restrict(floor=A.top - rng.randint(1, 5), xcap=rng.randint(1, 8))
+    return A
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+def test_lifted_rational_products_take_one_lane(k):
+    # Rational operators lifted to Q(xi) hold zero lanes past the first, so
+    # the kernel multiplies the first lanes alone; the held lanes equal the
+    # mod-Phi_k route's, for exact and for truncated operands, and for an
+    # operand that is itself a product held as lanes.
+    rng = random.Random(70 + k)
+    for trial in range(12):
+        A, B = _rational_op(rng, trial % 3 == 1), _rational_op(rng, trial % 3 == 2)
+        Ak, Bk = A.lift_context(k), B.lift_context(k)
+        AB = _assert_held_lanes_match_reference(Ak, Bk)
+        assert AB == (A * B).lift_context(k)
+        assert _assert_held_lanes_match_reference(AB, Ak) == (A * B * A).lift_context(k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+def test_products_with_a_xi_term_in_either_operand_match_leibniz(k):
+    # A xi term in the left operand only, in the right only, or in both:
+    # the kernel reads both operands' lanes past the first and multiplies
+    # mod Phi_k.
+    rng = random.Random(80 + k)
+    xi = xi_pow(k, 1)
+    for _ in range(6):
+        A, B = _rational_op(rng, False).lift_context(k), _rational_op(rng, False).lift_context(k)
+        Ax = A + op(k, (rng.randint(0, 3), rng.randint(0, 3), xi))
+        Bx = B + op(k, (rng.randint(0, 3), rng.randint(0, 3), xi * Fraction(2, 3)))
+        for L, R in ((Ax, B), (A, Bx), (Ax, Bx)):
+            expected = GradedOp.zero(k)
+            for ma in L.monomials():
+                for mb in R.monomials():
+                    expected = expected + mono_mul(ma, mb)
+            assert _assert_held_lanes_match_reference(L, R) == expected
 
 
 def _fresh(A):

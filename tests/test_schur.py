@@ -111,9 +111,9 @@ def test_invert_unit_shares_its_factors():
 
 
 def test_normal_form_report_builds_few_coefficient_orders(monkeypatch):
-    # Products hold their orders as lanes; coefficients are built only for
-    # the Schur recurrence's orders (8), the fitted orders (3) and the few
-    # orders something else reads, not for every product of the chain.
+    # Products hold their orders as lanes and the fits read those lanes;
+    # coefficients are built only for the Schur recurrence's orders and the
+    # few orders something else reads, not for every product of the chain.
     built = []
     real = operators._comp_of_lanes
 
