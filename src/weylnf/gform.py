@@ -23,8 +23,8 @@ class polynomial, all on integer vectors.
 An :class:`Hcp` holds its quasi part in the integer-vector form of the
 ``scalars`` module docstring, one vector per term. Sums and differences,
 rational multiples, ``newton``'s filtrations, the transforms and :func:`hcp_mul`, which
-forms one result order from all of its pairs as ``operators.order_product``
-does, run on these ints (``scalars._ring`` products; :func:`hcp_mul` sums
+forms one result order from all of its pairs as ``operators._sweep`` does,
+run on these ints (``scalars._ring`` products; :func:`hcp_mul` sums
 plain ints when deg Phi_k is 1 and two-int lists when it is 2); ``Hcp.gamma``
 is built for I/O. An :class:`HcpSeries` sum or difference (one pass, with the
 subtrahend's vectors and B part scaled by the sign), scalar multiple, product,

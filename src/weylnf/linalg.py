@@ -1,10 +1,10 @@
 """Exact dense linear algebra: square solves over Q(xi), nullspaces over Q.
 
-One Gauss-Jordan elimination, pivoting on the first nonzero entry (sizes here
-are tens of rows), of rows held in the integer-vector form of the ``scalars``
-module docstring, one reduced denominator per row. A pivot row is scaled by
-its pivot's inverse, and row_i - f * prow is integer products
-(``scalars._ring``) over den_i * den_p, then one ``scalars._reduced``.
+Gauss-Jordan elimination, pivoting on the first nonzero entry (sizes here are
+tens of rows). A solve's rows are in the integer-vector form of the ``scalars``
+module docstring, one reduced denominator each: a pivot row is scaled by its
+pivot's inverse, and row_i - f * prow is integer products (``scalars._ring``)
+over den_i * den_p, reduced once. A nullspace's rows are plain ints.
 """
 
 from __future__ import annotations
@@ -16,15 +16,10 @@ from .errors import ContextMismatchError, PreconditionError
 from .scalars import CycloScalar, _from_lanes, _reduced, _ring, _vectors
 
 
-def _scalar_inverse(k: int, den: int, vec) -> tuple[int, list[tuple[int, ...]]]:
-    """``scalars._vectors`` of the inverse of vec / den in Q(xi_k): one :meth:`CycloScalar.inv`."""
-    return _vectors(k, [_from_lanes(k, vec, den).inv()])
-
-
-def _rref(work: list, ncols: int, k: int, inverse) -> list[int]:
+def _rref(work: list, ncols: int, k: int) -> list[int]:
     """Bring ``work``, rows ``(den, vecs)`` over Q(xi_k), to reduced row echelon form
     in place, pivoting on the first nonzero entry of each of the first ``ncols``
-    columns in turn; ``inverse(k, den, vec)`` is a pivot's inverse, as ``_vectors``.
+    columns in turn, with one :meth:`CycloScalar.inv` per pivot.
 
     Returns the pivot columns; row i of the result is the one pivoted on
     column ``pivots[i]``, scaled so that entry is one.
@@ -40,7 +35,7 @@ def _rref(work: list, ncols: int, k: int, inverse) -> list[int]:
             continue
         work[r], work[piv] = work[piv], work[r]
         den, vecs = work[r]
-        iden, (inv,) = inverse(k, den, vecs[col])
+        iden, (inv,) = _vectors(k, [_from_lanes(k, vecs[col], den).inv()])
         pden, pvecs = work[r] = _reduced(den * iden, [vmul(v, inv) if any(v) else v
                                                       for v in vecs])
         live = [(j, v) for j, v in enumerate(pvecs) if any(v)]
@@ -67,7 +62,7 @@ def solve_square(matrix: list[list[CycloScalar]], rhs: list[CycloScalar]) -> lis
         if v.k != k:
             raise ContextMismatchError(f"cyclotomic order mismatch: {k} vs {v.k}")
     work = [_vectors(k, [*row, b]) for row, b in zip(matrix, rhs)]  # den is the lcm: reduced
-    if len(_rref(work, n, k, _scalar_inverse)) < n:
+    if len(_rref(work, n, k)) < n:
         raise PreconditionError("singular matrix in solve_square")
     return [_from_lanes(k, vecs[n], den) for den, vecs in work]
 
@@ -76,20 +71,34 @@ def nullspace(matrix: list[list[int]], ncols: int) -> tuple[int, list[list[int]]
     """Basis ``(D, vecs)``, vector b = vecs[b] / D over one least D > 0, of the
     right nullspace over Q of the integer rows ``matrix`` (which may number
     zero): one vector per free column, ascending, one there and zero on the
-    other free columns. A pivot x / den is inverted in integers, as den / x.
+    other free columns. Each row is kept primitive with a positive pivot p,
+    so pivot row / p is reduced and D is the lcm of the pivots.
     """
     if any(len(row) != ncols for row in matrix):
         raise PreconditionError("ragged matrix")
     if bad := {type(x).__name__ for x in chain.from_iterable(matrix)} - {"int"}:
         raise PreconditionError(f"matrix entries must be ints, got {min(bad)}")
-    work = [(1, [(x,) for x in row]) for row in matrix]
-    pivots = _rref(work, ncols, 1, lambda _, den, x: (abs(x[0]), [(den if x[0] > 0 else -den,)]))
-    den = math.lcm(*[d for d, _ in work[:len(pivots)]])
+    rows = [[x // g for x in row] for row in matrix if (g := math.gcd(*row))]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        prow = rows[piv] if rows[piv][col] > 0 else [-x for x in rows[piv]]
+        rows[piv], rows[r], p = rows[r], prow, prow[col]
+        for i, row in enumerate(rows):
+            if i != r and (f := row[col]):
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)  # 0 when the row cancels to zero
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    den = math.lcm(*[row[c] for row, c in zip(rows, pivots)])
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = den
-        for (d, vecs), pcol in zip(work, pivots):
-            vec[pcol] = -vecs[fc][0] * (den // d)
+        for row, pcol in zip(rows, pivots):
+            vec[pcol] = -row[fc] * (den // row[pcol])
         basis.append(vec)
-    return den, basis  # reduced: each pivot row's den is the lcm of its free entries
+    return den, basis

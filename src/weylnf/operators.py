@@ -18,8 +18,9 @@ works through the diagonal action on monomials: the component of order t
 sends x^j to nu(j) * x^(j-t), and composition is pointwise in nu, which both
 respects the grading and yields the product window rule
 ``xcap(t) = min over t1+t2=t of min(xcap_left(t1), xcap_right(t2) - t1)``.
-:func:`order_product` is the one place that computes a result order; the
-product and the Schur solve both go through it.
+:func:`_sweep` is the one place that computes result orders, all of a
+product's in one pass; the Schur solves call it one order at a time
+(:func:`order_product`).
 
 Nu sequences live as lanes, the integer-vector form that the ``scalars``
 module docstring states. The triangular map between coefficients and values is
@@ -32,15 +33,12 @@ are a read-only view on it. The public constructor gives the factor the
 checked coefficients; every other operation holds each order it makes as
 lanes: the values nu(j) that determine it, reduced once
 (``scalars._reduced``), so D_t need not be the lcm of the coefficients'
-denominators. :func:`order_product` multiplies and sums the lanes of its
-factors in integers mod Phi_k, reading each pair's caps and lanes from the
-factors' dicts (a method call only where a sequence must grow); when every
-operand lane past the first is zero (as for rational operators over any Q(xi))
-one pass multiplies, scales and sums the first lanes, else
-``scalars._lane_mul`` multiplies the lanes. A sum adds lanes, sharing an order
-that one summand alone holds; a rational multiple, a negation among them,
-scales the lanes by its numerator and D_t by its denominator, and only any
-other scalar multiplies them mod Phi_k. The view builds an order's
+denominators. :func:`_sweep` multiplies and sums the lanes of its factors in
+integers mod Phi_k, reading each operand order's cap, reach and lanes once per
+product. A sum or difference adds lanes, the subtrahend's times -1, sharing an
+order that one summand alone holds; a rational multiple scales the lanes by
+its numerator and D_t by its denominator, and only any other scalar
+multiplies them mod Phi_k. The view builds an order's
 coefficients, each divided back once by ``scalars._from_lanes``, when a reader
 (the Schur recurrence, ``==``, ``str``, ``to_dict``) first reads the order; a
 G-form fit reads the held lanes, and the window queries and
@@ -149,9 +147,6 @@ class Graded:
 
     def __neg__(self):
         return self.scalar_mul(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -356,6 +351,17 @@ class GradedOp(Graded):
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, sign 1 or -1. Per order: share what one summand
+        holds alone at the sum's cap (other only if sign is 1), else add lanes,
+        other's over sign * D, extended on a copy if held alone and subtracted."""
         if isinstance(other, (int, Fraction, CycloScalar)):
             other = GradedOp.from_scalar(self.k, other)
         if not isinstance(other, GradedOp):
@@ -367,25 +373,26 @@ class GradedOp(Graded):
             cap = min(self.xcap(t), other.xcap(t))
             if cap != INF:
                 caps[t] = cap
-        # Per order: share what one summand alone holds at the sum's cap,
-        # else add the summands' lanes.
         out = Factor(self.k, {}, caps)
         for t in sorted({*self.components, *other.components}):
             if floor is not None and t < floor:
                 continue
             cap = caps.get(t, INF)
-            parts = [X for X in (self, other) if t in X.components]
-            if len(parts) == 1 and parts[0].xcap(t) == cap:
-                out.take(t, parts[0]._factor)
-            else:
-                factors = [X._factor for X in parts]
-                jmax = max(F.reach(t, cap) for F in factors)
-                held = _lane_total(self.k, jmax, [(*F.nu(t, jmax), 0) for F in factors])
-                if held is not None:
-                    out.nus[t] = (*held, None)
+            parts = [(X, s) for X, s in ((self, 1), (other, sign)) if t in X.components]
+            if len(parts) == 1 and parts[0][1] == 1 and parts[0][0].xcap(t) == cap:
+                out.take(t, parts[0][0]._factor)
+                continue
+            jmax, terms = max(X._factor.reach(t, cap) for X, _ in parts), []
+            for X, s in parts:
+                F = X._factor
+                if s < 0 and (e := F.nus.get(t)) and e[2] is None and jmax >= len(e[1][0]):
+                    F = Factor(self.k, {}, {})
+                    F.nus[t] = e
+                den, lanes = F.nu(t, jmax)
+                terms.append((s * den, lanes, 0))
+            if held := _lane_total(self.k, jmax, terms):
+                out.nus[t] = (*held, None)
         return _op_of(out, [*out.comps, *out.nus], floor, top, caps)
-
-    __radd__ = __add__
 
     def scalar_mul(self, value) -> "GradedOp":
         """Each order's lanes times the scalar, reduced once by ``scalars._reduced``:
@@ -548,9 +555,10 @@ def _op_of(F: "Factor", orders, floor, top, caps: dict) -> GradedOp:
 
 
 def _lane_total(k: int, jmax: int, terms: list):
-    """``(D, lanes)`` over j = 0 .. jmax of the sum of lanes / d, each placed
-    from j = j0, over ``terms`` (d, lanes, j0); D is the lcm of the d, and the
-    sum is reduced by ``scalars._reduced``. None when the sum vanishes."""
+    """``(D, lanes)`` over j = 0 .. jmax of the sum of lanes / d (a negative d
+    subtracts), each placed from j = j0, over ``terms`` (d, lanes, j0); D is the
+    lcm of the d, and the sum is reduced by ``scalars._reduced``. None when the
+    sum vanishes."""
     den = math.lcm(*[d for d, _, _ in terms])
     acc = tuple([[0] * (jmax + 1) for _ in range(len(cyclotomic_poly(k)) - 1)])
     for d, lanes, j0 in terms:
@@ -669,9 +677,7 @@ class Factor:
     stopped, so a longer one resumes there. An order born in a product, sum
     or scalar multiple is held as lanes alone (``rows`` None), the reduced
     values that determine it; :meth:`comp` builds its coefficients on first
-    read. :func:`order_product` reads ``caps``, ``nus`` and ``comps`` directly
-    and calls :meth:`reach` and :meth:`nu` only for an exact order's reach or
-    a sequence to extend.
+    read. :func:`_sweep` reads ``caps``, ``nus`` and ``comps`` directly.
     """
 
     __slots__ = ("k", "comps", "caps", "nus")
@@ -736,60 +742,88 @@ class Factor:
         return den, lanes
 
 
-def order_product(t: int, pairs, L: Factor, R: Factor):
-    """Order t of sum L_t1 * R_t2 over ``pairs`` (t1, t2) as held lanes
-    ``(D, lanes)`` over j = 0 .. jmax (None when it vanishes), and its cap.
-
-    Every pair has t1 + t2 = t and both orders active in their factor. The cap
-    is the window rule min(xcap_L(t1), xcap_R(t2) - t1) over all pairs, and
-    jmax = cap + t; an exact order takes the largest j a pair can reach. The
-    product itself is pointwise on nu: nu(j) = nu_L,t1(j - t2) * nu_R,t2(j).
-    It runs on the factors' integer lanes, read from their dicts: a pair
-    calls a method only for an exact order's reach or to extend a sequence
-    that stops short of jmax. Each pair's product has denominator D_L * D_R
-    and is scaled to the lcm D of these denominators and summed; when every
-    operand lane past the first is zero, one loop does it on the first lanes
-    (deg Phi_k - 1 zero lanes follow), else :func:`_lane_mul` multiplies the
-    lanes. The sum, D * nu(j) with nu zero below max(0, t), is reduced once.
-    """
-    lcaps, rcaps, lnus, rnus = L.caps, R.caps, L.nus, R.nus
-    cap, live = INF, []
-    for t1, t2 in pairs:
-        c = min(lcaps.get(t1, INF), rcaps.get(t2, INF) - t1)
-        if c < cap:
-            cap = c
-        if (t1 in lnus or L.comps.get(t1)) and (t2 in rnus or R.comps.get(t2)):
-            live.append((t1, t2))
-    if cap != INF:
-        jmax = int(cap) + t
-    else:
-        jmax = max((L.reach(t1) + R.reach(t2) for t1, t2 in live), default=-1)
-    m0 = max(0, t)
-    terms = []
-    for t1, t2 in live:
-        j0 = max(t2, m0)
-        if j0 > jmax:
-            continue
-        e = rnus.get(t2)
-        dr, nur = e[:2] if e and len(e[1][0]) > jmax else R.nu(t2, jmax)
-        e = lnus.get(t1)
-        dl, nul = e[:2] if e and len(e[1][0]) > jmax - t2 else L.nu(t1, jmax - t2)
-        terms.append((dl * dr, nur, nul, j0, t2))
+def _sweep(pairs_by_t: dict, L: Factor, R: Factor) -> Factor:
+    """A new factor holding, at each order t of ``pairs_by_t``, the sum of
+    L_t1 * R_t2 over its pairs (t1, t2), both orders active, as lanes over
+    j = 0 .. jmax, and its cap when finite, held or not: min(xcap_L(t1),
+    xcap_R(t2) - t1) over the pairs, jmax = cap + t, or for an exact order the
+    largest j a pair reaches (:func:`_reach`). One pass finds each order's cap,
+    live pairs and jmax; each operand order's ``(D, lanes)`` is fetched once,
+    to the largest j its pairs need; then each order sums nu_L,t1(j - t2) *
+    nu_R,t2(j) over D_L * D_R scaled to their lcm, on the first lanes when no
+    fetched lane past them holds content (rational operators over any Q(xi)),
+    else by :func:`_lane_mul`, and reduces the sum once."""
+    lcaps, rcaps, lnus, rnus, lcomps, rcomps = L.caps, R.caps, L.nus, R.nus, L.comps, R.comps
+    out, plan, rl, nl = Factor(L.k, {}, {}), [], {}, {}
+    rr, nr = (rl, nl) if L is R else ({}, {})
+    for t, pairs in sorted(pairs_by_t.items()):
+        cap, jmax, m0, kept = INF, -1, max(0, t), []
+        for t1, t2 in pairs if lcaps or rcaps else ():
+            c = rcaps.get(t2, INF) - t1
+            if c < cap:
+                cap = c
+            c = lcaps.get(t1, INF)
+            if c < cap:
+                cap = c
+        live = [(t1, t2) for t1, t2 in pairs
+                if (t1 in lnus or lcomps.get(t1)) and (t2 in rnus or rcomps.get(t2))]
+        if cap != INF:
+            jmax = out.caps[t] = int(cap)
+            jmax += t
+        else:
+            for t1, t2 in live:
+                r = (rl[t1] if t1 in rl else _reach(L, t1, nl.get(t1, -1), rl)) + (
+                    rr[t2] if t2 in rr else _reach(R, t2, nr.get(t2, -1), rr))
+                if r > jmax:
+                    jmax = r
+        for t1, t2 in live:
+            j0 = t2 if t2 > m0 else m0
+            if j0 <= jmax:
+                kept.append((t1, t2, j0))
+                if nr.get(t2, -1) < jmax:
+                    nr[t2] = jmax
+                if nl.get(t1, -1) < jmax - t2:
+                    nl[t1] = jmax - t2
+        if kept:
+            plan.append((t, jmax, kept))
+    lv = {u: L.nu(u, j) for u, j in nl.items()}
+    rv = lv if L is R else {u: R.nu(u, j) for u, j in nr.items()}
     phi = cyclotomic_poly(L.k)
-    if len(phi) > 2 and any(any(map(any, nur[1:])) or any(map(any, nul[1:]))
-                            for _, nur, nul, _, _ in terms):
-        return _lane_total(L.k, jmax, [
-            (d, _lane_mul(phi, [lane[j0:jmax + 1] for lane in nur],
-                          [lane[j0 - t2:jmax + 1 - t2] for lane in nul]), j0)
-            for d, nur, nul, j0, t2 in terms]), cap
-    den = math.lcm(*[d for d, *_ in terms])
-    acc = [0] * (jmax + 1)
-    for d, nur, nul, j0, t2 in terms:
-        s, x, y = den // d, nur[0], nul[0]
-        for j in range(j0, jmax + 1):
-            acc[j] += s * x[j] * y[j - t2]
-    zeros = [[0] * (jmax + 1) for _ in range(len(phi) - 2)]
-    return (_reduced(den, (acc, *zeros)) if any(acc) else None), cap
+    mixed = len(phi) > 2 and any(any(map(any, x[1:])) for v in (lv, rv) for _, x in v.values())
+    for t, jmax, kept in plan:
+        terms = [(lv[t1], rv[t2], t2, j0) for t1, t2, j0 in kept]
+        if mixed:
+            held = _lane_total(L.k, jmax, [(dl * dr, _lane_mul(
+                phi, [x[j0:jmax + 1] for x in nur], [y[j0 - t2:jmax + 1 - t2] for y in nul]), j0)
+                for (dl, nul), (dr, nur), t2, j0 in terms])
+        else:
+            den, acc = math.lcm(*[a[0] * b[0] for a, b, _, _ in terms]), [0] * (jmax + 1)
+            for (dl, nul), (dr, nur), t2, j0 in terms:
+                s, x, y = den // (dl * dr), nur[0], nul[0]
+                for j in range(j0, jmax + 1):
+                    acc[j] += s * x[j] * y[j - t2]
+            held = any(acc) and _reduced(den, (acc, *[[0] * (jmax + 1) for _ in phi[2:]]))
+        if held:
+            out.nus[t] = (*held, None)
+    return out
+
+
+def _reach(F: Factor, t: int, n: int, memo: dict) -> int:
+    """:meth:`Factor.reach` of exact order t once fetches reached j = n, kept in
+    ``memo`` unless a later fetch may change it: lanes held alone reach their
+    end until :meth:`Factor.nu` rebuilds them, which may cut it to the degree."""
+    e = F.nus.get(t)
+    if e and e[2] is None and not F.comps.get(t) and n < len(e[1][0]):
+        return len(e[1][0]) - 1
+    F.nu(t, n)  # what the fetches so far have done
+    memo[t] = r = F.reach(t)
+    return r
+
+
+def order_product(t: int, pairs, L: Factor, R: Factor):
+    """:func:`_sweep` of the one order t: ``(D, lanes)`` (None when it vanishes) and cap."""
+    F = _sweep({t: pairs}, L, R)
+    return F.nus[t][:2] if t in F.nus else None, F.caps.get(t, INF)
 
 
 def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
@@ -801,33 +835,19 @@ def _op_mul(A: GradedOp, B: GradedOp) -> GradedOp:
             {"result_floor": floor, "result_top": top,
              "needed_extra_depth": floor - top})
 
-    act_a = A.active_orders()
-    act_b = set(B.active_orders())
-
-    # Collect contributing pairs per result order.
     pairs: dict[int, list[tuple[int, int]]] = {}
-    for ta in act_a:
+    act_b = B.active_orders()
+    for ta in A.active_orders():
         for tb in act_b:
-            t = ta + tb
-            if floor is not None and t < floor:
-                continue
-            pairs.setdefault(t, []).append((ta, tb))
-
+            if floor is None or ta + tb >= floor:
+                pairs.setdefault(ta + tb, []).append((ta, tb))
     return _op_of_products(pairs, A._factor, B._factor, floor, top)
 
 
 def _op_of_products(pairs: dict, L: Factor, R: Factor, floor, top) -> GradedOp:
-    """Unchecked ``GradedOp`` over a new factor holding, at each order t of
-    ``pairs``, the lanes and finite cap of ``order_product(t, pairs[t], L, R)``."""
-    caps: dict[int, int] = {}
-    out = Factor(L.k, {}, caps)
-    for t, plist in sorted(pairs.items()):
-        held, cap = order_product(t, plist, L, R)
-        if held is not None:
-            out.nus[t] = (*held, None)
-        if cap != INF:
-            caps[t] = int(cap)
-    return _op_of(out, out.nus, floor, top, caps)
+    """Unchecked ``GradedOp`` over the factor ``_sweep(pairs, L, R)``."""
+    out = _sweep(pairs, L, R)
+    return _op_of(out, out.nus, floor, top, out.caps)
 
 
 # -- named operations -------------------------------------------------------------

@@ -11,7 +11,7 @@ of the operator kernel's single-order product, ``operators.order_product``,
 on exactly these pairs, so its x-window follows the product rule
 min(xcap_Q(a), xcap_S(b) - a); the nu sequences of Q's components and of each
 solved S_b are computed once and reused by every later order.
-:func:`invert_unit` solves S^-1 the same way, one ``order_product`` call per
+:func:`invert_unit` solves S^-1 the same way, one kernel sweep (``_sweep``) per
 order of S T = 1. Q and S keep the solve's factors (``operators.Factor``),
 as S^-1 keeps its own, so the verification products and the conjugation
 extend those sequences.
@@ -150,7 +150,7 @@ def invert_unit(S: GradedOp) -> GradedOp:
     """Inverse T of S = 1 + (negative orders), solved order by order.
 
     Order t < 0 of S T = 1 gives T_t = -(S_t + R_t), R_t the sum of
-    S_t1 * T_(t-t1) over t < t1 < 0: one ``operators.order_product`` call on
+    S_t1 * T_(t-t1) over t < t1 < 0: one ``operators._sweep`` of order t on
     the pairs active in S and in the solve's factor, so the window rule holds
     pair by pair. The pair with T_0 = 1 is the view S_t, no product. The
     solve's factor, which T keeps, takes order t from the negation's lanes,

@@ -10,7 +10,7 @@ import pytest
 
 from weylnf.criterion import _restrict
 from weylnf.errors import ContextMismatchError, PreconditionError
-from weylnf.linalg import _rref, _scalar_inverse, nullspace, solve_square
+from weylnf.linalg import _rref, nullspace, solve_square
 from weylnf.scalars import CycloScalar, _from_lanes, _vectors, xi_pow
 
 KS = (1, 3, 5)
@@ -209,7 +209,7 @@ def test_rref_matches_the_reference(data):
     real_inv = CycloScalar.inv
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CycloScalar, "inv", lambda self: inverted.append(self) or real_inv(self))
-        pivots = _rref(work, ncols, k, _scalar_inverse)
+        pivots = _rref(work, ncols, k)
     got = [[_from_lanes(k, v, den) for v in vecs] for den, vecs in work]
     assert pivots == expect_pivots and len(pivots) == rank
     assert got == expect
@@ -261,3 +261,52 @@ def test_integer_nullspace_matches_the_scalar_reference(data):
     assert den > 0 and math.gcd(den, *[x for vec in basis for x in vec]) == 1  # the least D
     cut = data.draw(st.integers(0, len(ints)), label="cut")
     assert _restrict(nullspace(ints[:cut], ncols), ints[cut:]) == (den, basis)
+
+
+def _fraction_nullspace(rows, ncols):
+    """Gauss-Jordan over ``Fraction``, pivoting on the first nonzero entry of
+    each column in turn: the rational basis, one vector per free column, one
+    there and zero on the other free columns."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pcol in zip(rows, pivots):
+            vec[pcol] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plain_int_nullspace_matches_fraction_gauss_jordan(data):
+    # Integer rows with common factors, zero rows, multiples of a row (zero
+    # after its first pivot) and combinations of rows (zero only once every
+    # row they combine has pivoted): the same rational basis over one least D.
+    ncols = data.draw(st.integers(1, 7), label="ncols")
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**12, 10**12))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    rows = [[data.draw(st.sampled_from([1, -2, 6])) * x for x in row] for row in rows]
+    for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+        a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+        ca, cb = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
+        rows.append([ca * x + cb * y for x, y in zip(a, b)])
+    rows += [[0] * ncols] * data.draw(st.integers(0, 2))
+    rows = data.draw(st.permutations(rows))
+    den, basis = nullspace(rows, ncols)
+    assert den > 0 and all(type(x) is int for vec in basis for x in vec)
+    assert math.gcd(den, *[x for vec in basis for x in vec]) == 1
+    assert [[Fraction(x, den) for x in vec] for vec in basis] == _fraction_nullspace(rows, ncols)

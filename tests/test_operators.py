@@ -14,12 +14,15 @@ from weylnf.errors import (
     TruncationError,
     UndefinedOrderError,
 )
+from weylnf import operators
+from weylnf.fixtures import kdv_pair
 from weylnf.operators import (
     Factor,
     GradedOp,
     XdMonomial,
     _comp_of_lanes,
     _lane_total,
+    _op_of,
     ad_pow,
     commutator,
     mono_mul,
@@ -27,7 +30,8 @@ from weylnf.operators import (
     poly_from_pairs,
     product_floor,
 )
-from weylnf.scalars import CycloScalar, _lane_mul, _lanes, as_scalar, cyclotomic_poly, xi_pow
+from weylnf.scalars import (CycloScalar, _lane_mul, _lanes, _reduced, as_scalar, cyclotomic_poly,
+                            xi_pow)
 
 
 def S(k, v):
@@ -526,6 +530,121 @@ def _fresh(A):
     return GradedOp.from_dict(A.to_dict())
 
 
+# -- one sweep per product -------------------------------------------------------
+
+
+def _per_order_product(t, pairs, L, R):
+    """One result order as the kernel computed it before the sweep: caps, live
+    pairs, reaches and fetches read pair by pair, in the factors' state left
+    by the orders before it."""
+    cap, live = math.inf, []
+    for t1, t2 in pairs:
+        cap = min(cap, L.caps.get(t1, math.inf), R.caps.get(t2, math.inf) - t1)
+        if L.holds(t1) and R.holds(t2):
+            live.append((t1, t2))
+    if cap != math.inf:
+        jmax = int(cap) + t
+    else:
+        jmax = max((L.reach(t1) + R.reach(t2) for t1, t2 in live), default=-1)
+    terms = []
+    for t1, t2 in live:
+        j0 = max(t2, t, 0)
+        if j0 <= jmax:
+            e = R.nus.get(t2)
+            dr, nur = e[:2] if e and len(e[1][0]) > jmax else R.nu(t2, jmax)
+            e = L.nus.get(t1)
+            dl, nul = e[:2] if e and len(e[1][0]) > jmax - t2 else L.nu(t1, jmax - t2)
+            terms.append((dl * dr, nur, nul, j0, t2))
+    phi = cyclotomic_poly(L.k)
+    if len(phi) > 2 and any(any(map(any, nur[1:])) or any(map(any, nul[1:]))
+                            for _, nur, nul, _, _ in terms):
+        return _lane_total(L.k, jmax, [
+            (d, _lane_mul(phi, [x[j0:jmax + 1] for x in nur],
+                          [y[j0 - t2:jmax + 1 - t2] for y in nul]), j0)
+            for d, nur, nul, j0, t2 in terms]), cap
+    den = math.lcm(*[d for d, *_ in terms])
+    acc = [0] * (jmax + 1)
+    for d, nur, nul, j0, t2 in terms:
+        for j in range(j0, jmax + 1):
+            acc[j] += den // d * nur[0][j] * nul[0][j - t2]
+    zeros = [[0] * (jmax + 1) for _ in range(len(phi) - 2)]
+    return (_reduced(den, (acc, *zeros)) if any(acc) else None), cap
+
+
+def _per_order_products(pairs, L, R, floor, top):
+    """``_op_of_products`` as one kernel call per result order, ascending."""
+    out = Factor(L.k, {}, {})
+    for t, plist in sorted(pairs.items()):
+        held, cap = _per_order_product(t, plist, L, R)
+        if held is not None:
+            out.nus[t] = (*held, None)
+        if cap != math.inf:
+            out.caps[t] = int(cap)
+    return _op_of(out, out.nus, floor, top, out.caps)
+
+
+def _held(X):
+    """X's window and every order it holds as ``(D, lanes)``, copied."""
+    return (X.floor, X.top, dict(X.xcaps),
+            {t: (e[0], [list(lane) for lane in e[1]]) for t, e in X._factor.nus.items()})
+
+
+def _kernel_world(bases, per_order):
+    """Products over fresh copies of ``bases``: of the bases, of a difference
+    of products (cancelling orders held as lanes longer than they need), and
+    squares, each result's held lanes read as soon as it is made. With
+    ``per_order`` every product runs the per-order kernel instead of the sweep."""
+    made = []
+
+    def mul(X, Y):
+        try:
+            Z = X * Y
+        except TruncationError:
+            made.append("empty window")
+            return X
+        made.append(_held(Z))
+        return Z
+
+    with pytest.MonkeyPatch.context() as mp:
+        if per_order:
+            mp.setattr(operators, "_op_of_products", _per_order_products)
+        A, B = (_fresh(X) for X in bases)
+        AB, BA = mul(A, B), mul(B, A)
+        C = AB - BA
+        for X, Y in ((C, A), (A, C), (C, C), (AB, AB), (C, B), (A, A), (mul(C, A), A)):
+            mul(X, Y)
+    return made
+
+
+@given(st.sampled_from([1, 2, 3, 4, 8]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_sweep_holds_what_the_per_order_kernel_held(k, data):
+    # Bit for bit: every held (D, lanes) and every cap, the finite caps of
+    # orders that hold nothing too, with and without floors and caps, with
+    # and without xi lanes, and for squares (L is R). An exact operand held
+    # as lanes longer than its degree reaches less once a fetch rebuilds it,
+    # and later orders and products read that shorter reach.
+    rational = k > 2 and data.draw(st.booleans(), label="rational")
+    bases = [_drawn_op(data, 1).lift_context(k) if rational else _drawn_op(data, k)
+             for _ in range(2)]
+    if data.draw(st.booleans(), label="exact"):  # every product order reads reaches
+        bases = [GradedOp(k, X.components, None, 0) for X in bases]
+    assert _kernel_world(bases, False) == _kernel_world(bases, True)
+
+
+def test_kdv_like_product_matches_leibniz_and_the_per_order_kernel():
+    # An exact product with a floor: the KdV pair at x-degree 12.
+    P, Q = kdv_pair(12)
+    PQ = P * Q
+    expected = GradedOp.zero(1)
+    for ma in P.monomials():
+        for mb in Q.monomials():
+            expected = expected + mono_mul(ma, mb)
+    assert PQ.floor == product_floor(P, Q) and not PQ.xcaps
+    assert PQ.agrees_with(expected)
+    assert _kernel_world([P, Q], False) == _kernel_world([P, Q], True)
+
+
 def test_cached_factor_is_no_part_of_the_value():
     k = 3
     A = _field_op(random.Random(5), k, 5, 4).restrict(floor=-2, xcap=6)
@@ -977,6 +1096,34 @@ def test_sums_and_negations_leave_their_operands_unchanged(k, data):
     assert [A, B, C] == before
     assert D == _reference_add(before[2], before[0])
     assert E + C == C.scalar_mul(0)
+
+
+@given(K_SMALL, st.data())
+@settings(max_examples=100, deadline=None)
+def test_difference_is_one_signed_sum(k, data):
+    # A - B scales B's lanes by -1 inside the sum, builds no -B, and equals
+    # A + (-1) B: with floors and caps, orders that cancel, operands held as
+    # lanes (products), and A - A.
+    A = _drawn_op(data, k)
+    B = _drawn_op(data, k, cancel=A)
+    pairs = [(A, B), (B, A), (A, A), (A, _snapshot(A))]
+    try:
+        AB, BA = A * B, B * A
+    except TruncationError:
+        pass
+    else:
+        pairs += [(AB, BA), (AB, A), (B, AB), (AB, AB)]
+    negated = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = GradedOp.scalar_mul
+        mp.setattr(GradedOp, "scalar_mul", lambda X, c: negated.append(c) or real(X, c))
+        diffs = [X - Y for X, Y in pairs] + [A - 3, A - xi_pow(k, 1)]
+    assert negated == []
+    expected = [X + Y.scalar_mul(-1) for X, Y in pairs]
+    expected += [A + GradedOp.from_scalar(k, -3), A + GradedOp.from_scalar(k, -xi_pow(k, 1))]
+    assert diffs == expected
+    for X, Y in pairs[2:4]:
+        assert (X - Y).is_zero_in_window()
 
 
 def _held_lanes(*ops):

@@ -271,19 +271,20 @@ def test_invert_unit_matches_the_pairwise_solve(S):
 
 
 def test_invert_unit_calls_the_kernel_once_per_order(monkeypatch):
-    # nf-k3's S: each order of T is one order_product call; the only
-    # products are the verification's S T and T S.
+    # nf-k3's S: each order of T is one sweep of the kernel over that order
+    # alone; the only products are the verification's S T and T S, one
+    # sweep each.
     Q = parse_operator("d^3 + x*d + x^2").lift_context(3)
     S = schur_operator(Q, depth=8, xcap=default_fit_xcap(5, 3, 8)).S
     kernel, products = [], []
-    real_op, real_mul = operators.order_product, operators._op_mul
-    monkeypatch.setattr(operators, "order_product",
-                        lambda t, *args: kernel.append(t) or real_op(t, *args))
+    real_sweep, real_mul = operators._sweep, operators._op_mul
+    monkeypatch.setattr(operators, "_sweep",
+                        lambda pairs, *args: kernel.append([*pairs]) or real_sweep(pairs, *args))
     monkeypatch.setattr(operators, "_op_mul",
                         lambda A, B: products.append(len(kernel)) or real_mul(A, B))
     assert invert_unit(S).floor == -8
-    assert kernel[:8] == list(range(-1, -9, -1))
-    assert len(products) == 2 and products[0] == 8
+    assert kernel[:8] == [[t] for t in range(-1, -9, -1)]
+    assert len(products) == 2 and products[0] == 8 and len(kernel) == 10
 
 
 @pytest.mark.parametrize("Q, p", [(parse_operator("d^3 + x*d + x^2").lift_context(3), 5),
