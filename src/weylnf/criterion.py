@@ -13,7 +13,6 @@ window it was established on.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .gform import HcpSeries, Hcp
 from .linalg import nullspace
 from .newton import TopLineClass, Weight, classify_top_line, filtration_HS
 from .operators import Graded, GradedOp, INF, commutator
-from .scalars import _join_signed, _reduced, _signed_term, cyclotomic_poly
+from .scalars import _join_signed, _reduced, _signed_term
 from .schur import NormalFormResult, normal_form_report
 
 
@@ -178,6 +177,8 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
     monomial P^u Q^v is evaluated when the weight loop first reaches it, so
     the products follow the certificate's weight, not ``wmax``. The rows are
     integers, read from the monomials' difference rows: no coefficient is built.
+    Each order keeps its rows across weights, and a new monomial adds its column
+    to them once, so a weight reads only the columns it adds.
     """
     if wmax < 0:
         raise PreconditionError("wmax must be nonnegative")
@@ -193,24 +194,28 @@ def bc_certificate(P: GradedOp, Q: GradedOp, wmax: int, depth: int) -> BCResult 
                     if p * u + q * v <= wmax),
                    key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
     pows = {0: GradedOp.one(k), 1: P}, {0: GradedOp.one(k), 1: Q}
-    evals = {}  # the monomials the weight loop has reached, evaluated then
-    lanes = len(cyclotomic_poly(k)) - 1
-
-    @functools.cache
-    def difference_rows(m: tuple, t: int) -> tuple:  # empty columns for an order m lacks
-        return evals[m]._factor.differences(t) if t in evals[m].components else (1, [[]] * lanes)
+    evals, grown = {}, {}  # the monomials reached, evaluated then; per order, (L, rows, read)
 
     def rows_at(t: int) -> list:
-        """Lane i of monomial c's rows, m! * D_c * a_(m-t), times L / D_c, L the lcm: row
-        (m, i) is coordinate i of the x^(m-t) coefficients times m! * L, a row per rational
-        coordinate (the relation is over Q). Zero rows (each m < max(0, t) gives one) go."""
-        held, m0 = [difference_rows(m, t) for m in monos[:ncols]], max(0, t)
-        scale = math.lcm(*[den for den, _ in held])
-        end = min(caps.get(t, INF) + t + 1, max(len(col) for _, cols in held for col in cols))
-        cols = [[[x * (scale // den) for x in col[m0:end]] + [0] * (end - max(m0, len(col)))
-                 for col in cols] for den, cols in held]
-        return [row for rows in zip(*[zip(*[c[i] for c in cols]) for i in range(lanes)])
-                for row in rows if any(row)]
+        """Row (m, i), m < caps[t] + t + 1, of order t: lane i of the differences m! * D_c *
+        a_(m-t) of each monomial c read so far times L / D_c, L the lcm of their D_c, so
+        coordinate i of the x^(m-t) coefficients times m! * L, a row per rational coordinate
+        (the relation is over Q), zero rows dropped. A monomial's column is read into the
+        order's rows once; a grown L scales the rows read before it (a row scaling)."""
+        scale, rows, read = grown.get(t, (1, {}, 0))
+        for c in range(read, ncols):
+            e = evals[monos[c]]
+            den, cols = e._factor.differences(t) if t in e.components else (1, ())
+            if scale % den:
+                f = den // math.gcd(scale, den)
+                scale, rows = scale * f, {mi: [x * f for x in row] for mi, row in rows.items()}
+            for i, col in enumerate(cols):
+                for m in range(max(0, t), len(col)):
+                    if col[m]:
+                        row = rows.setdefault((m, i), [])
+                        row += [0] * (c - len(row)) + [col[m] * (scale // den)]
+        grown[t], end = (scale, rows, ncols), caps.get(t, INF) + t + 1
+        return [row + [0] * (ncols - len(row)) for (m, _), row in sorted(rows.items()) if m < end]
 
     # The search at weight wcap reads the window of the monomials of weight <= wcap,
     # a prefix of monos: its floor, lowest order and x-cap per order, kept running.

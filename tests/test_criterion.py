@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weylnf.criterion import (
     BivarPoly,
@@ -21,8 +23,9 @@ from weylnf import criterion, operators
 from weylnf.fixtures import airy_like_pair, generic_pair, kdv_pair, named_pair, power_pair
 from weylnf.gform import Hcp, HcpSeries
 from weylnf.linalg import nullspace
-from weylnf.operators import GradedOp, commutator
+from weylnf.operators import INF, GradedOp, commutator
 from weylnf.parsing import parse_operator
+from weylnf.scalars import CycloScalar, cyclotomic_poly
 
 
 def F(d):
@@ -420,3 +423,129 @@ def test_bc_certificate_takes_pure_powers_from_the_cache(monkeypatch, name, dept
     res = bc_certificate(P, Q, wmax=6, depth=depth)
     assert res is not None and res.reverified
     assert len(calls) == 4
+
+
+def _bc_rebuilding_rows(P, Q, wmax, depth):
+    """bc_certificate as it was when each read rebuilt an order's rows from the
+    difference rows of every monomial, read afresh at each read: the oracle for
+    the rows the search keeps per order and grows by one column per monomial."""
+    k, p, q = P.k, P.ord(), Q.ord()
+    monos = sorted(((u, v) for u in range(wmax // p + 1) for v in range(wmax // q + 1)
+                    if p * u + q * v <= wmax), key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
+    pows = {0: GradedOp.one(k), 1: P}, {0: GradedOp.one(k), 1: Q}
+    evals, lanes = {}, len(cyclotomic_poly(k)) - 1
+
+    def rows_at(t):
+        held = [evals[m]._factor.differences(t) if t in evals[m].components
+                else (1, [[]] * lanes) for m in monos[:ncols]]
+        m0, scale = max(0, t), math.lcm(*[den for den, _ in held])
+        end = min(caps.get(t, INF) + t + 1, max(len(col) for _, cols in held for col in cols))
+        cols = [[[x * (scale // den) for x in col[m0:end]] + [0] * (end - max(m0, len(col)))
+                 for col in cols] for den, cols in held]
+        return [row for rows in zip(*[zip(*[c[i] for c in cols]) for i in range(lanes)])
+                for row in rows if any(row)]
+
+    common_floor, low, caps, ncols = -INF, INF, {}, 0
+    for wcap in sorted({p * u + q * v for u, v in monos}):
+        while ncols < len(monos) and p * monos[ncols][0] + q * monos[ncols][1] <= wcap:
+            e = evals[monos[ncols]] = criterion._monomial(pows, *monos[ncols])
+            common_floor = max(common_floor, e.floor_eff())
+            low = min(low, min(e.components, default=0))
+            for t, cap in e.xcaps.items():
+                caps[t] = min(caps.get(t, INF), cap)
+            ncols += 1
+        lowest, lo = max(common_floor, low), max(wcap - depth, common_floor)
+        basis = criterion.nullspace([row for t in range(lo, wcap + 1) for row in rows_at(t)],
+                                    ncols)
+        while len(basis[1]) > 1 and lo > lowest:
+            lo -= 1
+            if more := rows_at(lo):
+                basis = criterion._restrict(basis, more)
+        for vec in basis[1]:
+            poly = BivarPoly({monos[i]: x for i, x in enumerate(vec) if x})
+            total = sum((evals[uv].scalar_mul(c) for uv, c in poly.terms.items()),
+                        GradedOp.zero(k))
+            if not total.is_zero_in_window():
+                continue
+            lead = max(poly.terms, key=lambda uv: (p * uv[0] + q * uv[1], uv[0]))
+            poly = poly.scale(1 / poly.terms[lead])
+            reverified = common_floor == -INF or common_floor <= wcap - 2 * depth
+            return criterion.BCResult(poly, poly.weighted_degree(p, q), reverified)
+    return None
+
+
+# Mixed denominators, so that an order's lcm L_t grows part-way through a search.
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def search_cases(draw):
+    """(a builder of a fresh pair, wmax, depth): commuting f(L), g(L) with
+    L = d^m + b(x) d + c(x), whole or windowed so that caps cut rows; pairs over
+    Q(xi_k) with two lanes per row; two drawn operators, most of them not
+    commuting, whose searches extend their window through _restrict."""
+    kind = draw(st.sampled_from(["commuting", "windowed", "q-xi", "non-commuting"]))
+    depth = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([3, 4])) if kind == "q-xi" else 1
+    coeff = RATIONALS if k == 1 else st.builds(
+        lambda a, b: CycloScalar(k, [a, b]), RATIONALS, RATIONALS)
+    m = draw(st.sampled_from([2, 3]))
+    low_terms = [(x, j, draw(coeff)) for x, j in [(0, 1), (1, 1), (0, 0), (1, 0), (2, 0)]
+                 if draw(st.booleans())]
+    if kind in ("commuting", "windowed"):
+        a, b = draw(st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2), (1, 3)]))
+        c1, c0 = draw(RATIONALS), draw(RATIONALS)
+        windows = [(draw(st.integers(-24, -2)), draw(st.integers(0, 12))) for _ in range(2)]
+
+        def build():
+            L = GradedOp.from_monomials(1, [(0, m, 1), *low_terms])
+            P, Q = L ** a + (L ** (a - 1)).scalar_mul(c1), L ** b + GradedOp.from_scalar(1, c0)
+            if kind == "windowed":
+                P, Q = (op.restrict(*w) for op, w in zip((P, Q), windows))
+            return P, Q
+
+        return build, draw(st.integers(0, m * a * b + 2)), depth
+    other = draw(st.sampled_from([1, 2, 3]))
+    other_terms = [(x, j, draw(coeff)) for x, j in [(1, 0), (2, 0), (1, 1)] if draw(st.booleans())]
+    if kind == "q-xi" and draw(st.booleans()):  # constant coefficients: a relation over Q
+        low_terms, other_terms = [t for t in low_terms if t[0] == 0], []
+
+    def build():
+        return (GradedOp.from_monomials(k, [(0, m, 1), *low_terms]),
+                GradedOp.from_monomials(k, [(0, other, 1), *other_terms]))
+
+    return build, draw(st.integers(0, 12)), depth
+
+
+def _windowed_powers():
+    # Q's x-cap is below P's and P^2's degrees: the caps cut stored rows.
+    L = GradedOp.from_monomials(1, [(0, 2, 1), (1, 0, Fraction(1, 3)), (2, 0, Fraction(1, 5))])
+    return (L ** 3).restrict(floor=-24, xcap=12), (L ** 2).restrict(floor=-24, xcap=4)
+
+
+@given(search_cases())
+@example(case=(_windowed_powers, 12, 8))
+@example(case=(lambda: (parse_operator("d^3 + xi", 3), parse_operator("d^3", 3)), 6, 2))
+@example(case=(airy_like_pair, 12, 8))
+@settings(max_examples=60, deadline=None)
+def test_bc_certificate_keeps_the_rows_it_would_rebuild(case):
+    # Every nullspace call of the search gets the rows, as a set, that a rebuild of
+    # each order from every monomial's difference rows gives, read afresh at each
+    # read while later products extend the operands' lanes, and returns the same
+    # (D, basis); so the certificate is the same.
+    build, wmax, depth = case
+    runs = []
+    for search in (bc_certificate, _bc_rebuilding_rows):
+        calls = []
+
+        def traced(matrix, ncols):
+            result = nullspace(matrix, ncols)
+            calls.append((sorted(map(tuple, matrix)), ncols, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criterion, "nullspace", traced)
+            runs.append((search(*build(), wmax, depth), calls))
+    (got, got_calls), (want, want_calls) = runs
+    assert got_calls == want_calls
+    assert got == want
