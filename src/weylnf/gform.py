@@ -390,7 +390,8 @@ def _shift_weights(l2: int, r1: int) -> tuple[tuple[int, int], ...]:
     return tuple((s, math.comb(l2, s) * r1 ** (l2 - s)) for s in range(0 if r1 else l2, l2 + 1))
 
 
-def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = None) -> Hcp:
+def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = None,
+            k: int | None = None) -> Hcp:
     """Recover the G-form of a single homogeneous component.
 
     The eigenvalues mu(n) = nu_r(n + r) / perm(n + r, r) are read from the
@@ -406,8 +407,15 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
     exact sample is checked against its class polynomial. A mismatch means
     the component is not an HCP within these bounds and raises
     :class:`NotAnHcpError`.
+
+    ``k`` is the field Q(xi_k) of the G-form, C's own by default; only a C
+    over Q (k = 1) may fit under another k. Its samples are then solved over
+    Q, and the samples and class vectors gain zero xi-lanes before the
+    inverse transform.
     """
-    k = C.k
+    kc, k = C.k, C.k if k is None else k
+    if kc not in (1, k):
+        raise ContextMismatchError(f"can only lift from the rational context, not k={kc}")
     nonzero = sorted(C.components)
     if r is None:
         if len(nonzero) != 1:
@@ -437,9 +445,11 @@ def fit_hcp(C: GradedOp, dmax: int, nbmax: int, margin: int, r: int | None = Non
     c = [None] * ncols
     for n0 in range(nbmax, nbmax + k):
         nodes = range(n0, n0 + ncols, k)
-        vander = [[CycloScalar.from_rational(k, n ** l) for l in range(dmax + 1)] for n in nodes]
-        c[n0 % k::k] = solve_square(vander, [_from_lanes(k, mu[n], dens[n]) for n in nodes])
-    den, vecs = _vectors(k, c)
+        vander = [[CycloScalar.from_rational(kc, n ** l) for l in range(dmax + 1)] for n in nodes]
+        c[n0 % k::k] = solve_square(vander, [_from_lanes(kc, mu[n], dens[n]) for n in nodes])
+    den, vecs = _vectors(kc, c)
+    if pad := (0,) * (len(_ring(k)[1][0]) - len(lanes)):  # a rational C's zero xi-lanes
+        mu, vecs = [v + pad for v in mu], [v + pad for v in vecs]
     # The inverse DFT, f[l,i] = (1/k) sum_rho c[l,rho] xi^(-i rho), over k * D.
     f = _dft(k, [(m // k, m % k, v) for m, v in enumerate(vecs)], -1)
     terms = tuple([(l, i, tuple(f[i][l])) for l in range(dmax + 1) for i in range(k)

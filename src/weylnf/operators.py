@@ -733,12 +733,12 @@ class Factor:
             den, rows = self.differences(t)
             entry = self.nus[t] = (den, tuple([] for _ in rows), rows)
         den, lanes, rows = entry
-        for i, lane in enumerate(lanes):
-            row = rows[i]
+        for lane, row in zip(lanes, rows):
+            steps = range(len(row) - 1)
             for _ in range(len(lane), jmax + 1):
                 lane.append(row[0])
-                row = [*map(add, row, row[1:]), row[-1]]
-            rows[i] = row
+                for m in steps:  # in place: row[m + 1] is still the old entry
+                    row[m] += row[m + 1]
         return den, lanes
 
 

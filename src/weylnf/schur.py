@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    ContextMismatchError,
     NotAnHcpError,
     PreconditionError,
     PropertyViolation,
@@ -210,6 +211,12 @@ def default_fit_xcap(p: int, q: int, depth: int) -> int:
 
 
 def normal_form_report(P: GradedOp, Q: GradedOp, depth: int) -> NormalFormResult:
+    """P' = S^-1 P S, fitted as an HCP series over Q(xi_q), q = ord Q: the
+    G-form's A_i parts need a primitive q-th root. A pair over Q(xi_q) is
+    solved there. A rational pair (k = 1) is solved over Q as given, so its
+    ``schur`` and ``conjugated`` are rational; only the fit lifts to Q(xi_q).
+    A pair over any other field raises :class:`ContextMismatchError`.
+    """
     if P.k != Q.k:
         raise PreconditionError("P and Q must share a scalar context")
     p = P.ord()
@@ -219,10 +226,8 @@ def normal_form_report(P: GradedOp, Q: GradedOp, depth: int) -> NormalFormResult
     if not P.is_monic():
         raise PreconditionError("P must be monic")
     _require_diffop(P, "P", p)
-    # The fitted presentation lives over Q(xi) with xi a primitive q-th root.
-    if P.k != q:
-        P = P.lift_context(q)
-        Q = Q.lift_context(q)
+    if P.k not in (1, q):
+        raise ContextMismatchError(f"can only lift from the rational context, not k={P.k}")
     X = default_fit_xcap(p, q, depth)
     pair = schur_operator(Q, depth=depth, xcap=X)
     conj = pair.Sinv * (P * pair.S)
@@ -238,11 +243,11 @@ def normal_form_report(P: GradedOp, Q: GradedOp, depth: int) -> NormalFormResult
         i = p - t
         dmax = max(i - 1, 0)
         try:
-            h = fit_hcp(single, dmax=dmax, nbmax=0, margin=FIT_MARGIN, r=t)
+            h = fit_hcp(single, dmax=dmax, nbmax=0, margin=FIT_MARGIN, r=t, k=q)
         except NotAnHcpError:
             escalated.append(t)
             try:
-                h = fit_hcp(single, dmax=dmax + 2, nbmax=0, margin=FIT_MARGIN, r=t)
+                h = fit_hcp(single, dmax=dmax + 2, nbmax=0, margin=FIT_MARGIN, r=t, k=q)
             except NotAnHcpError as exc:
                 raise TruncationError(
                     f"component at order {t} did not fit; this is evidence of "
@@ -251,7 +256,7 @@ def normal_form_report(P: GradedOp, Q: GradedOp, depth: int) -> NormalFormResult
         comps[t] = h
         fitted.append(t)
 
-    series = HcpSeries(Q.k, comps, floor=lo, top=p)
+    series = HcpSeries(q, comps, floor=lo, top=p)
     aqk = check_Aqk(series, 0)
     if not aqk.ok:
         raise PropertyViolation(

@@ -190,6 +190,16 @@ def test_cli_q_of_order_below_one_exits_3(argv, capsys):
     assert err["message"] == "ord(Q) must be positive"
 
 
+def test_cli_normal_form_of_a_pair_over_another_field_exits_3(capsys):
+    # Q(xi_2) is neither Q nor Q(xi_3): the pair cannot be fitted over Q(xi_3).
+    code, out = run_cli(["normal-form", "--k", "2", "--p", "d^5 + x^2*d",
+                         "--q", "d^3 + x*d + x^2", "--depth", "4"], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": {
+        "code": 3, "kind": "ContextMismatchError",
+        "message": "can only lift from the rational context, not k=2"}}
+
+
 def test_cli_failed_suite_ends_with_a_json_error(monkeypatch, capsys):
     def planted(name, cases, seed):
         return SuiteResult(name=name, cases=cases, failures=["case 0: planted violation"])

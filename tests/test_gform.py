@@ -895,6 +895,53 @@ def test_fit_reads_held_lanes_as_it_reads_coefficients(monkeypatch):
                     fit_hcp(form, dmax=dmax, nbmax=nbmax, margin=margin, r=r)
 
 
+@st.composite
+def _rational_components(draw):
+    """``(q, dmax, nbmax, margin, r, C)``: C of order r over Q (k = 1) on the
+    window a fit under q reads, with eigenvalue a quasi-polynomial of period q
+    (rational class polynomials) plus a rational B part; sometimes a class
+    polynomial of degree dmax + 1 or one changed sample, so the fit may fail."""
+    q, dmax, nbmax = draw(st.integers(2, 6)), draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    r, margin = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    value = st.fractions(-3, 3, max_denominator=4)
+    deg = dmax + draw(st.sampled_from([0, 0, 0, 1]))
+    polys = [[draw(value) for _ in range(deg + 1)] for _ in range(q)]
+    need = nbmax + q * (dmax + 1) + margin
+    mu = [sum(c * n ** l for l, c in enumerate(polys[n % q])) for n in range(need + 1)]
+    for n in range(nbmax):
+        mu[n] += draw(value)
+    if draw(st.booleans()):
+        mu[draw(st.integers(0, need))] += 1
+    den, lanes = _lanes(1, [S(1, m) for m in mu])
+    C = GradedOp(1, {r: _comp_of_lanes(1, lanes, den, 0)}, None, r, {r: need})
+    return q, dmax, nbmax, margin, r, C
+
+
+@given(_rational_components())
+@settings(max_examples=150, deadline=None)
+def test_a_rational_component_fits_under_q_as_its_lift(case):
+    # Solved over Q with zero xi-lanes padded, the fit under k = q gives the
+    # fit of the lifted component, or fails at the same sample.
+    q, dmax, nbmax, margin, r, C = case
+
+    def fit(C, **kw):
+        try:
+            return fit_hcp(C, dmax=dmax, nbmax=nbmax, margin=margin, r=r, **kw)
+        except NotAnHcpError as exc:
+            return str(exc)
+
+    for form in _two_forms(C):
+        got = fit(form, k=q)
+        assert got == fit(form.lift_context(q))
+        assert isinstance(got, str) or got.k == q
+
+
+def test_fit_lifts_only_a_rational_component():
+    C = Hcp(3, 1, {(1, 1): xi_pow(3, 1)}).expand(xcap=20)
+    with pytest.raises(ContextMismatchError, match="not k=3"):
+        fit_hcp(C, dmax=1, nbmax=0, margin=2, r=1, k=6)
+
+
 def test_normal_form_report_fits_without_building_coefficients(monkeypatch):
     # The fits read the conjugate's held lanes: coefficients are built only
     # for the Schur recurrence's orders of R_t, none by Factor.comp.

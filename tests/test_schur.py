@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 import pytest
 
 from weylnf import operators, schur
-from weylnf.errors import NotAnHcpError, PreconditionError, PropertyViolation, TruncationError
+from weylnf.errors import (ContextMismatchError, NotAnHcpError, PreconditionError,
+                           PropertyViolation, TruncationError, WeylnfError)
 from weylnf.fixtures import kdv_pair
-from weylnf.gform import check_Aqk
+from weylnf.gform import HcpSeries, check_Aqk, fit_hcp
 from weylnf.operators import GradedOp, commutator
 from weylnf.parsing import parse_operator
 from weylnf.scalars import CycloScalar, xi_pow
@@ -400,11 +401,11 @@ def _fail_fit_at(monkeypatch, order, times):
     """Make ``fit_hcp`` raise NotAnHcpError on its first ``times`` calls at ``order``."""
     real, failed = schur.fit_hcp, []
 
-    def fit(C, dmax, nbmax, margin, r=None):
+    def fit(C, dmax, nbmax, margin, r=None, **kw):
         if r == order and len(failed) < times:
             failed.append(dmax)
             raise NotAnHcpError("planted fit failure")
-        return real(C, dmax, nbmax, margin, r)
+        return real(C, dmax, nbmax, margin, r, **kw)
 
     monkeypatch.setattr(schur, "fit_hcp", fit)
     return failed
@@ -432,3 +433,106 @@ def test_failed_escalation_names_the_bound_tried(monkeypatch):
         _k3_report()
     assert failed == [2, 4]
     assert exc.value.required == {"order": 2, "dmax_tried": 4}
+
+
+# -- rational pairs over Q ----------------------------------------------------------
+
+
+def _lift_first_report(P, Q, depth):
+    """The lift-first route: both operators lifted to Q(xi_q) before the Schur
+    solve, so the solve, the checks, the conjugation and the fits all run
+    over Q(xi_q). Returns what ``normal_form_report`` reports, and the conjugate."""
+    if P.k != Q.k:
+        raise PreconditionError("P and Q must share a scalar context")
+    p, q = P.ord(), Q.ord()
+    if q <= 0:
+        raise PreconditionError("ord(Q) must be positive")
+    if not P.is_monic():
+        raise PreconditionError("P must be monic")
+    schur._require_diffop(P, "P", p)
+    if P.k != q:
+        P, Q = P.lift_context(q), Q.lift_context(q)
+    pair = schur_operator(Q, depth=depth, xcap=default_fit_xcap(p, q, depth))
+    conj = pair.Sinv * (P * pair.S)
+    comps, fitted, escalated = {}, [], []
+    lo = max(0, p - depth)
+    for t in range(p, lo - 1, -1):
+        if t not in conj.components:
+            continue
+        single, dmax = conj.component_as_op(t), max(p - t - 1, 0)
+        try:
+            h = fit_hcp(single, dmax=dmax, nbmax=0, margin=schur.FIT_MARGIN, r=t)
+        except NotAnHcpError:
+            escalated.append(t)
+            try:
+                h = fit_hcp(single, dmax=dmax + 2, nbmax=0, margin=schur.FIT_MARGIN, r=t)
+            except NotAnHcpError as exc:
+                raise TruncationError(
+                    f"component at order {t} did not fit; this is evidence of "
+                    f"insufficient depth or bounds, not of non-representability",
+                    {"order": t, "dmax_tried": dmax + 2}) from exc
+        comps[t] = h
+        fitted.append(t)
+    series = HcpSeries(Q.k, comps, floor=lo, top=p)
+    aqk = check_Aqk(series, 0)
+    if not aqk.ok:
+        raise PropertyViolation(
+            f"normal form failed its shape condition (clause {aqk.clause}: {aqk.detail}); "
+            "this contradicts the guaranteed contract for differential pairs")
+    flo = conj.floor if conj.floor is not None else min(conj.components, default=0)
+    below = any(t in conj.components for t in range(int(flo), 0))
+    return series, fitted, escalated, pair.verified, below, conj
+
+
+def _outcome(route):
+    """What a route returns, or the type, message and ``required`` of its error."""
+    try:
+        return route()
+    except WeylnfError as exc:
+        return type(exc), str(exc), getattr(exc, "required", None)
+
+
+@st.composite
+def _rational_pairs(draw):
+    """Rational monic P and normalized Q (ord Q in {2, 3, 4}), some with floors."""
+    q, p = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 6))
+    depth = draw(st.integers(3, 8))
+    coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    q_terms = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, q - 2), coeff),
+                            min_size=1, max_size=3))
+    p_terms = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, p), coeff)
+                            .filter(lambda m: m[1] - m[0] < p), min_size=1, max_size=3))
+    P, Q = op(1, (0, p, 1), *p_terms), op(1, (0, q, 1), *q_terms)
+    floors = st.one_of(st.none(), st.integers(q - depth - 2, q - depth + 1))
+    qf, pf = draw(floors), draw(floors)
+    return (P if pf is None else P.restrict(floor=pf),
+            Q if qf is None else Q.restrict(floor=qf), depth)
+
+
+@given(_rational_pairs())
+@settings(max_examples=60, deadline=None)
+def test_rational_pair_is_solved_over_q_as_the_lift_first_route(case):
+    P, Q, depth = case
+    q = Q.ord()
+    new = _outcome(lambda: normal_form_report(P, Q, depth))
+    old = _outcome(lambda: _lift_first_report(P, Q, depth))
+    if isinstance(old, tuple) and isinstance(old[0], type):
+        assert new == old
+        return
+    series, fitted, escalated, verified, below, conj = old
+    assert new.series == series and new.series.k == q
+    assert (new.fitted_orders, new.escalated_orders) == (fitted, escalated)
+    assert (new.schur.verified, new.below_window_nonzero) == (verified, below)
+    assert new.conjugated.k == new.schur.S.k == 1
+    assert new.conjugated.lift_context(q) == conj
+
+
+def test_a_pair_over_another_field_is_refused_before_any_solve(monkeypatch):
+    def no_solve(*args, **kw):
+        raise AssertionError("schur_operator called")
+
+    monkeypatch.setattr(schur, "schur_operator", no_solve)
+    P, Q = parse_operator("d^5 + x^2*d", 2), parse_operator("d^3 + x*d + x^2", 2)
+    with pytest.raises(ContextMismatchError) as exc:
+        normal_form_report(P, Q, depth=4)
+    assert str(exc.value) == "can only lift from the rational context, not k=2"
